@@ -20,24 +20,20 @@ import numpy as np
 from .data import Dataset, Example
 from .objective import saddle_grad
 from .stats import ClassStats, StatsSnapshot, exact_snapshot
-from .trainer import (DivergenceError, IterateAverages, TrainConfig,
-                      check_eval_dims, stream_run)
+from .trainer import Learner, TrainConfig, stream_run
 
 ALGORITHMS = ("spauc", "spam", "solam")
 UNIMPLEMENTED = ("opauc", "oam", "fsauc")
 
 
-class SpamTrainer:
+class SpamTrainer(Learner):
     """Proximal SGD against fixed full-data moments."""
 
     def __init__(self, dim: int, config: TrainConfig, moments: StatsSnapshot):
         if not moments.ready:
             raise ValueError("SPAM needs full-data moments with both classes")
-        self.config = config
+        super().__init__(dim, config)
         self.moments = moments
-        self.w = np.zeros(dim)
-        self.t = 0
-        self.averages = IterateAverages(dim, config.resolved_t1())
         self.moments_seconds = 0.0  # set by run_baseline
 
     def step(self, z: Example) -> None:
@@ -47,18 +43,10 @@ class SpamTrainer:
         alpha = b - a
         eta = self.config.schedule.step_size(self.t + 1)
         g, _, _, _ = saddle_grad(self.w, a, b, alpha, z, m)
-        w_new = self.config.regularizer.prox(self.w - eta * g, eta)
-        if not np.isfinite(w_new).all():
-            raise DivergenceError(self.t + 1, self.w)
-        self.averages.add(w_new, eta, self.t + 1)
-        self.w = w_new
-        self.t += 1
-
-    def model(self, average: str | None = None) -> np.ndarray:
-        return self.averages.get(average or self.config.average, self.w)
+        self.accept(self.config.regularizer.prox(self.w - eta * g, eta), eta)
 
 
-class SolamTrainer:
+class SolamTrainer(Learner):
     """Projected primal-dual SGD on the saddle objective with running moments.
 
     The clamp ranges [-kR, kR] for a, b and [-2kR, 2kR] for alpha come from
@@ -69,16 +57,13 @@ class SolamTrainer:
     def __init__(self, dim: int, config: TrainConfig, radius: float):
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
-        self.config = config
+        super().__init__(dim, config)
         self.radius = radius
-        self.w = np.zeros(dim)
         self.a = 0.0
         self.b = 0.0
         self.alpha = 0.0
-        self.t = 0
         self.stats = ClassStats(dim)
         self.kappa = 1.0
-        self.averages = IterateAverages(dim, config.resolved_t1())
 
     def step(self, z: Example) -> None:
         self.kappa = max(self.kappa, z.norm())
@@ -92,19 +77,12 @@ class SolamTrainer:
         norm = float(np.linalg.norm(w_new))
         if norm > self.radius:
             w_new *= self.radius / norm
-        if not np.isfinite(w_new).all():
-            raise DivergenceError(self.t + 1, self.w)
+        self.accept(w_new, eta)
         bound = self.kappa * self.radius
         self.a = float(np.clip(self.a - eta * ga, -bound, bound))
         self.b = float(np.clip(self.b - eta * gb, -bound, bound))
         self.alpha = float(np.clip(self.alpha + eta * galpha, -2 * bound, 2 * bound))
-        self.averages.add(w_new, eta, self.t + 1)
         self.stats.update(z)
-        self.w = w_new
-        self.t += 1
-
-    def model(self, average: str | None = None) -> np.ndarray:
-        return self.averages.get(average or self.config.average, self.w)
 
 
 def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
@@ -113,9 +91,6 @@ def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
                  objective_data: Dataset | None = None):
     """Train a baseline over the dataset; same contract and trace schema as
     `trainer.train`. SPAM's elapsed time includes its full-data moment pass."""
-    if dataset.n_pos < 1 or dataset.n_neg < 1:
-        raise ValueError("training data must contain both classes")
-    check_eval_dims(dataset.dim, test_data, objective_data)
     if algo == "spam":
         tick = time.perf_counter()
         moments = exact_snapshot(dataset)

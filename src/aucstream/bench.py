@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,19 +138,29 @@ class TuneGrid:
         return [points[i] for i in chosen]
 
 
-def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    perm = np.random.default_rng([seed, 2971]).permutation(n)
-    return [perm[k::folds] for k in range(folds)]
+def _fold_indices(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray]:
+    """Class-stratified folds: the shuffled positives, then the shuffled
+    negatives, dealt round-robin, so class counts and fold sizes each differ
+    by at most one across folds."""
+    rng = np.random.default_rng([seed, 2971])
+    order = np.concatenate([rng.permutation(dataset.pos_indices),
+                            rng.permutation(dataset.neg_indices)])
+    return [order[k::folds] for k in range(folds)]
 
 
 def cross_validate(dataset: Dataset, algo: str, params: dict, reg_kind: str,
                    folds: int, seed: int, epochs: int,
                    radius: float = 100.0) -> list[float]:
-    """Per-fold validation AUC of the last iterate; a diverged or degenerate
-    fold scores 0 so it can never win."""
+    """Per-fold validation AUC of the last iterate; a diverged fold scores 0
+    so it can never win. Every fold needs both classes, so each class must
+    have at least `folds` examples."""
     from .metrics import auc
 
-    fold_idx = _fold_indices(len(dataset), folds, seed)
+    if dataset.n_pos < folds or dataset.n_neg < folds:
+        raise ValueError(
+            f"{folds}-fold cross-validation needs at least {folds} examples of "
+            f"each class, got {dataset.n_pos} positive and {dataset.n_neg} negative")
+    fold_idx = _fold_indices(dataset, folds, seed)
     all_idx = np.arange(len(dataset))
     scores = []
     for k in range(folds):
@@ -160,14 +169,12 @@ def cross_validate(dataset: Dataset, algo: str, params: dict, reg_kind: str,
         config = config_from_params(params, reg_kind, epochs, seed,
                                     eval_every=max(1, len(fit) * epochs))
         try:
-            # oversized candidate steps are expected to blow up; keep the
-            # overflow quiet and let the divergence guard score them
-            with np.errstate(over="ignore", invalid="ignore"):
-                w, _ = run_algorithm(algo, fit, config,
-                                     radius=params.get("radius", radius))
-            scores.append(auc(val.scores(w), val.labels))
-        except (DivergenceError, ValueError):
+            w, _ = run_algorithm(algo, fit, config,
+                                 radius=params.get("radius", radius))
+        except DivergenceError:
             scores.append(0.0)
+            continue
+        scores.append(auc(val.scores(w), val.labels))
     return scores
 
 
@@ -249,16 +256,14 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
               test_fraction: float = 0.2,
               eval_every: int = 1000,
               radius: float = 100.0,
-              outdir=None,
-              jobs: int = 1):
-    """The measurement protocol: per repeat, a fresh seeded split, optionally
-    a cross-validated parameter search on the training part, then one traced
-    run per algorithm.
+              outdir=None):
+    """The measurement protocol: per repeat, a fresh seeded split, then per
+    algorithm an optional cross-validated parameter search on the training
+    part and one traced run.
 
     Returns (report_rows, trace_map) with trace_map[(algo, repeat)] the run's
     trace. Per-run trace CSVs and the aggregate report are written under
-    `outdir` when given. Repeats run concurrently when jobs > 1; traces still
-    time honestly only in serial mode.
+    `outdir` when given.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -266,33 +271,21 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
         if algo not in ALGORITHMS:
             raise ValueError(unknown_algorithm_message(algo))
 
-    def one_repeat(r: int):
+    trace_map = {}
+    for r in range(repeats):
         seed = base_seed + r
         fit, held_out = split(dataset, test_fraction, seed)
         obj_data = objective_subsample(fit, seed)
-        if tune_grid is not None:
-            params_by_algo = {a: tune(fit, a, tune_grid, reg_kind, seed, epochs)[0]
-                              for a in algos}
-        else:
-            params_by_algo = {a: dict(fixed_params or {"mu": 0.01}) for a in algos}
-        results = {}
         for algo in algos:
-            params = params_by_algo[algo]
+            if tune_grid is not None:
+                params = tune(fit, algo, tune_grid, reg_kind, seed, epochs)[0]
+            else:
+                params = dict(fixed_params or {"mu": 0.01})
             config = config_from_params(params, reg_kind, epochs, seed, eval_every)
-            results[algo] = run_algorithm(algo, fit, config,
-                                          radius=params.get("radius", radius),
-                                          test_data=held_out,
-                                          objective_data=obj_data)[1]
-        return results
+            trace_map[(algo, r)] = run_algorithm(
+                algo, fit, config, radius=params.get("radius", radius),
+                test_data=held_out, objective_data=obj_data)[1]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_repeat = list(pool.map(one_repeat, range(repeats)))
-    else:
-        per_repeat = [one_repeat(r) for r in range(repeats)]
-
-    trace_map = {(algo, r): per_repeat[r][algo]
-                 for r in range(repeats) for algo in algos}
     if outdir is not None:
         for (algo, r), trace in trace_map.items():
             write_trace(f"{outdir}/{algo}_rep{r}.csv", trace)

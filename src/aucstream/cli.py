@@ -108,10 +108,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--test-fraction", type=float, default=0.2)
     p_bench.add_argument("--eval-every", type=int, default=1000)
     p_bench.add_argument("--outdir", default=None, help="directory for trace/report CSVs")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="concurrent repeats (timings are honest only serially)")
-    p_bench.add_argument("--serial", action="store_true",
-                         help="force sequential repeats for clean timing")
     commands["benchmark"] = p_bench
 
     p_tune = sub.add_parser("tune", help="cross-validated random grid search")
@@ -280,13 +276,12 @@ def cmd_benchmark(args, parser) -> int:
         if args.reg != "none":
             fixed_params["lambda"] = args.lam
 
-    jobs = 1 if args.serial else max(1, args.jobs)
     rows, _ = bench.benchmark(
         data, dataset_name, algos, repeats=args.repeats, base_seed=args.seed,
         epochs=args.epochs, reg_kind=args.reg,
         fixed_params=fixed_params, tune_grid=tune_grid,
         test_fraction=args.test_fraction, eval_every=args.eval_every,
-        radius=args.radius, outdir=args.outdir, jobs=jobs)
+        radius=args.radius, outdir=args.outdir)
     print(",".join(bench.REPORT_HEADER))
     for r in rows:
         print(f"{r.algo},{r.dataset},{r.auc_mean:.4f},{r.auc_std:.4f},"

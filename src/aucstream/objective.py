@@ -62,15 +62,6 @@ def surrogate_grad(w: np.ndarray, z: Example, s: StatsSnapshot) -> np.ndarray:
     return g
 
 
-def tilde_value(w: np.ndarray, z: Example, exact: StatsSnapshot) -> float:
-    """Surrogate evaluated with exact (full-data) moments.
-
-    Same formula as `surrogate_value`; averaging it over a dataset whose
-    exact moments were supplied reproduces the pairwise objective.
-    """
-    return surrogate_value(w, z, exact)
-
-
 def pairwise_objective_bruteforce(w: np.ndarray, dataset: Dataset) -> float:
     """All-pairs least-squares AUC objective, the oracle form.
 

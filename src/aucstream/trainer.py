@@ -6,9 +6,10 @@ absorbed into the running statistics afterwards. Until one example of each
 class has been seen, examples only feed the statistics (warm-up) and no
 proximal step is taken.
 
-Two weighted running averages of the iterates are maintained alongside the
-last iterate: one weighted by the step sizes, one by k + t1 + 1 at step k
-(the weighting under which the fast-rate schedule has its guarantee).
+The model is the last iterate or one weighted running average of the
+iterates, chosen by the configuration; only that one is maintained. avg1
+weights step k by its step size, avg2 by k + t1 + 1 (the weighting under
+which the fast-rate schedule has its guarantee).
 """
 
 from __future__ import annotations
@@ -79,47 +80,73 @@ class TracePoint:
 
 
 class IterateAverages:
-    """Incrementally maintained weighted averages of iterates: one weighted
-    by step size, one by step + t1 + 1."""
+    """Incrementally maintained running average of the iterates, of the one
+    kind in AVERAGES the configuration asks for: "avg1" weights iterate k by
+    its step size, "avg2" by k + t1 + 1, and "last" keeps nothing."""
 
-    def __init__(self, dim: int, t1: float):
+    def __init__(self, dim: int, kind: str, t1: float):
+        self.kind = kind
         self.t1 = t1
-        self.avg1_num = np.zeros(dim)
-        self.avg1_den = 0.0
-        self.avg2_num = np.zeros(dim)
-        self.avg2_den = 0.0
+        self.num = None if kind == "last" else np.zeros(dim)
+        self.den = 0.0
 
     def add(self, w: np.ndarray, eta: float, step: int) -> None:
-        self.avg1_num += eta * w
-        self.avg1_den += eta
-        weight = step + self.t1 + 1.0
-        self.avg2_num += weight * w
-        self.avg2_den += weight
+        if self.num is None:
+            return
+        weight = eta if self.kind == "avg1" else step + self.t1 + 1.0
+        self.num += weight * w
+        self.den += weight
 
-    def get(self, kind: str, fallback: np.ndarray) -> np.ndarray:
-        if kind == "last" or self.avg1_den == 0.0:
+    def get(self, fallback: np.ndarray) -> np.ndarray:
+        """The average, or a copy of `fallback` (the last iterate) for "last"
+        and before the first step."""
+        if self.den == 0.0:
             return fallback.copy()
-        if kind == "avg1":
-            return self.avg1_num / self.avg1_den
-        if kind == "avg2":
-            return self.avg2_num / self.avg2_den
-        raise ValueError(f"unknown average {kind!r}")
+        return self.num / self.den
 
 
-class SpaucTrainer:
-    """Stochastic proximal learner on the streaming surrogate.
+class Learner:
+    """Iterate bookkeeping shared by the streaming learners: the weights w,
+    the count t of accepted steps and the configured iterate average.
 
-    step() implements: eta = schedule(t+1); g = surrogate gradient at the
-    current weights under the pre-example snapshot; w <- prox(w - eta*g, eta);
-    update both running averages; absorb the example.
+    A subclass implements step(z): it computes a candidate iterate and hands
+    it to accept().
     """
 
     def __init__(self, dim: int, config: TrainConfig):
         self.config = config
         self.w = np.zeros(dim)
         self.t = 0
+        self.averages = IterateAverages(dim, config.average, config.resolved_t1())
+
+    def step(self, z: Example) -> None:
+        raise NotImplementedError
+
+    def accept(self, w_new: np.ndarray, eta: float) -> None:
+        """Make w_new iterate t+1, taken with step size eta. A non-finite
+        w_new raises DivergenceError carrying the last finite iterate."""
+        if not np.isfinite(w_new).all():
+            raise DivergenceError(self.t + 1, self.w)
+        self.averages.add(w_new, eta, self.t + 1)
+        self.w = w_new
+        self.t += 1
+
+    def model(self) -> np.ndarray:
+        """The configured iterate: the last one or a weighted running average."""
+        return self.averages.get(self.w)
+
+
+class SpaucTrainer(Learner):
+    """Stochastic proximal learner on the streaming surrogate.
+
+    step() implements: eta = schedule(t+1); g = surrogate gradient at the
+    current weights under the pre-example snapshot; w <- prox(w - eta*g, eta);
+    then absorb the example.
+    """
+
+    def __init__(self, dim: int, config: TrainConfig):
+        super().__init__(dim, config)
         self.stats = ClassStats(dim)
-        self.averages = IterateAverages(dim, config.resolved_t1())
 
     def step(self, z: Example) -> None:
         if not self.stats.ready:
@@ -127,35 +154,33 @@ class SpaucTrainer:
             return
         eta = self.config.schedule.step_size(self.t + 1)
         g = surrogate_grad(self.w, z, self.stats.snapshot())
-        w_new = self.config.regularizer.prox(self.w - eta * g, eta)
-        if not np.isfinite(w_new).all():
-            raise DivergenceError(self.t + 1, self.w)
-        self.averages.add(w_new, eta, self.t + 1)
+        self.accept(self.config.regularizer.prox(self.w - eta * g, eta), eta)
         self.stats.update(z)
-        self.w = w_new
-        self.t += 1
-
-    def model(self, average: str | None = None) -> np.ndarray:
-        """Selected iterate: the last one or a weighted running average."""
-        return self.averages.get(average or self.config.average, self.w)
 
 
-def stream_run(learner, dataset: Dataset, config: TrainConfig,
+def stream_run(learner: Learner, dataset: Dataset, config: TrainConfig,
                test_data: Dataset | None = None,
                objective_data: Dataset | None = None,
                time_offset: float = 0.0) -> tuple[np.ndarray, list[TracePoint]]:
     """Drive a learner over epochs * n examples in shuffled stream order.
 
-    The clock is paused while evaluating trace points, so elapsed_sec measures
-    training work only (plus any preprocessing passed in as time_offset).
-    A final trace point is always recorded.
+    The training data must hold both classes, and evaluation data may not be
+    wider than it. The clock is paused while evaluating trace points, so
+    elapsed_sec measures training work only (plus any preprocessing passed in
+    as time_offset). A final trace point is always recorded.
     """
+    if dataset.n_pos < 1 or dataset.n_neg < 1:
+        raise ValueError("training data must contain both classes")
+    for name, data in (("test", test_data), ("objective", objective_data)):
+        if data is not None and data.dim > dataset.dim:
+            raise ValueError(f"{name} data dimension {data.dim} exceeds "
+                             f"training dimension {dataset.dim}")
     trace: list[TracePoint] = []
     last_traced = -1
 
     def record(elapsed: float) -> None:
         nonlocal last_traced
-        w = learner.model(config.average)
+        w = learner.model()
         point = TracePoint(learner.t, elapsed)
         if test_data is not None:
             point.test_auc = auc(test_data.scores(w), test_data.labels)
@@ -166,26 +191,21 @@ def stream_run(learner, dataset: Dataset, config: TrainConfig,
 
     elapsed = time_offset
     tick = time.perf_counter()
-    for epoch in range(config.epochs):
-        for i in stream_order(dataset, epoch, config.seed):
-            learner.step(dataset[i])
-            if learner.t > 0 and learner.t % config.eval_every == 0 \
-                    and learner.t != last_traced:
-                elapsed += time.perf_counter() - tick
-                record(elapsed)
-                tick = time.perf_counter()
+    # a step that overflows is caught by the learner's finiteness check and
+    # reported as a DivergenceError, so numpy's warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for i in stream_order(dataset, epoch, config.seed):
+                learner.step(dataset[i])
+                if learner.t > 0 and learner.t % config.eval_every == 0 \
+                        and learner.t != last_traced:
+                    elapsed += time.perf_counter() - tick
+                    record(elapsed)
+                    tick = time.perf_counter()
     elapsed += time.perf_counter() - tick
     if learner.t != last_traced:
         record(elapsed)
-    return learner.model(config.average), trace
-
-
-def check_eval_dims(dim: int, test_data: Dataset | None,
-                    objective_data: Dataset | None) -> None:
-    for name, data in (("test", test_data), ("objective", objective_data)):
-        if data is not None and data.dim > dim:
-            raise ValueError(
-                f"{name} data dimension {data.dim} exceeds training dimension {dim}")
+    return learner.model(), trace
 
 
 def train(dataset: Dataset, config: TrainConfig,
@@ -193,9 +213,6 @@ def train(dataset: Dataset, config: TrainConfig,
           objective_data: Dataset | None = None) -> tuple[np.ndarray, list[TracePoint]]:
     """Run the proximal learner over a dataset; returns the configured iterate
     and the evaluation trace. Deterministic given config.seed."""
-    if dataset.n_pos < 1 or dataset.n_neg < 1:
-        raise ValueError("training data must contain both classes")
-    check_eval_dims(dataset.dim, test_data, objective_data)
     learner = SpaucTrainer(dataset.dim, config)
     return stream_run(learner, dataset, config, test_data, objective_data)
 

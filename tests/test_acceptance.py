@@ -19,7 +19,7 @@ from aucstream.objective import (dataset_kappa, instance_kappa,
                                  pairwise_objective_bruteforce,
                                  pairwise_objective_fast, saddle_grad,
                                  saddle_value, surrogate_grad,
-                                 surrogate_value, tilde_value)
+                                 surrogate_value)
 from aucstream.regularizers import l1, l2, none_reg
 from aucstream.schedules import (FastRateSchedule, PolySchedule,
                                  PracticalSchedule, theory_cap)
@@ -54,7 +54,7 @@ def test_criterion_01_finite_sample_unbiasedness():
         exact = exact_snapshot(ds)
         for _ in range(10):
             w = rng.normal(size=10)
-            mean = float(np.mean([tilde_value(w, z, exact) for z in ds]))
+            mean = float(np.mean([surrogate_value(w, z, exact) for z in ds]))
             target = pairwise_objective_bruteforce(w, ds)
             assert abs(mean - target) <= 1e-10 * abs(target)
         assert time.perf_counter() - start < 1.0
@@ -110,9 +110,9 @@ def test_criterion_04_convexity():
         for _ in range(1000):
             w1, w2 = rng.normal(size=6), rng.normal(size=6)
             z = ds[int(rng.integers(len(ds)))]
-            mid = tilde_value(0.5 * (w1 + w2), z, exact)
-            assert mid <= 0.5 * tilde_value(w1, z, exact) \
-                + 0.5 * tilde_value(w2, z, exact) + 1e-10
+            mid = surrogate_value(0.5 * (w1 + w2), z, exact)
+            assert mid <= 0.5 * surrogate_value(w1, z, exact) \
+                + 0.5 * surrogate_value(w2, z, exact) + 1e-10
 
 
 def test_criterion_05_prox_exactness():
@@ -209,14 +209,17 @@ def test_criterion_09_averaging_equivalence():
         rng = np.random.default_rng(109)
         t1 = 6.25
         sched = PracticalSchedule(3.0)
-        cfg = TrainConfig(none_reg(), sched, t1=t1)
-        learner = SpaucTrainer(5, cfg)
+        learners = {kind: SpaucTrainer(5, TrainConfig(none_reg(), sched,
+                                                      average=kind, t1=t1))
+                    for kind in ("avg1", "avg2")}
+        learner = learners["avg1"]
         iterates, etas = [], []
         labels = [1, -1] + [1 if rng.random() < 0.4 else -1 for _ in range(100)]
         for y in labels:
             z = sparse_example(rng, 5, y)
             before = learner.t
-            learner.step(z)
+            for each in learners.values():
+                each.step(z)
             if learner.t > before:
                 iterates.append(learner.w.copy())
                 etas.append(sched.step_size(learner.t))
@@ -226,8 +229,8 @@ def test_criterion_09_averaging_equivalence():
         avg1 = (etas[:, None] * ws).sum(axis=0) / etas.sum()
         w2 = ks + t1 + 1.0
         avg2 = (w2[:, None] * ws).sum(axis=0) / w2.sum()
-        np.testing.assert_allclose(learner.model("avg1"), avg1, rtol=1e-10)
-        np.testing.assert_allclose(learner.model("avg2"), avg2, rtol=1e-10)
+        np.testing.assert_allclose(learners["avg1"].model(), avg1, rtol=1e-10)
+        np.testing.assert_allclose(learners["avg2"].model(), avg2, rtol=1e-10)
 
 
 def test_criterion_10_table_spot_reproduction():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID, TuneGrid,
-                             aggregate, benchmark, config_from_params,
-                             objective_subsample, read_trace, tune,
-                             write_report, write_trace, write_tune_table)
+                             _fold_indices, aggregate, benchmark,
+                             config_from_params, objective_subsample,
+                             read_trace, tune, write_report, write_trace,
+                             write_tune_table)
 from aucstream.trainer import TracePoint
 
 from conftest import gaussian_task, random_dataset
@@ -74,6 +75,25 @@ class TestTune:
         assert best == {"mu": 30.0}
         means = {row["params"]["mu"]: row["mean_auc"] for row in table}
         assert means[30.0] > means[1.0]
+
+    def test_too_few_of_a_class_for_the_folds_raises(self):
+        rng = np.random.default_rng(2)
+        ds = random_dataset(rng, n=200, d=4, pos_fraction=0.02)
+        assert ds.n_pos == 4
+        grid = TuneGrid({"mu": [50.0]}, pair_sample_size=1, folds=5)
+        with pytest.raises(ValueError) as exc:
+            tune(ds, "spauc", grid, "none", seed=1, epochs=1)
+        assert "4 positive and 196 negative" in str(exc.value)
+
+    def test_stratified_folds_hold_both_classes(self):
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, n=200, d=4, pos_fraction=0.025)
+        folds = _fold_indices(ds, 5, seed=0)
+        assert sorted(np.concatenate(folds)) == list(range(200))
+        for idx in folds:
+            assert len(idx) == 40
+            labels = ds.labels[idx]
+            assert (labels == 1).sum() == 1 and (labels == -1).sum() == 39
 
     def test_table_written(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -150,17 +170,6 @@ class TestBenchmark:
         a = [p.test_auc for p in traces[("spauc", 0)]]
         b = [p.test_auc for p in traces[("spauc", 1)]]
         assert a != b
-
-    def test_parallel_matches_serial_values(self, tmp_path):
-        ds = gaussian_task(9, n=200, d=5)
-        kw = dict(repeats=2, base_seed=3, epochs=1, reg_kind="none",
-                  fixed_params={"mu": 50.0}, eval_every=50)
-        rows_s, traces_s = benchmark(ds, "toy", ["spauc"], jobs=1, **kw)
-        rows_p, traces_p = benchmark(ds, "toy", ["spauc"], jobs=2, **kw)
-        assert rows_s[0].auc_mean == rows_p[0].auc_mean
-        for key in traces_s:
-            assert [p.test_auc for p in traces_s[key]] == \
-                [p.test_auc for p in traces_p[key]]
 
     def test_unknown_algorithm_rejected(self):
         ds = gaussian_task(10, n=100, d=4)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aucstream
 from aucstream.cli import main
 from aucstream.data import save_libsvm
 from aucstream.trainer import load_model
@@ -85,7 +90,6 @@ class TestTrain:
         assert main(["train", "--data", tiny_file, "--test", str(wide),
                      "--mu", "30"]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, n=40, d=4)
@@ -95,9 +99,20 @@ class TestTrain:
                 feats = " ".join(f"{i+1}:{float(100.0 * v)!r}"
                                  for i, v in zip(ex.indices, ex.values))
                 fh.write(f"{ex.label} {feats}\n")
-        code = main(["train", "--data", str(big), "--schedule", "poly",
-                     "--eta1", "5.0", "--theta", "0.51", "--epochs", "50"])
-        assert code == 3
+        # a fresh process, so any numpy overflow warning would reach stderr
+        src = str(Path(aucstream.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "aucstream.cli", "train", "--data", str(big),
+             "--schedule", "poly", "--eta1", "5.0", "--theta", "0.51",
+             "--epochs", "50"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: training diverged at iteration ")
 
     def test_clamp_theory_flag(self, tmp_path, easy_file):
         model = tmp_path / "m.json"
@@ -156,7 +171,7 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--data", easy_file, "--algos", "spauc,solam",
                      "--repeats", "2", "--epochs", "1", "--mu", "30",
                      "--eval-every", "200", "--seed", "4",
-                     "--outdir", str(outdir), "--serial"])
+                     "--outdir", str(outdir)])
         assert code == 0
         report = read_rows(outdir / "report.csv")
         assert report[0][0] == "algo"

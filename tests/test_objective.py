@@ -6,7 +6,7 @@ from aucstream.objective import (dataset_kappa, instance_kappa,
                                  pairwise_objective_bruteforce,
                                  pairwise_objective_fast, saddle_grad,
                                  saddle_value, surrogate_grad,
-                                 surrogate_value, tilde_value)
+                                 surrogate_value)
 from aucstream.stats import NotReadyError, StatsSnapshot, exact_snapshot
 
 from conftest import (central_diff, central_diff_scalar, dense_example,
@@ -178,7 +178,7 @@ class TestTilde:
             ds = random_dataset(rng, n=40, d=5, pos_fraction=0.3)
             exact = exact_snapshot(ds)
             w = rng.normal(size=5)
-            mean = np.mean([tilde_value(w, z, exact) for z in ds])
+            mean = np.mean([surrogate_value(w, z, exact) for z in ds])
             assert mean == pytest.approx(
                 pairwise_objective_bruteforce(w, ds), rel=1e-10)
 
@@ -187,7 +187,7 @@ class TestTilde:
         ds = random_dataset(rng, n=20, d=3, pos_fraction=0.5)
         exact = exact_snapshot(ds)
         p_hat = ds.n_pos / len(ds)
-        assert tilde_value(np.zeros(3), ds[0], exact) == pytest.approx(
+        assert surrogate_value(np.zeros(3), ds[0], exact) == pytest.approx(
             p_hat * (1 - p_hat), rel=1e-12)
 
     def test_convexity(self):
@@ -197,9 +197,9 @@ class TestTilde:
         for _ in range(200):
             w1, w2 = rng.normal(size=4), rng.normal(size=4)
             z = ds[int(rng.integers(len(ds)))]
-            mid = tilde_value(0.5 * w1 + 0.5 * w2, z, exact)
-            assert mid <= 0.5 * tilde_value(w1, z, exact) \
-                + 0.5 * tilde_value(w2, z, exact) + 1e-10
+            mid = surrogate_value(0.5 * w1 + 0.5 * w2, z, exact)
+            assert mid <= 0.5 * surrogate_value(w1, z, exact) \
+                + 0.5 * surrogate_value(w2, z, exact) + 1e-10
 
 
 class TestSaddle:

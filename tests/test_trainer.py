@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aucstream.bench import run_algorithm
 from aucstream.data import Dataset, split
 from aucstream.metrics import auc
 from aucstream.objective import surrogate_grad
@@ -91,13 +92,16 @@ class TestAverages:
         rng = np.random.default_rng(4)
         t1 = 3.5
         sched = PracticalSchedule(2.0)
-        cfg = config(schedule=sched, t1=t1)
-        learner = SpaucTrainer(4, cfg)
+        learners = {kind: SpaucTrainer(4, config(schedule=sched, average=kind,
+                                                 t1=t1))
+                    for kind in ("avg1", "avg2")}
+        learner = learners["avg1"]
         iterates, etas = [], []
         for z in fixed_stream(rng, [1, -1] + [1 if rng.random() < 0.5 else -1
                                               for _ in range(100)]):
             before = learner.t
-            learner.step(z)
+            for each in learners.values():
+                each.step(z)
             if learner.t > before:
                 iterates.append(learner.w.copy())
                 etas.append(sched.step_size(learner.t))
@@ -107,8 +111,8 @@ class TestAverages:
         avg1 = (etas[:, None] * ws).sum(axis=0) / etas.sum()
         weights2 = ks + t1 + 1.0
         avg2 = (weights2[:, None] * ws).sum(axis=0) / weights2.sum()
-        np.testing.assert_allclose(learner.model("avg1"), avg1, rtol=1e-10)
-        np.testing.assert_allclose(learner.model("avg2"), avg2, rtol=1e-10)
+        np.testing.assert_allclose(learners["avg1"].model(), avg1, rtol=1e-10)
+        np.testing.assert_allclose(learners["avg2"].model(), avg2, rtol=1e-10)
 
     def test_avg2_offset_defaults_to_fastrate_t1(self):
         sched = FastRateSchedule(0.5, 0.5, t1=42.0)
@@ -152,15 +156,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, config())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_raises_structured_error(self):
+    @pytest.mark.parametrize("algo", ["spauc", "spam"])
+    def test_divergence_raises_structured_error(self, algo):
         rng = np.random.default_rng(7)
         examples = [dense_example(100.0 * rng.normal(size=4),
                                   1 if i % 2 else -1) for i in range(50)]
         ds = Dataset.from_examples(examples)
         cfg = config(schedule=PolySchedule(eta1=5.0, theta=0.51), epochs=50)
         with pytest.raises(DivergenceError) as exc:
-            train(ds, cfg)
+            run_algorithm(algo, ds, cfg)
         assert exc.value.iteration >= 1
         assert str(exc.value.iteration) in str(exc.value)
         assert np.isfinite(exc.value.last_weight).all()
