@@ -278,7 +278,8 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
         obj_data = objective_subsample(fit, seed)
         for algo in algos:
             if tune_grid is not None:
-                params = tune(fit, algo, tune_grid, reg_kind, seed, epochs)[0]
+                params = tune(fit, algo, tune_grid, reg_kind, seed, epochs,
+                              radius=radius)[0]
             else:
                 params = dict(fixed_params or {"mu": 0.01})
             config = config_from_params(params, reg_kind, epochs, seed, eval_every)

@@ -1,15 +1,19 @@
 """Sparse dataset handling: LIBSVM/SVMlight text parsing, label binarization,
 train/test splitting and deterministic streaming order.
 
-Feature indices are 1-based in files (LIBSVM convention) and 0-based
-internally.
+A Dataset is stored once, in compressed sparse row (CSR) form: four flat
+arrays (indptr, indices, values, labels) and dim. Its rows, from indexing or
+iteration, are Example views into those arrays, not copies. Feature indices
+are 1-based in files (LIBSVM convention) and 0-based internally.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+import math
+from array import array
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,28 +78,20 @@ def binarize(raw_label: float, rule: BinarizeRule) -> int:
     return 1 if raw_label <= rule.k else -1
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     """One labeled observation with sparse features.
 
     indices are 0-based, strictly increasing; values are finite floats;
-    label is +1 or -1.
+    label is +1 or -1. Rows of a Dataset are Examples whose arrays are views
+    into the dataset's CSR arrays, so they cost no copy.
     """
 
     indices: np.ndarray
     values: np.ndarray
     label: int
 
-    @classmethod
-    def from_dense(cls, x: np.ndarray, label: int) -> "Example":
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.flatnonzero(x)
-        return cls(idx.astype(np.int64), x[idx].copy(), int(label))
-
     def dot(self, w: np.ndarray) -> float:
-        """Inner product with a dense vector, O(nnz)."""
-        if self.indices.size == 0:
-            return 0.0
+        """Inner product with a dense vector, O(nnz); 0.0 for an empty row."""
         return float(w[self.indices] @ self.values)
 
     def norm(self) -> float:
@@ -111,87 +107,71 @@ class Example:
         return x
 
 
-@dataclass
 class Dataset:
-    """Immutable-after-construction collection of examples.
+    """Labeled sparse rows in compressed sparse row (CSR) form, built once.
 
-    dim is at least 1 + the largest feature index. Positive/negative index
-    arrays and the flattened scoring layout are built lazily and cached.
+    Row i has the features indices[indptr[i]:indptr[i+1]] (0-based) with
+    values values[indptr[i]:indptr[i+1]] and the label labels[i] in {+1, -1}.
+    dim is at least 1 + the largest feature index. The class counts and the
+    positive/negative row indices are computed in the constructor; nothing is
+    filled in later, and the arrays must not be modified after construction.
     """
 
-    examples: list[Example]
-    dim: int
-    n_pos: int
-    n_neg: int
-    _labels: np.ndarray | None = field(default=None, repr=False)
-    _pos_idx: np.ndarray | None = field(default=None, repr=False)
-    _neg_idx: np.ndarray | None = field(default=None, repr=False)
-    _flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                 labels: np.ndarray, dim: int | None = None):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        max_idx = int(self.indices.max()) if self.indices.size else -1
+        if dim is None:
+            dim = max_idx + 1
+        elif dim < max_idx + 1:
+            raise ValueError(f"dim {dim} smaller than 1 + max feature index {max_idx}")
+        self.dim = dim
+        self.pos_indices = np.flatnonzero(self.labels == 1)
+        self.neg_indices = np.flatnonzero(self.labels == -1)
+        self.n_pos = len(self.pos_indices)
+        self.n_neg = len(self.labels) - self.n_pos
 
     @classmethod
     def from_examples(cls, examples: list[Example], dim: int | None = None) -> "Dataset":
-        max_idx = -1
-        n_pos = 0
-        for ex in examples:
-            if ex.indices.size:
-                max_idx = max(max_idx, int(ex.indices[-1]))
-            if ex.label == 1:
-                n_pos += 1
-        min_dim = max_idx + 1
-        if dim is None:
-            dim = min_dim
-        elif dim < min_dim:
-            raise ValueError(f"dim {dim} smaller than 1 + max feature index {max_idx}")
-        return cls(examples, dim, n_pos, len(examples) - n_pos)
+        """Copy a list of Examples into one CSR dataset."""
+        lengths = [ex.indices.size for ex in examples]
+        return cls(np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
+                   np.concatenate([np.zeros(0, np.int64)] + [ex.indices for ex in examples]),
+                   np.concatenate([np.zeros(0)] + [ex.values for ex in examples]),
+                   [ex.label for ex in examples], dim)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[Example]:
-        return iter(self.examples)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> Example:
-        return self.examples[i]
-
-    @property
-    def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels = np.fromiter((ex.label for ex in self.examples),
-                                       dtype=np.int64, count=len(self))
-        return self._labels
-
-    @property
-    def pos_indices(self) -> np.ndarray:
-        if self._pos_idx is None:
-            labels = self.labels
-            self._pos_idx = np.flatnonzero(labels == 1)
-            self._neg_idx = np.flatnonzero(labels == -1)
-        return self._pos_idx
-
-    @property
-    def neg_indices(self) -> np.ndarray:
-        self.pos_indices
-        return self._neg_idx
+        """Row i as an Example of views; negative i counts from the end."""
+        i = range(len(self.labels))[i]  # list semantics: wraps negatives, raises IndexError
+        # item() returns Python ints, which index and slice faster than numpy scalars
+        start, stop = self.indptr.item(i), self.indptr.item(i + 1)
+        return Example(self.indices[start:stop], self.values[start:stop],
+                       self.labels.item(i))
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """All inner products w.x_i in one vectorized pass."""
-        if self._flat is None:
-            rows = np.concatenate(
-                [np.full(ex.indices.size, i, dtype=np.int64) for i, ex in enumerate(self.examples)]
-            ) if self.examples else np.zeros(0, dtype=np.int64)
-            cols = (np.concatenate([ex.indices for ex in self.examples])
-                    if self.examples else np.zeros(0, dtype=np.int64))
-            vals = (np.concatenate([ex.values for ex in self.examples])
-                    if self.examples else np.zeros(0))
-            self._flat = (rows, cols, vals)
-        rows, cols, vals = self._flat
-        return np.bincount(rows, weights=vals * w[cols], minlength=len(self))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        return np.bincount(rows, weights=self.values * w[self.indices],
+                           minlength=len(self))
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """New Dataset over examples[indices], keeping this dataset's dim."""
-        sub = [self.examples[i] for i in indices]
-        n_pos = sum(1 for ex in sub if ex.label == 1)
-        return Dataset(sub, self.dim, n_pos, len(sub) - n_pos)
+    def subset(self, rows: np.ndarray) -> "Dataset":
+        """New Dataset over the given rows, in that order, keeping this
+        dataset's dim."""
+        starts = self.indptr[:-1][rows]
+        lengths = self.indptr[1:][rows] - starts
+        indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        gather = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Dataset(indptr, self.indices[gather], self.values[gather],
+                       self.labels[rows], self.dim)
 
 
 def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -> Dataset:
@@ -208,7 +188,8 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
         rule = BinarizeRule.identity()
     if isinstance(lines, str):
         lines = io.StringIO(lines)
-    examples: list[Example] = []
+    # flat typed buffers: 8 bytes per entry, no per-row or per-value objects
+    indptr, indices, values, labels = array("q", [0]), array("q"), array("d"), array("q")
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -219,13 +200,11 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
         except ValueError:
             raise ParseError(f"bad label token {tokens[0]!r}", line_no) from None
         try:
-            label = binarize(raw_label, rule)
+            labels.append(binarize(raw_label, rule))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
-        indices = np.empty(len(tokens) - 1, dtype=np.int64)
-        values = np.empty(len(tokens) - 1)
         prev = 0
-        for j, tok in enumerate(tokens[1:]):
+        for tok in tokens[1:]:
             idx_s, sep, val_s = tok.partition(":")
             if not sep:
                 raise ParseError(f"expected idx:val, got {tok!r}", line_no)
@@ -238,15 +217,18 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
                 raise ParseError(f"feature index must be >= 1, got {idx}", line_no)
             if idx <= prev:
                 raise ParseError(f"feature indices not strictly increasing at {idx}", line_no)
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {val_s!r}", line_no)
-            indices[j] = idx - 1
-            values[j] = val
+            indices.append(idx - 1)
+            values.append(val)
             prev = idx
-        examples.append(Example(indices, values, label))
-    if not examples:
+        indptr.append(len(indices))
+    if not labels:
         raise ParseError("no examples found in input")
-    return Dataset.from_examples(examples)
+    return Dataset(np.frombuffer(indptr, dtype=np.int64),
+                   np.frombuffer(indices, dtype=np.int64),
+                   np.frombuffer(values, dtype=np.float64),
+                   np.frombuffer(labels, dtype=np.int64))
 
 
 def load_libsvm(path: str, rule: BinarizeRule | None = None) -> Dataset:

@@ -76,7 +76,10 @@ def exact_snapshot(dataset: Dataset) -> StatsSnapshot:
             f"need at least one example of each class, got {dataset.n_pos} positive "
             f"and {dataset.n_neg} negative"
         )
-    stats = ClassStats(dataset.dim)
-    for z in dataset:
-        stats.update(z)
-    return stats.snapshot()
+    # per-class sums in row order, the same additions ClassStats.update makes
+    row_is_pos = np.repeat(dataset.labels == 1, np.diff(dataset.indptr))
+    sums = [np.bincount(dataset.indices[mask], weights=dataset.values[mask],
+                        minlength=dataset.dim)
+            for mask in (row_is_pos, ~row_is_pos)]
+    return StatsSnapshot(dataset.n_pos / len(dataset), sums[0] / dataset.n_pos,
+                         sums[1] / dataset.n_neg, True)

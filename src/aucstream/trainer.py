@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -254,13 +255,25 @@ def save_model(path: str, w: np.ndarray, config_echo: dict | None = None) -> Non
 
 
 def load_model(path: str) -> tuple[np.ndarray, dict]:
-    """Read a model document; returns (weights, config echo)."""
+    """Read a model document; returns (weights, config echo).
+
+    Raises ValueError unless the document is an object of the current format
+    version with an integer d >= 1 and d finite numbers as weights."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("model document is not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    w = np.asarray(doc["weights"], dtype=np.float64)
-    if len(w) != doc.get("d"):
+    d, weights = doc.get("d"), doc.get("weights")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"model dimension d must be an integer >= 1, got {d!r}")
+    # bool is an int subclass and None would load as NaN: accept numbers only
+    if not isinstance(weights, list) or any(
+            type(x) not in (int, float) or not math.isfinite(x) for x in weights):
+        raise ValueError("model weights must be a list of finite numbers")
+    w = np.asarray(weights, dtype=np.float64)
+    if len(w) != d:
         raise ValueError("model document is inconsistent: d != len(weights)")
     return w, doc.get("config", {})

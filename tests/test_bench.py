@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import aucstream.bench as bench_module
 from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID, TuneGrid,
                              _fold_indices, aggregate, benchmark,
                              config_from_params, objective_subsample,
@@ -187,6 +188,22 @@ class TestBenchmark:
         assert rows[0].auc_mean > 0.9
         assert len(traces) == 2
 
+    def test_tuned_solam_runs_at_the_given_radius(self, monkeypatch):
+        seen = []
+        real = bench_module.run_algorithm
+
+        def spy(algo, train_data, config, radius=100.0, **kwargs):
+            seen.append(radius)
+            return real(algo, train_data, config, radius=radius, **kwargs)
+
+        monkeypatch.setattr(bench_module, "run_algorithm", spy)
+        ds = gaussian_task(12, n=120, d=4)
+        grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=2)
+        benchmark(ds, "toy", ["solam"], repeats=1, base_seed=0, epochs=1,
+                  reg_kind="none", tune_grid=grid, eval_every=100, radius=5.0)
+        assert len(seen) == 5  # 2 candidates x 2 folds, then the reported run
+        assert set(seen) == {5.0}
+
 
 def test_config_from_params():
     cfg = config_from_params({"mu": 0.5, "lambda": 0.1}, "l2", epochs=3,
@@ -206,7 +223,9 @@ def test_objective_subsample_is_deterministic_and_capped():
     sub2 = objective_subsample(ds, seed=2, cap=20)
     assert len(sub1) == 20
     for a, b in zip(sub1, sub2):
-        assert a is b
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.label == b.label
     assert objective_subsample(ds, seed=2, cap=100) is ds
 
 

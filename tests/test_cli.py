@@ -155,6 +155,25 @@ class TestEval:
         data.write_text("+1 5:1.0\n-1 1:1.0\n")
         assert main(["eval", "--model", str(model), "--data", str(data)]) == 1
 
+    @pytest.mark.parametrize("doc", [
+        "[1, 2]",
+        '{"format_version": 1, "d": 1}',
+        '{"format_version": 1, "d": 2, "weights": [null, 1.0]}',
+        '{"format_version": 1, "d": 1, "weights": ["1.0"]}',
+        '{"format_version": 1, "d": 1, "weights": [true]}',
+        '{"format_version": 1, "d": 1, "weights": [NaN]}',
+        '{"format_version": 1, "d": 1, "weights": [-Infinity]}',
+        '{"format_version": 1, "d": 0, "weights": []}',
+        '{"format_version": 1, "d": 1.0, "weights": [1.0]}',
+    ])
+    def test_bad_model_document_is_data_error(self, tmp_path, tiny_file, capsys, doc):
+        model = tmp_path / "m.json"
+        model.write_text(doc)
+        assert main(["eval", "--model", str(model), "--data", tiny_file]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
     def test_train_then_eval_roundtrip(self, tmp_path, easy_file, capsys):
         model = tmp_path / "m.json"
         assert main(["train", "--data", easy_file, "--mu", "30",

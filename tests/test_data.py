@@ -117,7 +117,9 @@ class TestSplit:
         a = split(ds, 0.3, seed=5)
         b = split(ds, 0.3, seed=5)
         for x, y in zip(a[0], b[0]):
-            assert x is y
+            np.testing.assert_array_equal(x.indices, y.indices)
+            np.testing.assert_array_equal(x.values, y.values)
+            assert x.label == y.label
 
     def test_partition(self):
         # examples tagged by a unique value so the partition can be checked
