@@ -34,7 +34,6 @@ class SpamTrainer(Learner):
             raise ValueError("SPAM needs full-data moments with both classes")
         super().__init__(dim, config)
         self.moments = moments
-        self.moments_seconds = 0.0  # set by run_baseline
 
     def step(self, z: Example) -> None:
         m = self.moments
@@ -96,7 +95,6 @@ def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
         moments = exact_snapshot(dataset)
         moment_seconds = time.perf_counter() - tick
         learner = SpamTrainer(dataset.dim, config, moments)
-        learner.moments_seconds = moment_seconds
         return stream_run(learner, dataset, config, test_data, objective_data,
                           time_offset=moment_seconds)
     if algo == "solam":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import ALGORITHMS, run_baseline, unknown_algorithm_message
 from .data import Dataset, split
-from .regularizers import Regularizer, l1, l2, none_reg
+from .regularizers import Regularizer
 from .schedules import PracticalSchedule
 from .trainer import DivergenceError, TracePoint, TrainConfig, train
 
@@ -77,16 +77,9 @@ def config_from_params(params: dict, reg_kind: str, epochs: int, seed: int,
                        eval_every: int, average: str = "last") -> TrainConfig:
     """Build a training configuration from a tuning point: `mu` drives the
     practical schedule, `lambda` the penalty weight when one is in play."""
-    schedule = PracticalSchedule(mu=params["mu"])
-    if reg_kind == "none":
-        reg = none_reg()
-    elif reg_kind == "l2":
-        reg = l2(params["lambda"])
-    elif reg_kind == "l1":
-        reg = l1(params["lambda"])
-    else:
-        raise ValueError(f"unknown regularizer kind {reg_kind!r}")
-    return TrainConfig(regularizer=reg, schedule=schedule, epochs=epochs,
+    lam = 0.0 if reg_kind == "none" else params["lambda"]
+    return TrainConfig(regularizer=Regularizer(reg_kind, lam),
+                       schedule=PracticalSchedule(mu=params["mu"]), epochs=epochs,
                        seed=seed, average=average, eval_every=eval_every)
 
 
@@ -94,13 +87,12 @@ def run_algorithm(algo: str, train_data: Dataset, config: TrainConfig,
                   radius: float = 100.0,
                   test_data: Dataset | None = None,
                   objective_data: Dataset | None = None):
-    """Dispatch one training run; identical trace schema for every algorithm."""
+    """Dispatch one training run; identical trace schema for every algorithm.
+    run_baseline rejects a name that is not an algorithm."""
     if algo == "spauc":
         return train(train_data, config, test_data, objective_data)
-    if algo in ("spam", "solam"):
-        return run_baseline(algo, train_data, config, radius=radius,
-                            test_data=test_data, objective_data=objective_data)
-    raise ValueError(unknown_algorithm_message(algo))
+    return run_baseline(algo, train_data, config, radius=radius,
+                        test_data=test_data, objective_data=objective_data)
 
 
 @dataclass(frozen=True)
@@ -136,6 +128,20 @@ class TuneGrid:
         rng = np.random.default_rng([seed, 15485863])
         chosen = rng.choice(len(points), size=self.pair_sample_size, replace=False)
         return [points[i] for i in chosen]
+
+
+def protocol_grid(reg_kind: str, pairs: int, folds: int,
+                  tune_radius: bool = False) -> TuneGrid:
+    """The tuning protocol's grid: mu, then lambda when a penalty is in play,
+    then the l2-ball radius when asked (solam under `tune`), sampling
+    min(pairs, grid size) points."""
+    params = {"mu": list(DEFAULT_MU_GRID)}
+    if reg_kind != "none":
+        params["lambda"] = list(DEFAULT_LAMBDA_GRID)
+    if tune_radius:
+        params["radius"] = list(DEFAULT_RADIUS_GRID)
+    size = math.prod(len(v) for v in params.values())
+    return TuneGrid(params, pair_sample_size=min(pairs, size), folds=folds)
 
 
 def _fold_indices(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray]:

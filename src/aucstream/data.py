@@ -28,6 +28,9 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+BINARIZE_RULES = ("identity", "zero_one", "threshold")
+
+
 @dataclass(frozen=True)
 class BinarizeRule:
     """Maps raw integer labels to {+1, -1}.
@@ -41,10 +44,8 @@ class BinarizeRule:
     kind: str
     k: int = 0
 
-    _KINDS = ("identity", "zero_one", "threshold")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in BINARIZE_RULES:
             raise ValueError(f"unknown binarize rule {self.kind!r}")
 
     @classmethod
@@ -219,7 +220,10 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
                 raise ParseError(f"feature indices not strictly increasing at {idx}", line_no)
             if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {val_s!r}", line_no)
-            indices.append(idx - 1)
+            try:
+                indices.append(idx - 1)
+            except OverflowError:  # beyond the int64 buffer
+                raise ParseError(f"feature index {idx} is too large", line_no) from None
             values.append(val)
             prev = idx
         indptr.append(len(indices))

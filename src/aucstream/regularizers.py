@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_KINDS = ("none", "l2", "l1")
+PENALTIES = ("none", "l2", "l1")
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Regularizer:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in PENALTIES:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if self.kind != "none" and self.lam <= 0:
             raise ValueError(f"{self.kind} regularizer needs lam > 0, got {self.lam}")

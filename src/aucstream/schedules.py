@@ -111,6 +111,8 @@ class PracticalSchedule:
 
 
 Schedule = PolySchedule | LogDampedSchedule | FastRateSchedule | PracticalSchedule
+SCHEDULES = {"poly": PolySchedule, "logdamped": LogDampedSchedule,
+             "fastrate": FastRateSchedule, "practical": PracticalSchedule}
 
 
 def theory_cap(a1: float, kappa: float) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -26,8 +26,7 @@ from .data import Dataset, Example, stream_order
 from .metrics import auc
 from .objective import pairwise_objective_fast, surrogate_grad
 from .regularizers import Regularizer
-from .schedules import (FastRateSchedule, LogDampedSchedule, PolySchedule,
-                        PracticalSchedule, Schedule)
+from .schedules import SCHEDULES, FastRateSchedule, Schedule
 from .stats import ClassStats
 
 AVERAGES = ("last", "avg1", "avg2")
@@ -221,8 +220,7 @@ def train(dataset: Dataset, config: TrainConfig,
 def describe_config(config: TrainConfig) -> dict:
     """JSON-friendly echo of a training configuration."""
     sched = config.schedule
-    kind = {PolySchedule: "poly", LogDampedSchedule: "logdamped",
-            FastRateSchedule: "fastrate", PracticalSchedule: "practical"}[type(sched)]
+    kind = next(name for name, cls in SCHEDULES.items() if type(sched) is cls)
     return {
         "regularizer": dataclasses.asdict(config.regularizer),
         "schedule": {"kind": kind, **dataclasses.asdict(sched)},
@@ -269,9 +267,11 @@ def load_model(path: str) -> tuple[np.ndarray, dict]:
     d, weights = doc.get("d"), doc.get("weights")
     if type(d) is not int or d < 1:
         raise ValueError(f"model dimension d must be an integer >= 1, got {d!r}")
-    # bool is an int subclass and None would load as NaN: accept numbers only
+    # bool is an int subclass and None would load as NaN: accept numbers only;
+    # the bound rejects NaN, infinities and integers beyond float range
     if not isinstance(weights, list) or any(
-            type(x) not in (int, float) or not math.isfinite(x) for x in weights):
+            type(x) not in (int, float) or not abs(x) <= sys.float_info.max
+            for x in weights):
         raise ValueError("model weights must be a list of finite numbers")
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != d:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import aucstream.bench as bench_module
-from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID, TuneGrid,
-                             _fold_indices, aggregate, benchmark,
-                             config_from_params, objective_subsample,
-                             read_trace, tune, write_report, write_trace,
-                             write_tune_table)
+from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID,
+                             DEFAULT_RADIUS_GRID, TuneGrid, _fold_indices,
+                             aggregate, benchmark, config_from_params,
+                             objective_subsample, protocol_grid, read_trace,
+                             tune, write_report, write_trace, write_tune_table)
 from aucstream.trainer import TracePoint
 
 from conftest import gaussian_task, random_dataset
@@ -48,6 +48,16 @@ class TestGrids:
         keys = [tuple(sorted(p.items())) for p in sample]
         assert len(set(keys)) == 4  # without replacement
         assert sample == grid.sample(seed=3)
+
+    def test_protocol_grid(self):
+        grid = protocol_grid("none", pairs=15, folds=3)
+        assert grid.params == {"mu": DEFAULT_MU_GRID}
+        assert (grid.pair_sample_size, grid.folds) == (10, 3)  # min(pairs, size)
+        grid = protocol_grid("l1", pairs=4, folds=5, tune_radius=True)
+        assert list(grid.params) == ["mu", "lambda", "radius"]
+        assert grid.params["lambda"] == DEFAULT_LAMBDA_GRID
+        assert grid.params["radius"] == DEFAULT_RADIUS_GRID
+        assert grid.pair_sample_size == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,22 @@ class TestTrain:
         _, meta = load_model(model)
         assert meta["schedule"]["eta1"] < 5.0
 
+    @pytest.mark.parametrize("flags,reads_kappa", [
+        (["--mu", "30"], False),
+        (["--schedule", "fastrate", "--sigma-phi", "0.4", "--t1", "5"], False),
+        (["--schedule", "fastrate", "--sigma-phi", "0.4"], True),
+        (["--mu", "30", "--clamp-theory"], True),
+    ])
+    def test_kappa_computed_only_when_the_schedule_reads_it(
+            self, monkeypatch, easy_file, flags, reads_kappa):
+        import aucstream.cli as cli
+        calls = []
+        real = cli.dataset_kappa
+        monkeypatch.setattr(cli, "dataset_kappa",
+                            lambda data: calls.append(1) or real(data))
+        assert main(["train", "--data", easy_file, "--epochs", "1", *flags]) == 0
+        assert len(calls) == int(reads_kappa)
+
     def test_fastrate_t1_defaults_from_horizon(self, tmp_path, easy_file):
         model = tmp_path / "m.json"
         assert main(["train", "--data", easy_file, "--schedule", "fastrate",
@@ -170,6 +186,19 @@ class TestEval:
         model = tmp_path / "m.json"
         model.write_text(doc)
         assert main(["eval", "--model", str(model), "--data", tiny_file]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+    @pytest.mark.parametrize("data,weight", [
+        ("+1 100000000000000000000:1\n-1 1:1\n", "1.0"),
+        ("+1 1:2.0\n-1 1:-2.0\n", "1" + "0" * 400),
+    ], ids=["index-beyond-int64", "weight-beyond-float-range"])
+    def test_overflowing_number_is_data_error(self, tmp_path, capsys, data, weight):
+        path, model = tmp_path / "d.libsvm", tmp_path / "m.json"
+        path.write_text(data)
+        model.write_text(f'{{"format_version": 1, "d": 1, "weights": [{weight}]}}')
+        assert main(["eval", "--model", str(model), "--data", str(path)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
@@ -242,3 +271,35 @@ class TestConfigFile:
         conf = tmp_path / "bad.conf"
         conf.write_text("mu 30\n")
         assert main(["--config", str(conf), "train", "--data", easy_file]) == 1
+
+    @pytest.mark.parametrize("entry,named", [
+        ("reg = l3\nlambda = 0.001", "'l3'"),
+        ("binarize = bogus", "'bogus'"),
+        ("clamp_theory = maybe", "'maybe'"),
+        ("epoch = 3", "'epoch'"),
+    ])
+    def test_bad_entry_is_usage_error(self, tmp_path, easy_file, capsys, entry, named):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"mu = 30\n{entry}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(conf), "train", "--data", easy_file])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_keys_of_other_verbs_are_ignored(self, tmp_path, easy_file):
+        conf = tmp_path / "run.conf"
+        conf.write_text("mu = 30\nepochs = 1\nradius = 5\nmodel = m.json\n"
+                        "algos = spauc\n")
+        assert main(["--config", str(conf), "train", "--data", easy_file]) == 0
+
+    @pytest.mark.parametrize("word,on", [("yes", True), ("TRUE", True),
+                                         ("1", True), ("off", False), ("no", False)])
+    def test_store_true_flag_takes_a_truth_word(self, tmp_path, easy_file, word, on):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"schedule = poly\neta1 = 5.0\ntheta = 0.51\n"
+                        f"clamp-theory = {word}\n")
+        model = tmp_path / "m.json"
+        assert main(["--config", str(conf), "train", "--data", easy_file,
+                     "--epochs", "1", "--out", str(model)]) == 0
+        _, meta = load_model(model)
+        assert (meta["schedule"]["eta1"] < 5.0) == on

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aucstream.baselines import SolamTrainer
 from aucstream.bench import run_algorithm
 from aucstream.data import Dataset, split
 from aucstream.metrics import auc
@@ -22,6 +23,40 @@ def config(schedule=None, reg=None, **kw):
 
 def fixed_stream(rng, labels, d=4):
     return [sparse_example(rng, d, y) for y in labels]
+
+
+def states(learner, examples):
+    """Bit patterns of the learner's state after each example: the iterate,
+    the step count and, for solam, the auxiliary variables a, b, alpha."""
+    out = []
+    for z in examples:
+        learner.step(z)
+        aux = [getattr(learner, name, 0.0).hex() for name in ("a", "b", "alpha")]
+        out.append((learner.w.tobytes(), learner.t, *aux))
+    return out
+
+
+class TestCausality:
+    """Step t depends only on examples 1..t: permuting the stream after
+    position k leaves the first k states bit-identical."""
+
+    @pytest.mark.parametrize("algo", ["spauc", "solam"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permuting_later_examples_keeps_earlier_iterates(self, algo, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 40, 6
+        examples = fixed_stream(rng, rng.choice([1, -1], size=n), d)
+        k = int(rng.integers(2, n - 5))
+        tail = [examples[k + i] for i in rng.permutation(n - k)]
+        cfg = config(reg=l2(0.05), schedule=PracticalSchedule(1.0))
+
+        def fresh():
+            return SpaucTrainer(d, cfg) if algo == "spauc" else SolamTrainer(d, cfg, 5.0)
+
+        before = states(fresh(), examples)
+        after = states(fresh(), examples[:k] + tail)
+        assert after[:k] == before[:k]
+        assert after[k:] != before[k:]  # the permuted tail does matter
 
 
 class TestStep:
