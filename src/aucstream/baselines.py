@@ -5,10 +5,10 @@ variables (a, b, alpha) = (w.u, w.v, w.(v-u)) of the saddle objective into
 its w-partial, using moments computed over the full training set up front.
 The cost of that moment pass is charged to the reported training time.
 
-SOLAM-style: primal-dual SGD on the saddle objective with running moments,
-descending (w, a, b) and ascending alpha, with the primal iterate projected
-onto an l2 ball of radius R and the auxiliary variables clamped to the ranges
-they can take at feasible w.
+SOLAM-style: primal-dual SGD on the saddle objective with running class prior
+and data radius, descending (w, a, b) and ascending alpha, with the primal
+iterate projected onto an l2 ball of radius R and the auxiliary variables
+clamped to the ranges they can take at feasible w.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, Example
 from .objective import saddle_grad
-from .stats import ClassStats, StatsSnapshot, exact_snapshot
+from .stats import StatsSnapshot, exact_snapshot
 from .trainer import Learner, TrainConfig, stream_run
 
 ALGORITHMS = ("spauc", "spam", "solam")
@@ -30,8 +30,6 @@ class SpamTrainer(Learner):
     """Proximal SGD against fixed full-data moments."""
 
     def __init__(self, dim: int, config: TrainConfig, moments: StatsSnapshot):
-        if not moments.ready:
-            raise ValueError("SPAM needs full-data moments with both classes")
         super().__init__(dim, config)
         self.moments = moments
 
@@ -41,12 +39,14 @@ class SpamTrainer(Learner):
         b = float(self.w @ m.v)
         alpha = b - a
         eta = self.config.schedule.step_size(self.t + 1)
-        g, _, _, _ = saddle_grad(self.w, a, b, alpha, z, m)
+        g, _, _, _ = saddle_grad(self.w, a, b, alpha, z, m.p)
         self.accept(self.config.regularizer.prox(self.w - eta * g, eta), eta)
 
 
 class SolamTrainer(Learner):
-    """Projected primal-dual SGD on the saddle objective with running moments.
+    """Projected primal-dual SGD on the saddle objective with running class
+    prior and data radius. It steps once both classes have been seen, with
+    p = n_pos / n over the examples before the current one.
 
     The clamp ranges [-kR, kR] for a, b and [-2kR, 2kR] for alpha come from
     |w.u| <= k*||w|| <= k*R for the running data radius k; they are a
@@ -61,27 +61,27 @@ class SolamTrainer(Learner):
         self.a = 0.0
         self.b = 0.0
         self.alpha = 0.0
-        self.stats = ClassStats(dim)
+        self.n_pos = 0
+        self.n = 0
         self.kappa = 1.0
 
     def step(self, z: Example) -> None:
         self.kappa = max(self.kappa, z.norm())
-        if not self.stats.ready:
-            self.stats.update(z)
-            return
-        eta = self.config.schedule.step_size(self.t + 1)
-        gw, ga, gb, galpha = saddle_grad(self.w, self.a, self.b, self.alpha,
-                                         z, self.stats.snapshot())
-        w_new = self.w - eta * gw
-        norm = float(np.linalg.norm(w_new))
-        if norm > self.radius:
-            w_new *= self.radius / norm
-        self.accept(w_new, eta)
-        bound = self.kappa * self.radius
-        self.a = float(np.clip(self.a - eta * ga, -bound, bound))
-        self.b = float(np.clip(self.b - eta * gb, -bound, bound))
-        self.alpha = float(np.clip(self.alpha + eta * galpha, -2 * bound, 2 * bound))
-        self.stats.update(z)
+        if 0 < self.n_pos < self.n:
+            eta = self.config.schedule.step_size(self.t + 1)
+            gw, ga, gb, galpha = saddle_grad(self.w, self.a, self.b, self.alpha,
+                                             z, self.n_pos / self.n)
+            w_new = self.w - eta * gw
+            norm = float(np.linalg.norm(w_new))
+            if norm > self.radius:
+                w_new *= self.radius / norm
+            self.accept(w_new, eta)
+            bound = self.kappa * self.radius
+            self.a = min(max(self.a - eta * ga, -bound), bound)
+            self.b = min(max(self.b - eta * gb, -bound), bound)
+            self.alpha = min(max(self.alpha + eta * galpha, -2 * bound), 2 * bound)
+        self.n_pos += z.label == 1
+        self.n += 1
 
 
 def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,

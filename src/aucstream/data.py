@@ -220,10 +220,9 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
                 raise ParseError(f"feature indices not strictly increasing at {idx}", line_no)
             if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {val_s!r}", line_no)
-            try:
-                indices.append(idx - 1)
-            except OverflowError:  # beyond the int64 buffer
-                raise ParseError(f"feature index {idx} is too large", line_no) from None
+            if idx >= 2**63:  # the dimension, idx at least, must fit in int64
+                raise ParseError(f"feature index {idx} is too large", line_no)
+            indices.append(idx - 1)
             values.append(val)
             prev = idx
         indptr.append(len(indices))

@@ -103,12 +103,16 @@ def _class_scores_slow(w: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.
     return pos, neg
 
 
+def _require_prior(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise NotReadyError(f"class prior must lie in (0, 1), got {p}")
+
+
 def saddle_value(w: np.ndarray, a: float, b: float, alpha: float,
-                 z: Example, s: StatsSnapshot) -> float:
-    """Primal-dual objective for one example: the saddle form whose optima in
-    (a, b, alpha) recover the pairwise objective for any fixed w."""
-    _require_ready(s)
-    p = s.p
+                 z: Example, p: float) -> float:
+    """Primal-dual objective for one example under class prior p, whose
+    optima in (a, b, alpha) recover the pairwise objective for any fixed w."""
+    _require_prior(p)
     wx = z.dot(w)
     pos = z.label == 1
     out = p * (1.0 - p) - p * (1.0 - p) * alpha**2
@@ -122,14 +126,13 @@ def saddle_value(w: np.ndarray, a: float, b: float, alpha: float,
 
 
 def saddle_grad(w: np.ndarray, a: float, b: float, alpha: float,
-                z: Example, s: StatsSnapshot) -> tuple[np.ndarray, float, float, float]:
+                z: Example, p: float) -> tuple[np.ndarray, float, float, float]:
     """Partial derivatives (gw, ga, gb, galpha) of `saddle_value`.
 
     gw is a scalar multiple of x, so the d-vector is built with one sparse
     scatter.
     """
-    _require_ready(s)
-    p = s.p
+    _require_prior(p)
     wx = z.dot(w)
     if z.label == 1:
         sign_term = -(1.0 - p)

@@ -149,12 +149,10 @@ class SpaucTrainer(Learner):
         self.stats = ClassStats(dim)
 
     def step(self, z: Example) -> None:
-        if not self.stats.ready:
-            self.stats.update(z)
-            return
-        eta = self.config.schedule.step_size(self.t + 1)
-        g = surrogate_grad(self.w, z, self.stats.snapshot())
-        self.accept(self.config.regularizer.prox(self.w - eta * g, eta), eta)
+        if self.stats.ready:
+            eta = self.config.schedule.step_size(self.t + 1)
+            g = surrogate_grad(self.w, z, self.stats.snapshot())
+            self.accept(self.config.regularizer.prox(self.w - eta * g, eta), eta)
         self.stats.update(z)
 
 
@@ -202,9 +200,9 @@ def stream_run(learner: Learner, dataset: Dataset, config: TrainConfig,
                     elapsed += time.perf_counter() - tick
                     record(elapsed)
                     tick = time.perf_counter()
-    elapsed += time.perf_counter() - tick
-    if learner.t != last_traced:
-        record(elapsed)
+        elapsed += time.perf_counter() - tick
+        if learner.t != last_traced:
+            record(elapsed)
     return learner.model(), trace
 
 

@@ -72,13 +72,13 @@ def test_criterion_02_gradient_correctness():
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
             a, b, alpha = rng.normal(size=3)
-            gw, ga, gb, galpha = saddle_grad(w, a, b, alpha, z, s)
-            fd_w = central_diff(lambda ww: saddle_value(ww, a, b, alpha, z, s), w, h)
+            gw, ga, gb, galpha = saddle_grad(w, a, b, alpha, z, s.p)
+            fd_w = central_diff(lambda ww: saddle_value(ww, a, b, alpha, z, s.p), w, h)
             np.testing.assert_allclose(gw, fd_w, rtol=1e-5, atol=1e-7)
             for got, fd_s in (
-                (ga, central_diff_scalar(lambda q: saddle_value(w, q, b, alpha, z, s), a, 1e-5)),
-                (gb, central_diff_scalar(lambda q: saddle_value(w, a, q, alpha, z, s), b, 1e-5)),
-                (galpha, central_diff_scalar(lambda q: saddle_value(w, a, b, q, z, s), alpha, 1e-5)),
+                (ga, central_diff_scalar(lambda q: saddle_value(w, q, b, alpha, z, s.p), a, 1e-5)),
+                (gb, central_diff_scalar(lambda q: saddle_value(w, a, q, alpha, z, s.p), b, 1e-5)),
+                (galpha, central_diff_scalar(lambda q: saddle_value(w, a, b, q, z, s.p), alpha, 1e-5)),
             ):
                 assert abs(got - fd_s) <= 1e-5 * abs(fd_s) + 1e-7
         assert time.perf_counter() - start < 1.0

@@ -10,7 +10,7 @@ from aucstream.data import split
 from aucstream.objective import saddle_grad, saddle_value
 from aucstream.regularizers import l2, none_reg
 from aucstream.schedules import PracticalSchedule
-from aucstream.stats import exact_snapshot
+from aucstream.stats import ClassStats, exact_snapshot
 from aucstream.trainer import TrainConfig, TracePoint, train
 
 from conftest import (central_diff, gaussian_task, random_dataset,
@@ -51,11 +51,11 @@ class TestSpam:
             def composite(ww):
                 a = float(ww @ m.u)
                 b = float(ww @ m.v)
-                return saddle_value(ww, a, b, b - a, z, m)
+                return saddle_value(ww, a, b, b - a, z, m.p)
 
             a = float(w @ m.u)
             b = float(w @ m.v)
-            gw, ga, gb, galpha = saddle_grad(w, a, b, b - a, z, m)
+            gw, ga, gb, galpha = saddle_grad(w, a, b, b - a, z, m.p)
             chain = ga * m.u + gb * m.v + galpha * (m.v - m.u)
             fd = central_diff(composite, w, 1e-5 * (1 + np.linalg.norm(w)))
             np.testing.assert_allclose(fd - chain, gw, rtol=1e-5, atol=1e-7)
@@ -105,8 +105,7 @@ class TestSolam:
         solam.w = w0.copy()
         # make the primal-dual learner see the same moments and the
         # closed-form auxiliary variables the other method plugs in
-        for z in ds:
-            solam.stats.update(z)
+        solam.n_pos, solam.n = ds.n_pos, len(ds)
         solam.a = float(w0 @ moments.u)
         solam.b = float(w0 @ moments.v)
         solam.alpha = solam.b - solam.a
@@ -114,6 +113,52 @@ class TestSolam:
         spam.step(z)
         solam.step(z)
         np.testing.assert_allclose(solam.w, spam.w, rtol=1e-12)
+
+    def test_composed_loop_is_bit_identical(self):
+        # the long initial steps make the ball projection and all three
+        # clamps fire on this stream; states are compared after every
+        # example, since the dynamics forget a clamp within some tens of steps
+        rng = np.random.default_rng(8)
+        d, radius = 5, 0.3
+        labels = [1, 1, 1] + [1 if rng.random() < 0.35 else -1 for _ in range(250)]
+        stream = [sparse_example(rng, d, y) for y in labels]
+        sched = PracticalSchedule(0.01)
+        learner = SolamTrainer(d, config(schedule=sched), radius)
+        got = []
+        for z in stream:
+            learner.step(z)
+            got.append((learner.w.tobytes(), learner.t, learner.a.hex(),
+                        learner.b.hex(), learner.alpha.hex()))
+
+        stats = ClassStats(d)
+        w, t, a, b, alpha, kappa = np.zeros(d), 0, 0.0, 0.0, 0.0, 1.0
+        projected, clamped = 0, np.zeros(3, dtype=int)
+        want = []
+        for z in stream:
+            kappa = max(kappa, z.norm())
+            if not stats.ready:
+                stats.update(z)
+                want.append((w.tobytes(), t, a.hex(), b.hex(), alpha.hex()))
+                continue
+            snap = stats.snapshot()
+            eta = sched.step_size(t + 1)
+            gw, ga, gb, galpha = saddle_grad(w, a, b, alpha, z, snap.p)
+            w = w - eta * gw
+            norm = float(np.linalg.norm(w))
+            if norm > radius:
+                w *= radius / norm
+                projected += 1
+            bound = kappa * radius
+            clamped += np.abs([a - eta * ga, b - eta * gb, alpha + eta * galpha]) \
+                > [bound, bound, 2 * bound]
+            a = float(np.clip(a - eta * ga, -bound, bound))
+            b = float(np.clip(b - eta * gb, -bound, bound))
+            alpha = float(np.clip(alpha + eta * galpha, -2 * bound, 2 * bound))
+            stats.update(z)
+            t += 1
+            want.append((w.tobytes(), t, a.hex(), b.hex(), alpha.hex()))
+        assert projected > 0 and clamped.all() and t >= 200
+        assert got == want
 
     def test_reaches_good_auc_on_gaussian_task(self):
         ds = gaussian_task(6, n=4000, d=20)

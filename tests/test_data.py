@@ -63,6 +63,7 @@ class TestParse:
         ("+1 2:1.0 2:2.0", 1),
         ("+1 0:1.0", 1),
         ("+1 1:abc", 1),
+        ("+1 1:1.0\n-1 9223372036854775808:1", 2),  # index 2^63: dim overflows int64
     ])
     def test_malformed_lines_carry_line_number(self, bad, lineno):
         with pytest.raises(ParseError) as exc:

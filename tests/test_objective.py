@@ -208,7 +208,7 @@ class TestSaddle:
         for _ in range(100):
             w, z, s = random_instance(rng)
             a, b, alpha = rng.normal(size=3)
-            assert saddle_value(w, a, b, alpha, z, s) == pytest.approx(
+            assert saddle_value(w, a, b, alpha, z, s.p) == pytest.approx(
                 reference_saddle(w, a, b, alpha, z, s), rel=1e-12, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -216,16 +216,16 @@ class TestSaddle:
         for _ in range(100):
             w, z, s = random_instance(rng)
             a, b, alpha = rng.normal(size=3)
-            gw, ga, gb, galpha = saddle_grad(w, a, b, alpha, z, s)
+            gw, ga, gb, galpha = saddle_grad(w, a, b, alpha, z, s.p)
             h = 1e-5 * (1.0 + np.linalg.norm(w))
-            fd_w = central_diff(lambda ww: saddle_value(ww, a, b, alpha, z, s), w, h)
+            fd_w = central_diff(lambda ww: saddle_value(ww, a, b, alpha, z, s.p), w, h)
             np.testing.assert_allclose(gw, fd_w, rtol=1e-5, atol=1e-7)
             assert ga == pytest.approx(central_diff_scalar(
-                lambda aa: saddle_value(w, aa, b, alpha, z, s), a, 1e-5), abs=1e-6)
+                lambda aa: saddle_value(w, aa, b, alpha, z, s.p), a, 1e-5), abs=1e-6)
             assert gb == pytest.approx(central_diff_scalar(
-                lambda bb: saddle_value(w, a, bb, alpha, z, s), b, 1e-5), abs=1e-6)
+                lambda bb: saddle_value(w, a, bb, alpha, z, s.p), b, 1e-5), abs=1e-6)
             assert galpha == pytest.approx(central_diff_scalar(
-                lambda al: saddle_value(w, a, b, al, z, s), alpha, 1e-5), abs=1e-6)
+                lambda al: saddle_value(w, a, b, al, z, s.p), alpha, 1e-5), abs=1e-6)
 
     def test_closed_form_variables_recover_pairwise_objective(self):
         rng = np.random.default_rng(16)
@@ -235,7 +235,7 @@ class TestSaddle:
             w = rng.normal(size=4)
             a = float(w @ exact.u)
             b = float(w @ exact.v)
-            mean = np.mean([saddle_value(w, a, b, b - a, z, exact) for z in ds])
+            mean = np.mean([saddle_value(w, a, b, b - a, z, exact.p) for z in ds])
             assert mean == pytest.approx(
                 pairwise_objective_bruteforce(w, ds), rel=1e-10)
 
@@ -244,16 +244,16 @@ class TestSaddle:
         d = 4
         z = sparse_example(rng, d, 1)
         s = random_snapshot(rng, d)
-        gw, ga, gb, galpha = saddle_grad(np.zeros(d), 0.0, 0.0, 0.0, z, s)
+        gw, ga, gb, galpha = saddle_grad(np.zeros(d), 0.0, 0.0, 0.0, z, s.p)
         np.testing.assert_allclose(gw, -2 * (1 - s.p) * z.to_dense(d), rtol=1e-12)
         assert ga == 0.0 and gb == 0.0 and galpha == 0.0
 
     def test_unready_snapshot_rejected(self):
         rng = np.random.default_rng(18)
         z = sparse_example(rng, 3, 1)
-        s = StatsSnapshot(0.0, np.zeros(3), np.zeros(3), False)
-        with pytest.raises(NotReadyError):
-            saddle_grad(np.zeros(3), 0.0, 0.0, 0.0, z, s)
+        for p in (0.0, 1.0):
+            with pytest.raises(NotReadyError):
+                saddle_grad(np.zeros(3), 0.0, 0.0, 0.0, z, p)
 
 
 class TestKappa:

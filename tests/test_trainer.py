@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from aucstream.objective import surrogate_grad
 from aucstream.regularizers import l2, none_reg
 from aucstream.schedules import FastRateSchedule, PolySchedule, PracticalSchedule
 from aucstream.stats import ClassStats
-from aucstream.trainer import (DivergenceError, SpaucTrainer, TrainConfig,
+from aucstream.trainer import (DivergenceError, Learner, SpaucTrainer, TrainConfig,
                                load_model, save_model, stream_run, train)
 
 from conftest import (dense_example, gaussian_task, pairwise_quadratic,
@@ -234,6 +236,21 @@ class TestTrain:
         learner = SpaucTrainer(ds.dim, cfg)
         _, trace = stream_run(learner, ds, cfg, time_offset=5.0)
         assert all(p.elapsed_sec >= 5.0 for p in trace)
+
+    def test_final_trace_point_is_under_the_overflow_policy(self):
+        # huge but finite weights pass the divergence check; scoring them
+        # overflows, and the run's numpy policy keeps that silent
+        class Huge(Learner):
+            def step(self, z):
+                self.accept(np.full(len(self.w), 1e200), 1.0)
+
+        rng = np.random.default_rng(11)
+        ds = random_dataset(rng, n=20, d=3)
+        cfg = config(epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = stream_run(Huge(ds.dim, cfg), ds, cfg, objective_data=ds)
+        assert [p.step for p in trace] == [20]
 
 
 class TestModelPersistence:
