@@ -6,7 +6,8 @@ least-squares objective, two saddle-point baselines, an exact AUC evaluator
 and a benchmark/tuning harness.
 """
 
-from .baselines import (ALGORITHMS, SolamTrainer, SpamTrainer, run_baseline,
+from .baselines import (ALGORITHMS, FastSolamTrainer, FastSpamTrainer,
+                        SolamTrainer, SpamTrainer, run_baseline,
                         unknown_algorithm_message)
 from .data import (BinarizeRule, Dataset, Example, ParseError, binarize,
                    load_libsvm, parse_libsvm, save_libsvm, split,
@@ -14,8 +15,8 @@ from .data import (BinarizeRule, Dataset, Example, ParseError, binarize,
 from .metrics import auc, auc_bruteforce
 from .objective import (dataset_kappa, instance_kappa,
                         pairwise_objective_bruteforce, pairwise_objective_fast,
-                        saddle_grad, saddle_value, surrogate_grad,
-                        surrogate_value)
+                        saddle_coefficients, saddle_grad, saddle_value,
+                        surrogate_grad, surrogate_value)
 from .regularizers import Regularizer, l1, l2, none_reg
 from .schedules import (FastRateSchedule, LogDampedSchedule, PolySchedule,
                         PracticalSchedule, Schedule, clamp_for_theory,

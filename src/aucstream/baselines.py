@@ -9,18 +9,28 @@ SOLAM-style: primal-dual SGD on the saddle objective with running class prior
 and data radius, descending (w, a, b) and ascending alpha, with the primal
 iterate projected onto an l2 ball of radius R and the auxiliary variables
 clamped to the ranges they can take at feasible w.
+
+Both move w along x only, by a multiple of x, then rescale it (l2 prox,
+projection). run_baseline runs spam with no penalty or l2, and every solam
+run, on FastSpamTrainer/FastSolamTrainer, which store w = sigma * r and step
+in O(nnz(x)). spam with l1 runs on the dense SpamTrainer, since the
+soft-threshold is not a rescaling. The dense classes are also the reference
+the fast ones are tested against: relative error at most 1e-9 after 10^5
+steps, for the last iterate and both averages, and divergence at the same
+iteration.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from .data import Dataset, Example
-from .objective import saddle_grad
+from .objective import saddle_coefficients, saddle_grad
 from .stats import StatsSnapshot, exact_snapshot
-from .trainer import Learner, TrainConfig, stream_run
+from .trainer import Learner, ScaledLearner, TrainConfig, stream_run
 
 ALGORITHMS = ("spauc", "spam", "solam")
 UNIMPLEMENTED = ("opauc", "oam", "fsauc")
@@ -84,21 +94,103 @@ class SolamTrainer(Learner):
         self.n += 1
 
 
+class FastSpamTrainer(ScaledLearner):
+    """SpamTrainer's update in O(nnz(x)) per step, for no penalty or l2.
+
+    It keeps r.u and r.v, updated at the touched coordinates, so
+    a = sigma * (r.u) and b = sigma * (r.v); the l2 prox divides sigma.
+    """
+
+    def __init__(self, dim: int, config: TrainConfig, moments: StatsSnapshot):
+        if config.regularizer.kind == "l1":
+            raise ValueError("the l1 prox is not a rescaling; SpamTrainer takes l1")
+        self.moments = moments
+        super().__init__(dim, config)
+
+    def refresh(self) -> None:
+        super().refresh()
+        self.ru = float(self.r.dot(self.moments.u))
+        self.rv = float(self.r.dot(self.moments.v))
+
+    def step(self, z: Example) -> None:
+        m = self.moments
+        idx, values = z.indices, z.values
+        sigma = self.sigma
+        old = self.r[idx]
+        a = sigma * self.ru
+        b = sigma * self.rv
+        eta = self.config.schedule.step_size(self.t + 1)
+        c, _, _, _ = saddle_coefficients(sigma * float(old.dot(values)), a, b, b - a,
+                                         z.label, m.p)
+        move = (c * values) * (eta / sigma)
+        self.ru -= float(move.dot(m.u[idx]))
+        self.rv -= float(move.dot(m.v[idx]))
+        if not self.assign(idx, old, old - move):
+            return self.step(z)
+        self.accept_scale(self.sigma / self.config.regularizer.prox_divisor(eta), eta)
+
+
+class FastSolamTrainer(ScaledLearner):
+    """SolamTrainer's update in O(nnz(x)) per step: with ||r||^2 kept, the
+    ball projection only multiplies sigma."""
+
+    def __init__(self, dim: int, config: TrainConfig, radius: float):
+        if radius <= 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        super().__init__(dim, config)
+        self.radius = radius
+        self.a = 0.0
+        self.b = 0.0
+        self.alpha = 0.0
+        self.n_pos = 0
+        self.n = 0
+        self.kappa = 1.0
+
+    def step(self, z: Example) -> None:
+        self.kappa = max(self.kappa, z.norm())
+        if 0 < self.n_pos < self.n:
+            eta = self.config.schedule.step_size(self.t + 1)
+            idx, values = z.indices, z.values
+            sigma = self.sigma
+            old = self.r[idx]
+            c, ga, gb, galpha = saddle_coefficients(
+                sigma * float(old.dot(values)), self.a, self.b, self.alpha, z.label,
+                self.n_pos / self.n)
+            if not self.assign(idx, old, old - (c * values) * (eta / sigma)):
+                return self.step(z)  # retaken once; it also does the counts
+            # an overflowing norm is inf, as in the dense learner, and
+            # projects w to 0
+            sigma = self.sigma
+            norm = sigma * math.sqrt(self.rr)
+            if norm > self.radius:
+                sigma *= self.radius / norm
+            self.accept_scale(sigma, eta)
+            bound = self.kappa * self.radius
+            self.a = min(max(self.a - eta * ga, -bound), bound)
+            self.b = min(max(self.b - eta * gb, -bound), bound)
+            self.alpha = min(max(self.alpha + eta * galpha, -2 * bound), 2 * bound)
+        self.n_pos += z.label == 1
+        self.n += 1
+
+
 def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
                  radius: float = 100.0,
                  test_data: Dataset | None = None,
                  objective_data: Dataset | None = None):
     """Train a baseline over the dataset; same contract and trace schema as
-    `trainer.train`. SPAM's elapsed time includes its full-data moment pass."""
+    `trainer.train`. SPAM's elapsed time includes its full-data moment pass.
+    Spam with no penalty or l2, and every solam run, take the O(nnz) step;
+    spam with l1 takes the dense one."""
     if algo == "spam":
         tick = time.perf_counter()
         moments = exact_snapshot(dataset)
         moment_seconds = time.perf_counter() - tick
-        learner = SpamTrainer(dataset.dim, config, moments)
+        cls = SpamTrainer if config.regularizer.kind == "l1" else FastSpamTrainer
+        learner = cls(dataset.dim, config, moments)
         return stream_run(learner, dataset, config, test_data, objective_data,
                           time_offset=moment_seconds)
     if algo == "solam":
-        learner = SolamTrainer(dataset.dim, config, radius)
+        learner = FastSolamTrainer(dataset.dim, config, radius)
         return stream_run(learner, dataset, config, test_data, objective_data)
     raise ValueError(unknown_algorithm_message(algo))
 

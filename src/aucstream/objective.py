@@ -125,6 +125,26 @@ def saddle_value(w: np.ndarray, a: float, b: float, alpha: float,
     return out
 
 
+def saddle_coefficients(wx: float, a: float, b: float, alpha: float,
+                        label: int, p: float) -> tuple[float, float, float, float]:
+    """Scalar parts (c, ga, gb, galpha) of `saddle_grad` at an example with
+    label `label` and score wx = w.x: the w-partial is c * x. Both the dense
+    and the scaled-vector learners step through this one formula."""
+    _require_prior(p)
+    if label == 1:
+        sign_term = -(1.0 - p)
+        c = 2.0 * (1.0 - p) * (wx - a) + 2.0 * (1.0 + alpha) * sign_term
+        ga = -2.0 * (1.0 - p) * (wx - a)
+        gb = 0.0
+    else:
+        sign_term = p
+        c = 2.0 * p * (wx - b) + 2.0 * (1.0 + alpha) * sign_term
+        ga = 0.0
+        gb = -2.0 * p * (wx - b)
+    galpha = 2.0 * wx * sign_term - 2.0 * p * (1.0 - p) * alpha
+    return c, ga, gb, galpha
+
+
 def saddle_grad(w: np.ndarray, a: float, b: float, alpha: float,
                 z: Example, p: float) -> tuple[np.ndarray, float, float, float]:
     """Partial derivatives (gw, ga, gb, galpha) of `saddle_value`.
@@ -132,21 +152,9 @@ def saddle_grad(w: np.ndarray, a: float, b: float, alpha: float,
     gw is a scalar multiple of x, so the d-vector is built with one sparse
     scatter.
     """
-    _require_prior(p)
-    wx = z.dot(w)
-    if z.label == 1:
-        sign_term = -(1.0 - p)
-        coeff = 2.0 * (1.0 - p) * (wx - a) + 2.0 * (1.0 + alpha) * sign_term
-        ga = -2.0 * (1.0 - p) * (wx - a)
-        gb = 0.0
-    else:
-        sign_term = p
-        coeff = 2.0 * p * (wx - b) + 2.0 * (1.0 + alpha) * sign_term
-        ga = 0.0
-        gb = -2.0 * p * (wx - b)
+    c, ga, gb, galpha = saddle_coefficients(z.dot(w), a, b, alpha, z.label, p)
     gw = np.zeros_like(w)
-    z.add_into(gw, coeff)
-    galpha = 2.0 * wx * sign_term - 2.0 * p * (1.0 - p) * alpha
+    z.add_into(gw, c)
     return gw, ga, gb, galpha
 
 

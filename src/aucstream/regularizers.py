@@ -65,12 +65,17 @@ class Regularizer:
         """argmin_w eta*value(w) + 0.5*||w - v||^2, in closed form."""
         if eta <= 0:
             raise ValueError(f"prox step must be positive, got {eta}")
-        if self.kind == "none":
-            return v.copy()
-        if self.kind == "l2":
-            return v / (1.0 + 2.0 * eta * self.lam)
-        thresh = eta * self.lam
-        return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        if self.kind == "l1":
+            thresh = eta * self.lam
+            return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        return v / self.prox_divisor(eta)
+
+    def prox_divisor(self, eta: float) -> float:
+        """The number prox(v, eta) divides v by: 1 + 2*eta*lam for l2, 1 for
+        none. The l1 prox is not a rescaling and has none."""
+        if self.kind == "l1":
+            raise ValueError("the l1 prox is not a rescaling")
+        return 1.0 + 2.0 * eta * self.lam if self.kind == "l2" else 1.0
 
 
 def none_reg() -> Regularizer:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -82,24 +83,71 @@ class TracePoint:
 class IterateAverages:
     """Incrementally maintained running average of the iterates, of the one
     kind in AVERAGES the configuration asks for: "avg1" weights iterate k by
-    its step size, "avg2" by k + t1 + 1, and "last" keeps nothing."""
+    its step size, "avg2" by k + t1 + 1, and "last" keeps nothing.
+
+    A dense learner add()s each whole iterate. A scaled learner, whose
+    iterate is sigma * r with r changing at a few coordinates per step, adds
+    lazily (W. Xu, arXiv:1107.2490): add_scaled() grows `mass`, the running
+    sum of weight * sigma, and coordinate j still owes num[j] the amount
+    r[j] * (mass - mark[j]) for the iterates since r[j] last changed.
+    touch() settles coordinates before r changes there, flush() settles all
+    of them and restarts the mass at 0.
+    """
+
+    MASS_LIMIT = 4096.0
 
     def __init__(self, dim: int, kind: str, t1: float):
         self.kind = kind
         self.t1 = t1
         self.num = None if kind == "last" else np.zeros(dim)
         self.den = 0.0
+        self.mass = 0.0
+        self.mark = None if kind == "last" else np.zeros(dim)
+
+    def weight(self, eta: float, step: int) -> float:
+        return eta if self.kind == "avg1" else step + self.t1 + 1.0
 
     def add(self, w: np.ndarray, eta: float, step: int) -> None:
         if self.num is None:
             return
-        weight = eta if self.kind == "avg1" else step + self.t1 + 1.0
+        weight = self.weight(eta, step)
         self.num += weight * w
         self.den += weight
 
+    def add_scaled(self, r: np.ndarray, sigma: float, eta: float, step: int) -> None:
+        """Add iterate `step`, sigma * r, after touch() of every coordinate
+        of r that changed since the previous iterate. The mass restarts
+        (an O(d) flush) once it exceeds MASS_LIMIT times the new term, so
+        each term is added with a relative rounding error of at most
+        MASS_LIMIT * 2^-53."""
+        if self.num is None:
+            return
+        weight = self.weight(eta, step)
+        term = weight * sigma
+        if self.mass > self.MASS_LIMIT * term:
+            self.flush(r)
+        self.mass += term
+        self.den += weight
+
+    def touch(self, idx: np.ndarray, r_idx: np.ndarray) -> None:
+        """Settle the coordinates idx, where r holds r_idx, before r changes
+        there. O(len(idx))."""
+        if self.num is None:
+            return
+        self.num[idx] += r_idx * (self.mass - self.mark[idx])
+        self.mark[idx] = self.mass
+
+    def flush(self, r: np.ndarray) -> None:
+        """Settle every coordinate of r, O(d)."""
+        if self.num is None:
+            return
+        self.num += r * (self.mass - self.mark)
+        self.mark.fill(0.0)
+        self.mass = 0.0
+
     def get(self, fallback: np.ndarray) -> np.ndarray:
         """The average, or a copy of `fallback` (the last iterate) for "last"
-        and before the first step."""
+        and before the first step. A scaled learner flush()es first."""
         if self.den == 0.0:
             return fallback.copy()
         return self.num / self.den
@@ -133,6 +181,100 @@ class Learner:
 
     def model(self) -> np.ndarray:
         """The configured iterate: the last one or a weighted running average."""
+        return self.averages.get(self.w)
+
+
+class ScaledLearner(Learner):
+    """A Learner that stores its iterate as w = sigma * r (the scale trick of
+    L. Bottou, "Stochastic Gradient Descent Tricks", 2012), for learners
+    whose step changes w at the nonzero coordinates of one example and
+    rescales all of it: such a step costs O(nnz(x)) whatever the dimension.
+
+    A subclass's step(z) reads r at the example's coordinates, updates its
+    own kept scalars (dot products of r with fixed vectors) for the move,
+    hands the new values to assign(), and then, reading sigma again, the
+    new scale to accept_scale(). The move is computed as
+    (c * x) * (eta / sigma), the dense learner's order of operations once
+    sigma is 1. refresh() recomputes the kept scalars exactly.
+
+    fold() multiplies sigma into r and refreshes, in O(d). It runs when
+    - the scale drops below FOLD_BELOW (0 included), before it underflows;
+    - the squares of the r values that steps replaced or wrote since the
+      last fold exceed CHURN_LIMIT times ||r||^2, so an incrementally kept
+      dot product carries a rounding error of a few CHURN_LIMIT * 2^-52
+      relative to the norms, also after r shrank from a large transient;
+      an infinite ||r||^2 is recomputed as the dense ||w||^2 this way;
+    - a step meets a non-finite value: the step is then taken again from
+      the numbers the dense learner would use, and only a non-finite
+      value there is a divergence.
+    All three are rare. The finiteness check looks only at the new values
+    of r: the scale never exceeds 1, so coordinates a step does not touch
+    can only shrink.
+    """
+
+    FOLD_BELOW = 2.0**-200
+    CHURN_LIMIT = 1e4
+
+    @property
+    def w(self) -> np.ndarray:
+        """The iterate sigma * r, materialised in O(d)."""
+        return self.sigma * self.r
+
+    @w.setter
+    def w(self, w: np.ndarray) -> None:
+        # restarts the iterate; only valid while the average is empty
+        self.r = np.array(w, dtype=np.float64)
+        self.sigma = 1.0
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Recompute ||r||^2 and the subclass's kept scalars exactly, O(d)."""
+        self.rr = float(self.r.dot(self.r))
+        self.churn = 0.0
+
+    def fold(self) -> None:
+        """Multiply sigma into r and refresh, O(d)."""
+        self.averages.flush(self.r)
+        self.r *= self.sigma
+        self.sigma = 1.0
+        self.refresh()
+
+    def assign(self, idx: np.ndarray, old: np.ndarray, new: np.ndarray) -> bool:
+        """Change r at coordinates idx from old to new for iterate t+1, and
+        return True.
+
+        If a new value is not finite, nothing changes but a fold, and the
+        return is False: the caller takes the step again from the folded
+        state, where a non-finite value raises DivergenceError carrying the
+        last finite iterate.
+        """
+        gain = float(new.dot(new))
+        # a finite sum of squares has finite terms; an infinite one may
+        # still come from finite values, which only the full check tells
+        if not math.isfinite(gain) and not np.isfinite(new).all():
+            if self.sigma == 1.0 and self.churn == 0.0:  # already folded
+                raise DivergenceError(self.t + 1, self.w)
+            self.fold()
+            return False
+        self.averages.touch(idx, old)
+        self.r[idx] = new
+        loss = float(old.dot(old))
+        self.rr += gain - loss
+        self.churn += gain + loss
+        if not self.churn <= self.CHURN_LIMIT * self.rr < math.inf:  # NaN too
+            self.fold()
+        return True
+
+    def accept_scale(self, sigma: float, eta: float) -> None:
+        """Make sigma * r iterate t+1, taken with step size eta."""
+        self.sigma = sigma
+        if sigma < self.FOLD_BELOW:
+            self.fold()
+        self.averages.add_scaled(self.r, self.sigma, eta, self.t + 1)
+        self.t += 1
+
+    def model(self) -> np.ndarray:
+        self.averages.flush(self.r)
         return self.averages.get(self.w)
 
 

@@ -103,6 +103,16 @@ class TestProx:
                 lhs = np.linalg.norm(reg.prox(u, eta) - reg.prox(v, eta))
                 assert lhs <= np.linalg.norm(u - v) * (1 + 1e-12) + 1e-15
 
+    def test_divisor_is_the_rescaling(self):
+        # the scaled learners divide their scale by prox_divisor instead of
+        # calling prox on the vector
+        v = np.array([3.0, -0.7, 1e-3])
+        for reg, want in ((none_reg(), 1.0), (l2(0.25), 1.3)):
+            assert reg.prox_divisor(0.6) == pytest.approx(want, rel=1e-15)
+            assert np.array_equal(reg.prox(v, 0.6), v / reg.prox_divisor(0.6))
+        with pytest.raises(ValueError, match="not a rescaling"):
+            l1(0.25).prox_divisor(0.6)
+
     def test_bad_eta(self):
         for reg in ALL_KINDS:
             with pytest.raises(ValueError):

@@ -1,0 +1,264 @@
+"""The O(nnz) scaled-vector learners (w = sigma * r) against the dense
+SpamTrainer and SolamTrainer they stand in for: drift over long streams,
+the fold of sigma back into r, and divergence at the same iteration."""
+
+import math
+
+import numpy as np
+import pytest
+
+import aucstream.baselines as baselines
+from aucstream.baselines import (FastSolamTrainer, FastSpamTrainer,
+                                 SolamTrainer, SpamTrainer, run_baseline)
+from aucstream.data import Dataset
+from aucstream.objective import saddle_grad
+from aucstream.regularizers import l1, l2, none_reg
+from aucstream.schedules import PolySchedule, PracticalSchedule
+from aucstream.stats import StatsSnapshot, exact_snapshot
+from aucstream.trainer import (AVERAGES, DivergenceError, IterateAverages,
+                               ScaledLearner, TrainConfig, stream_run)
+
+from conftest import dense_example, random_dataset, sparse_example
+
+DRIFT_BOUND = 1e-9
+
+
+def config(reg=None, schedule=None, **kw):
+    return TrainConfig(regularizer=reg or none_reg(),
+                       schedule=schedule or PracticalSchedule(0.01), **kw)
+
+
+def rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def pair(algo, d, cfg, moments=None, radius=0.3):
+    """A dense learner and its scaled sibling under one configuration."""
+    if algo == "spam":
+        return SpamTrainer(d, cfg, moments), FastSpamTrainer(d, cfg, moments)
+    return SolamTrainer(d, cfg, radius), FastSolamTrainer(d, cfg, radius)
+
+
+class TestDrift:
+    """After 10^5 steps the scaled learners hold the dense iterate (the
+    "last" model) and its two running averages to a relative error of
+    DRIFT_BOUND, with the same step count."""
+
+    @pytest.mark.parametrize("algo,reg", [("spam", none_reg()), ("spam", l2(0.1)),
+                                          ("solam", none_reg())],
+                             ids=["spam-none", "spam-l2", "solam"])
+    def test_long_stream(self, algo, reg):
+        rng = np.random.default_rng(20)
+        d, t1, steps = 4, 3.0, 10**5
+        ds = random_dataset(rng, n=200, d=d, pos_fraction=0.35)
+        rows = list(ds)
+        stream = [rows[i] for i in rng.integers(len(rows), size=steps)]
+        sched = PracticalSchedule(0.01)
+        moments = exact_snapshot(ds)
+        # at radius 0.3 solam's projection fires throughout the stream
+        dense, _ = pair(algo, d, config(reg, sched), moments)
+        # the iterate does not depend on the configured average (see
+        # test_average_leaves_iterate_alone), so these two also stand for
+        # the learner configured with "last"
+        fast = {avg: pair(algo, d, config(reg, sched, average=avg, t1=t1), moments)[1]
+                for avg in ("avg1", "avg2")}
+        iterates = np.zeros((steps, d))
+        for z in stream:
+            dense.step(z)
+            iterates[dense.t - 1] = dense.w
+            for learner in fast.values():
+                learner.step(z)
+        iterates = iterates[:dense.t]
+        ks = np.arange(1, dense.t + 1)
+        weights = {"avg1": 2.0 / (0.01 * ks + 1.0), "avg2": ks + t1 + 1.0}
+        for avg, learner in fast.items():
+            assert learner.t == dense.t
+            assert rel_err(learner.w, dense.w) <= DRIFT_BOUND
+            want = weights[avg] @ iterates / weights[avg].sum()
+            assert rel_err(learner.model(), want) <= DRIFT_BOUND
+        if algo == "solam":
+            norms = np.linalg.norm(iterates, axis=1)
+            assert np.isclose(norms, 0.3, rtol=1e-12).sum() >= 1000
+
+    @pytest.mark.parametrize("algo,reg", [("spam", l2(0.1)), ("solam", none_reg())])
+    def test_average_leaves_iterate_alone(self, algo, reg):
+        rng = np.random.default_rng(21)
+        d = 4
+        ds = random_dataset(rng, n=100, d=d, pos_fraction=0.35)
+        moments = exact_snapshot(ds)
+        learners = [pair(algo, d, config(reg, average=avg), moments)[1]
+                    for avg in AVERAGES]
+        for i in rng.integers(len(ds), size=3000):
+            for learner in learners:
+                learner.step(ds[i])
+        last = learners[0]
+        assert all(learner.t == last.t for learner in learners)
+        assert all(learner.w.tobytes() == last.w.tobytes() for learner in learners)
+        assert last.model().tobytes() == last.w.tobytes()
+
+
+class TestFold:
+    def test_tiny_scale_folds_back_into_r(self):
+        # the projection shrinks sigma on nearly every step here; without
+        # the fold it underflows to 0 within the stream and the next step
+        # divides by it
+        rng = np.random.default_rng(30)
+        d, steps = 8, 3000
+        labels = [1, -1] + [1 if rng.random() < 0.35 else -1 for _ in range(steps - 2)]
+        stream = [dense_example(rng.uniform(-1.0, 1.0, d), y) for y in labels]
+        cfg = config(average="avg2")
+        dense, fast = pair("solam", d, cfg, radius=0.3)
+        folds = []
+        fold = fast.fold
+        fast.fold = lambda: (folds.append(fast.sigma), fold())
+        for z in stream:
+            dense.step(z)
+            fast.step(z)
+        assert sum(sigma < ScaledLearner.FOLD_BELOW for sigma in folds) >= 3
+        assert fast.t == dense.t
+        assert rel_err(fast.w, dense.w) <= DRIFT_BOUND
+        assert rel_err(fast.model(), dense.model()) <= DRIFT_BOUND
+
+    def test_overflowing_norm_projects_to_zero(self):
+        # ||w||^2 overflows to inf, so the dense projection multiplies w by
+        # R / inf = 0; the scaled learner folds its scale 0 into r
+        rng = np.random.default_rng(31)
+        d = 8
+        stream = [dense_example(1e160 * rng.uniform(0.5, 1.0, d), y)
+                  for y in (1, -1, 1, -1, -1)]
+        dense, fast = pair("solam", d, config(), radius=0.3)
+        with np.errstate(over="ignore"):
+            for z in stream[:2]:
+                dense.step(z)
+                fast.step(z)
+            gw = saddle_grad(dense.w, 0.0, 0.0, 0.0, stream[2], dense.n_pos / dense.n)[0]
+            assert np.linalg.norm(gw) == np.inf
+            for z in stream[2:]:
+                dense.step(z)
+                fast.step(z)
+        assert fast.t == dense.t == 3
+        assert not dense.w.any() and not fast.w.any()
+        assert fast.sigma == 1.0 and fast.rr == 0.0
+
+    def test_overflowing_r_norm_is_taken_from_w(self):
+        # at sigma = 1e-100, ||r||^2 overflows where the dense ||w||^2 does
+        # not; the fold computes it from w, so the projection matches
+        d = 3
+        dense, fast = pair("solam", d, config(), radius=0.3)
+        for z in (dense_example([1.0, 0.0, 0.0], 1), dense_example([0.0, 1.0, 0.0], -1)):
+            dense.step(z)  # warm-up: no step yet
+            fast.step(z)
+        w0 = np.array([0.1, -0.1, 0.05])
+        dense.w = w0.copy()
+        fast.r, fast.sigma = w0 / 1e-100, 1e-100
+        fast.refresh()
+        z = dense_example([1e60, 0.0, 1e60], 1)
+        with np.errstate(over="ignore"):
+            dense.step(z)
+            fast.step(z)
+        assert np.linalg.norm(dense.w) == pytest.approx(0.3)
+        assert rel_err(fast.w, dense.w) <= 1e-12
+
+
+def divergence_cases():
+    """The divergence test's stream, then random streams that blow up."""
+    rng = np.random.default_rng(7)
+    examples = [dense_example(100.0 * rng.normal(size=4), 1 if i % 2 else -1)
+                for i in range(50)]
+    yield Dataset.from_examples(examples), PolySchedule(eta1=5.0, theta=0.51)
+    for seed in range(6):
+        rng = np.random.default_rng([40, seed])
+        d, n = int(rng.integers(2, 12)), int(rng.integers(10, 60))
+        scale = 10.0 ** rng.uniform(1, 3)
+        examples = [sparse_example(rng, d, 1 if i % 2 else -1) for i in range(n)]
+        examples = [z._replace(values=scale * z.values) for z in examples]
+        yield (Dataset.from_examples(examples, dim=d),
+               PolySchedule(eta1=float(10 ** rng.uniform(0, 1)), theta=0.51))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("reg", [none_reg(), l2(1e-3), l2(0.3)],
+                             ids=["none", "l2-small", "l2-large"])
+    @pytest.mark.parametrize("case", range(7))
+    def test_same_iteration_as_dense(self, reg, case):
+        ds, sched = list(divergence_cases())[case]
+        cfg = config(reg, sched, epochs=50)
+        moments = exact_snapshot(ds)
+        errors = []
+        for learner in pair("spam", ds.dim, cfg, moments):
+            with pytest.raises(DivergenceError) as exc:
+                stream_run(learner, ds, cfg)
+            errors.append(exc.value)
+        dense, fast = errors
+        assert fast.iteration == dense.iteration
+        assert np.isfinite(fast.last_weight).all()
+        scale = np.abs(dense.last_weight).max()
+        assert np.abs(fast.last_weight - dense.last_weight).max() <= DRIFT_BOUND * scale
+
+
+    def test_step_overflowing_in_c_times_x(self):
+        # c * x overflows while c * (eta * x) would not: the dense learner
+        # diverges at this step, and so must the scaled one
+        moments = StatsSnapshot(0.05, np.zeros(1), np.zeros(1), True)
+        z = dense_example([1e308], 1)
+        cfg = config(schedule=PracticalSchedule(3.0))  # eta_1 = 0.5
+        for learner in pair("spam", 1, cfg, moments):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError) as exc:
+                learner.step(z)
+            assert exc.value.iteration == 1
+            assert not exc.value.last_weight.any()
+
+
+class TestRouting:
+    @pytest.mark.parametrize("algo,reg,cls", [
+        ("spam", none_reg(), FastSpamTrainer), ("spam", l2(0.1), FastSpamTrainer),
+        ("spam", l1(0.1), SpamTrainer), ("solam", none_reg(), FastSolamTrainer),
+        ("solam", l1(0.1), FastSolamTrainer)])
+    def test_run_baseline_picks_learner(self, monkeypatch, algo, reg, cls):
+        seen = []
+        real = baselines.stream_run
+
+        def spy(learner, *args, **kwargs):
+            seen.append(type(learner))
+            return real(learner, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "stream_run", spy)
+        rng = np.random.default_rng(50)
+        run_baseline(algo, random_dataset(rng, n=30, d=4), config(reg))
+        assert seen == [cls]
+
+    def test_scaled_spam_rejects_l1(self):
+        rng = np.random.default_rng(51)
+        moments = exact_snapshot(random_dataset(rng, n=10, d=3))
+        with pytest.raises(ValueError, match="l1"):
+            FastSpamTrainer(3, config(l1(0.1)), moments)
+
+
+class TestLazyAverage:
+    @pytest.mark.parametrize("kind", ["avg1", "avg2"])
+    def test_matches_definition_while_scale_decays(self, kind):
+        # a shrinking scale makes the running mass outgrow its new terms;
+        # the average restarts the mass and stays exact
+        rng = np.random.default_rng(60)
+        d, t1 = 6, 2.0
+        averages = IterateAverages(d, kind, t1)
+        flushes = []
+        flush = averages.flush
+        averages.flush = lambda r: (flushes.append(averages.mass), flush(r))
+        r, sigma = np.zeros(d), 1.0
+        weights, iterates = [], []
+        for step in range(1, 401):
+            idx = np.flatnonzero(rng.random(d) < 0.4)
+            averages.touch(idx, r[idx])
+            r[idx] = rng.normal(size=len(idx))
+            sigma *= 0.9
+            eta = 1.0 / step
+            averages.add_scaled(r, sigma, eta, step)
+            weights.append(eta if kind == "avg1" else step + t1 + 1.0)
+            iterates.append(sigma * r)
+        averages.flush(r)
+        want = np.array([math.fsum(w * x[j] for w, x in zip(weights, iterates))
+                         for j in range(d)]) / math.fsum(weights)
+        assert len(flushes) >= 3
+        assert rel_err(averages.get(sigma * r), want) <= 1e-12
