@@ -45,8 +45,8 @@ class SpamTrainer(Learner):
 
     def step(self, z: Example) -> None:
         m = self.moments
-        a = float(self.w @ m.u)
-        b = float(self.w @ m.v)
+        a = float(self.w.dot(m.u))
+        b = float(self.w.dot(m.v))
         alpha = b - a
         eta = self.config.schedule.step_size(self.t + 1)
         g, _, _, _ = saddle_grad(self.w, a, b, alpha, z, m.p)

@@ -93,7 +93,7 @@ class Example(NamedTuple):
 
     def dot(self, w: np.ndarray) -> float:
         """Inner product with a dense vector, O(nnz); 0.0 for an empty row."""
-        return float(w[self.indices] @ self.values)
+        return float(w[self.indices].dot(self.values))
 
     def norm(self) -> float:
         # the value np.linalg.norm returns (sqrt of the dot), at a third of its cost

@@ -3,7 +3,10 @@ pairwise loss.
 
 The per-sample surrogate replaces the class prior and conditional means by a
 statistics snapshot, turning the pairwise objective into a pointwise one whose
-stochastic gradient costs O(d + nnz(x)). The same formula evaluated with
+stochastic gradient costs O(d + nnz(x)). That dense gradient serves the l1
+penalty; with no penalty or l2, trainer.FastSpaucTrainer takes the same step
+in O(nnz(x)), keeping the iterate as sigma * r + A * S+ + B * S- over the
+class sums. The same formula evaluated with
 full-data moments is an exactly unbiased estimate of the empirical pairwise
 objective, which is also provided here in both a brute-force (all-pairs
 oracle) and a fast moment-based form.
@@ -32,8 +35,8 @@ def surrogate_value(w: np.ndarray, z: Example, s: StatsSnapshot) -> float:
     _require_ready(s)
     p = s.p
     wx = z.dot(w)
-    wu = float(w @ s.u)
-    wv = float(w @ s.v)
+    wu = float(w.dot(s.u))
+    wv = float(w.dot(s.v))
     coupling = p * (1.0 - p) * (1.0 + (wv - wu)) ** 2
     if z.label == 1:
         return (1.0 - p) * (wx - wu) ** 2 + coupling
@@ -49,8 +52,8 @@ def surrogate_grad(w: np.ndarray, z: Example, s: StatsSnapshot) -> np.ndarray:
     _require_ready(s)
     p = s.p
     wx = z.dot(w)
-    wu = float(w @ s.u)
-    wv = float(w @ s.v)
+    wu = float(w.dot(s.u))
+    wv = float(w.dot(s.v))
     g = (2.0 * p * (1.0 - p) * (1.0 + (wv - wu))) * (s.v - s.u)
     if z.label == 1:
         c = 2.0 * (1.0 - p) * (wx - wu)

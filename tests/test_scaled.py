@@ -239,13 +239,14 @@ class TestLazyAverage:
     @pytest.mark.parametrize("kind", ["avg1", "avg2"])
     def test_matches_definition_while_scale_decays(self, kind):
         # a shrinking scale makes the running mass outgrow its new terms;
-        # the average restarts the mass and stays exact
+        # the average closes epochs of the mass, in O(1), and stays exact
+        # without settling every coordinate
         rng = np.random.default_rng(60)
         d, t1 = 6, 2.0
         averages = IterateAverages(d, kind, t1)
         flushes = []
         flush = averages.flush
-        averages.flush = lambda r: (flushes.append(averages.mass), flush(r))
+        averages.flush = lambda vectors: (flushes.append(averages.mass[0]), flush(vectors))
         r, sigma = np.zeros(d), 1.0
         weights, iterates = [], []
         for step in range(1, 401):
@@ -254,11 +255,41 @@ class TestLazyAverage:
             r[idx] = rng.normal(size=len(idx))
             sigma *= 0.9
             eta = 1.0 / step
-            averages.add_scaled(r, sigma, eta, step)
+            averages.add_scaled((sigma,), eta, step)
             weights.append(eta if kind == "avg1" else step + t1 + 1.0)
             iterates.append(sigma * r)
-        averages.flush(r)
+        assert averages.since.size > 3 and not flushes
+        averages.flush((r,))
         want = np.array([math.fsum(w * x[j] for w, x in zip(weights, iterates))
                          for j in range(d)]) / math.fsum(weights)
-        assert len(flushes) >= 3
         assert rel_err(averages.get(sigma * r), want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["avg1", "avg2"])
+    def test_signed_parts_and_a_steep_scale(self, kind):
+        # three parts, as for spauc: the scale falls by 2^200 over the
+        # stream, and the other two coefficients change sign
+        rng = np.random.default_rng(61)
+        d, t1 = 5, 1.0
+        averages = IterateAverages(d, kind, t1, parts=3)
+        vectors = [np.zeros(d) for _ in range(3)]
+        coefs = [1.0, 0.0, 0.0]
+        weights, iterates, signs = [], [], set()
+        for step in range(1, 201):
+            for part, v in enumerate(vectors):
+                idx = np.flatnonzero(rng.random(d) < 0.3)
+                averages.touch(idx, v[idx], part)
+                v[idx] = rng.normal(size=len(idx))
+            coefs[0] *= 0.5
+            coefs[1] = float(rng.normal())
+            coefs[2] = coefs[2] + float(rng.normal())
+            signs.update((part, c > 0) for part, c in enumerate(coefs))
+            eta = 1.0 / step
+            averages.add_scaled(tuple(coefs), eta, step)
+            weights.append(eta if kind == "avg1" else step + t1 + 1.0)
+            iterates.append(sum(c * v for c, v in zip(coefs, vectors)))
+        assert averages.since.size > 10
+        assert {(1, True), (1, False), (2, True), (2, False)} <= signs
+        averages.flush(tuple(vectors))
+        want = np.array([math.fsum(w * x[j] for w, x in zip(weights, iterates))
+                         for j in range(d)]) / math.fsum(weights)
+        assert rel_err(averages.get(iterates[-1]), want) <= 1e-12
