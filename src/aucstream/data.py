@@ -1,6 +1,16 @@
 """Sparse dataset handling: LIBSVM/SVMlight text parsing, label binarization,
 train/test splitting and deterministic streaming order.
 
+Text given as one string, or as a file path, is parsed in blocks of whole
+lines (about 64 KiB). A block in the strict form ``label idx:val ...``
+(ASCII, single spaces, no comments, blank lines or trailing spaces, digit-only
+indices) is read with one np.fromstring and checked, vectorised, for
+everything the per-line parser checks. Any other block, or one that fails a
+check, is re-read by the per-line parser, which defines the accepted syntax
+and raises every ParseError with its absolute line number. Both paths append
+to the same flat buffers, and the strict path gives bit-identical arrays. An
+iterable of lines is read by the per-line parser alone.
+
 A Dataset is stored once, in compressed sparse row (CSR) form: four flat
 arrays (indptr, indices, values, labels) and dim. Its rows, from indexing or
 iteration, are Example views into those arrays, not copies. Feature indices
@@ -9,8 +19,8 @@ are 1-based in files (LIBSVM convention) and 0-based internally.
 
 from __future__ import annotations
 
-import io
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -176,23 +186,123 @@ class Dataset:
                        self.labels[rows], self.dim)
 
 
+# 64 KiB keeps the per-block temporaries small beside the parsed arrays;
+# larger blocks raised peak memory and parsed no faster
+BLOCK_SIZE = 1 << 16  # bytes read per block (characters for str input)
+
+_DIGITS = b"0123456789"
+_STRICT_MARKS = b"+-.eE: \n"  # the only non-digit bytes of a strict block
+_SPACE, _NEWLINE, _COLON = 32, 10, 58
+
+
+class _Rows:
+    """Growing CSR buffers: 8 bytes per entry, no per-row or per-value objects."""
+
+    def __init__(self):
+        self.indptr, self.indices = array("q", [0]), array("q")
+        self.values, self.labels = array("d"), array("q")
+
+    def dataset(self) -> Dataset:
+        if not self.labels:
+            raise ParseError("no examples found in input")
+        return Dataset(np.frombuffer(self.indptr, dtype=np.int64),
+                       np.frombuffer(self.indices, dtype=np.int64),
+                       np.frombuffer(self.values, dtype=np.float64),
+                       np.frombuffer(self.labels, dtype=np.int64))
+
+
 def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -> Dataset:
     """Parse LIBSVM/SVMlight text into a Dataset.
 
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices. Blank lines and ``#`` comments are tolerated. Labels
-    are normalized to {+1, -1} through `rule` (identity by default).
+    are normalized to {+1, -1} through `rule` (identity by default). `lines`
+    is one string, parsed in blocks, or an iterable of lines, such as a text
+    file, parsed line by line.
 
     Raises ParseError with the offending line number on malformed input or
     when no examples are found.
     """
+    if isinstance(lines, str):
+        return _parse_blocks(_text_blocks(lines), rule)
+    rows = _Rows()  # other iterables are read line by line
+    _parse_lines(lines, 1, rule or BinarizeRule.identity(), rows)
+    return rows.dataset()
+
+
+def load_libsvm(path: str, rule: BinarizeRule | None = None) -> Dataset:
+    """parse_libsvm on a UTF-8 file, read in binary blocks; line ends may be
+    \\n, \\r\\n or \\r, as in Python's text mode."""
+    with open(path, "rb") as fh:
+        return _parse_blocks(_file_blocks(fh), rule)
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    """Slices of whole lines, about BLOCK_SIZE characters each."""
+    start = 0
+    while start < len(text):
+        stop = text.rfind("\n", start, start + BLOCK_SIZE) + 1
+        if not stop:  # a line longer than one block
+            stop = text.find("\n", start + BLOCK_SIZE) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _file_blocks(fh) -> Iterator[bytes]:
+    """Reads of BLOCK_SIZE bytes, cut after their last line end."""
+    pending = []
+    while chunk := fh.read(BLOCK_SIZE):
+        # after the last \n, else after the last \r (\r line ends) unless it
+        # ends the read, where it may be the first half of a \r\n
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+        if cut:
+            yield b"".join(pending + [chunk[:cut]])
+            pending = [chunk[cut:]]
+        else:  # no line ends in this read
+            pending.append(chunk)
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _decode(raw: bytes, first_line: int) -> str:
+    """UTF-8 text of a file block; a byte that is not UTF-8 is a ParseError
+    naming its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = first_line + raw.count(b"\n", 0, exc.start)
+        raise ParseError(f"not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                         f"({exc.reason})", line_no) from None
+
+
+def _parse_blocks(blocks: Iterable[str | bytes], rule: BinarizeRule | None) -> Dataset:
     if rule is None:
         rule = BinarizeRule.identity()
-    if isinstance(lines, str):
-        lines = io.StringIO(lines)
-    # flat typed buffers: 8 bytes per entry, no per-row or per-value objects
-    indptr, indices, values, labels = array("q", [0]), array("q"), array("d"), array("q")
-    for line_no, line in enumerate(lines, start=1):
+    rows = _Rows()
+    line_no = 1
+    for block in blocks:
+        if isinstance(block, bytes):  # line ends as Python's text mode reads them
+            raw, text = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), None
+        else:
+            raw, text = (block.encode("ascii") if block.isascii() else None), block
+        if raw is not None and _parse_strict(raw, rule, rows):
+            line_no += raw.count(b"\n")
+            continue
+        if text is None:
+            text = _decode(raw, line_no)
+        lines = text.split("\n")
+        _parse_lines(lines, line_no, rule, rows)
+        line_no += len(lines) - 1
+    return rows.dataset()
+
+
+def _parse_lines(lines: Iterable[str], first_line: int, rule: BinarizeRule,
+                 rows: _Rows) -> None:
+    """The per-line parser: append each data line of `lines` to `rows`, or
+    raise ParseError with its line number (counted from `first_line`)."""
+    indptr, indices, values, labels = rows.indptr, rows.indices, rows.values, rows.labels
+    for line_no, line in enumerate(lines, start=first_line):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -227,17 +337,75 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
             values.append(val)
             prev = idx
         indptr.append(len(indices))
-    if not labels:
-        raise ParseError("no examples found in input")
-    return Dataset(np.frombuffer(indptr, dtype=np.int64),
-                   np.frombuffer(indices, dtype=np.int64),
-                   np.frombuffer(values, dtype=np.float64),
-                   np.frombuffer(labels, dtype=np.int64))
 
 
-def load_libsvm(path: str, rule: BinarizeRule | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, rule)
+def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
+    """Append a block of whole lines in the strict form ``label idx:val ...\\n``
+    (ASCII, no comments or blank lines, single spaces, one colon per feature,
+    digit-only indices) with one np.fromstring,
+    and return True. Return False, having appended nothing, when the block is
+    not in that form or holds a line the per-line parser would reject; the
+    caller then re-reads it per line.
+
+    Every check is vectorised over the block's features or its non-digit
+    bytes, so the block costs O(nnz) numpy work, not per-character Python.
+    """
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    marks = raw.translate(None, _DIGITS)  # the non-digit bytes, in order
+    # a block that starts blank is refused: np.fromstring reads one of only
+    # whitespace as [-1.]
+    if raw.startswith((b" ", b"\n")) or marks.translate(None, _STRICT_MARKS):
+        return False
+    m = np.frombuffer(marks, dtype=np.uint8)
+    is_colon, is_newline = m == _COLON, m == _NEWLINE
+    # a colon exactly where the previous mark is a space: each feature token
+    # holds one colon, the label none, index fields only digits, and no space
+    # ends a line, so no field holds more than one number
+    if is_colon[0] or not np.array_equal(is_colon[1:], m[:-1] == _SPACE):
+        return False
+    try:
+        with warnings.catch_warnings():  # older numpy only warns on unread text
+            warnings.simplefilter("error", DeprecationWarning)
+            nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
+    except (ValueError, DeprecationWarning):
+        return False
+    ends = np.searchsorted(np.flatnonzero(is_colon), np.flatnonzero(is_newline))
+    n, nnz = ends.size, int(ends[-1])
+    # every label and both sides of every colon must be a field read as one
+    # number: an empty one (blank line, doubled or leading space, empty side
+    # of a colon) makes the count come short
+    if nums.size != n + 2 * nnz:
+        return False
+    at_label = np.arange(n)
+    at_label[1:] += 2 * ends[:-1]
+    labels = _binarize_block(nums[at_label], rule)
+    features = np.delete(nums, at_label)
+    idx, vals = features[0::2], features[1::2]
+    rising = idx[1:] > idx[:-1]
+    row_starts = ends[:-1][(ends[:-1] > 0) & (ends[:-1] < nnz)]
+    rising[row_starts - 1] = True  # the first index of a row may be any
+    if (labels is None or not rising.all() or not np.isfinite(vals).all()
+            or nnz and not 1 <= idx.min() <= idx.max() < 2**53):  # exact in float64
+        return False
+    rows.indptr.frombytes((len(rows.indices) + ends).tobytes())
+    rows.indices.frombytes((idx - 1).astype(np.int64).tobytes())
+    rows.values.frombytes(vals.tobytes())
+    rows.labels.frombytes(labels.tobytes())
+    return True
+
+
+def _binarize_block(raw_labels: np.ndarray, rule: BinarizeRule) -> np.ndarray | None:
+    """`binarize` over an array of raw labels, as int64; None if any label is
+    outside the rule's domain."""
+    if rule.kind == "threshold":
+        positive = raw_labels <= rule.k
+    else:
+        positive = raw_labels == 1
+        negative = raw_labels == (-1 if rule.kind == "identity" else 0)
+        if not (positive | negative).all():
+            return None
+    return np.where(positive, 1, -1).astype(np.int64)
 
 
 def write_libsvm(dataset: Dataset, stream) -> None:

@@ -1,9 +1,11 @@
 """Shared test helpers: random sparse instances, the synthetic two-Gaussian
 task, and independent numerical oracles (finite differences, dense-formula
-reference evaluation, exact quadratic minimum of the pairwise objective)."""
+reference evaluation, exact quadratic minimum of the pairwise objective, the
+per-line LIBSVM parser)."""
 
 import numpy as np
 
+from aucstream import data
 from aucstream.data import Dataset, Example
 from aucstream.stats import StatsSnapshot
 
@@ -27,6 +29,22 @@ def random_dataset(rng, n, d, pos_fraction=0.5, density=0.6):
     rng.shuffle(labels)
     examples = [sparse_example(rng, d, y, density) for y in labels]
     return Dataset.from_examples(examples, dim=d)
+
+
+def assert_same_csr(a: Dataset, b: Dataset) -> None:
+    """Equal dim and bit-equal arrays (tobytes tells -0.0 from 0.0)."""
+    assert a.dim == b.dim
+    for name in ("indptr", "indices", "values", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def parse_per_line(text: str, rule=None) -> Dataset:
+    """`text` read by the per-line parser alone, as one block: the oracle
+    for the strict block path of parse_libsvm."""
+    rows = data._Rows()
+    data._parse_lines(text.split("\n"), 1, rule or data.BinarizeRule.identity(), rows)
+    return rows.dataset()
 
 
 def random_snapshot(rng, d):

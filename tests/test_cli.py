@@ -84,6 +84,13 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "absent.libsvm"),
                      "--mu", "30"]) == 1
 
+    def test_non_utf8_byte_is_data_error_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(b"+1 1:2.0\n-1 1:-2.0\n+1 1:1.5 \xff\n-1 1:-0.5\n")
+        assert main(["tune", "--data", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: not UTF-8 text: byte 0xff")
+
     def test_test_data_beyond_train_dim_is_data_error(self, tmp_path, tiny_file):
         wide = tmp_path / "wide.libsvm"
         wide.write_text("+1 7:1.0\n-1 1:1.0\n")

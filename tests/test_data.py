@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from aucstream import data
 from aucstream.data import (BinarizeRule, Dataset, Example, ParseError,
-                            binarize, parse_libsvm, split, stream_order,
-                            write_libsvm)
+                            binarize, load_libsvm, parse_libsvm, split,
+                            stream_order, write_libsvm)
 
-from conftest import random_dataset
+from conftest import assert_same_csr, parse_per_line, random_dataset
 
 
 class TestBinarize:
@@ -96,6 +97,133 @@ class TestParse:
         with open(path) as fh:
             ds = parse_libsvm(fh)
         assert len(ds) == 768 and ds.dim == 8
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """32-byte blocks, and the first line of every block that the per-line
+    parser reads."""
+    monkeypatch.setattr(data, "BLOCK_SIZE", 32)
+    firsts, per_line = [], data._parse_lines
+
+    def spy(lines, first_line, rule, rows):
+        firsts.append(first_line)
+        return per_line(lines, first_line, rule, rows)
+
+    monkeypatch.setattr(data, "_parse_lines", spy)
+    return firsts
+
+
+class TestBlocks:
+    """Block boundaries of parse_libsvm/load_libsvm at a 32-byte BLOCK_SIZE.
+    Every line of ROWS is 15 bytes, so a block holds two lines."""
+
+    ROWS = "".join(f"{'+1' if i % 3 else '-1'} {i % 7 + 1}:0.5 9:2.5\n"
+                   for i in range(12))
+
+    def test_strict_blocks_skip_the_per_line_parser(self, fallbacks):
+        got = parse_libsvm(self.ROWS)
+        assert fallbacks == []
+        assert_same_csr(got, parse_per_line(self.ROWS))
+
+    def test_malformed_line_in_third_block_names_its_line(self, fallbacks):
+        lines = self.ROWS.splitlines(keepends=True)
+        lines[5] = "+1 9:0.5 1:2.5\n"  # indices decrease; line 6, in block 3
+        with pytest.raises(ParseError, match="^line 6: feature indices"):
+            parse_libsvm("".join(lines))
+        assert fallbacks == [5]
+
+    def test_line_longer_than_a_block(self, fallbacks):
+        long = "-1 " + " ".join(f"{i}:{i / 8}" for i in range(1, 30)) + "\n"
+        text = self.ROWS[:30] + long + self.ROWS[30:]
+        got = parse_libsvm(text)
+        assert fallbacks == []
+        assert_same_csr(got, parse_per_line(text))
+        with pytest.raises(ParseError, match="^line 4: non-numeric"):
+            parse_libsvm(self.ROWS[:30] + long + "+1 1:x\n" + self.ROWS[30:])
+
+    def test_trailing_spaces_fall_back_to_the_same_arrays(self, fallbacks):
+        text = self.ROWS.replace("\n", " \n")
+        got = parse_libsvm(text)
+        assert fallbacks == [1, 3, 5, 7, 9, 11]  # every block
+        assert_same_csr(got, parse_per_line(self.ROWS))
+
+    def test_last_line_without_newline(self, fallbacks):
+        text = self.ROWS.rstrip("\n")
+        got = parse_libsvm(text)
+        assert fallbacks == []
+        assert_same_csr(got, parse_per_line(self.ROWS))
+
+    @pytest.mark.parametrize("line,rule", [
+        ("+1 1:2:3 4\n", BinarizeRule.identity()),  # two colons in a token
+        ("+1 1: -3 4:5\n", BinarizeRule.identity()),  # empty value, no colon
+        ("5:1 2:3 7\n", BinarizeRule.threshold(0)),  # colon in the first label
+        ("nan(1) 1:2\n", BinarizeRule.threshold(0)),  # numpy reads it, float() not
+        ("+1 1:1e999\n", BinarizeRule.identity()),  # overflows to inf
+        ("+1 3:1 1e3:2\n", BinarizeRule.identity()),  # exponent in an index
+        ("+1 1:1 +5:2\n", BinarizeRule.identity()),  # int() takes the sign
+        # a field after a line's last feature adds a number to the count, an
+        # empty field takes one away
+        ("1 2:3 1\n\n1 4:5\n", BinarizeRule.identity()),
+        ("1 2: 3:4 1\n", BinarizeRule.identity()),
+        ("1 2:3 5\n1 4:\n", BinarizeRule.threshold(0)),
+    ])
+    def test_irregular_line_gives_the_per_line_outcome(self, fallbacks, line, rule):
+        text = self.ROWS[:30] + line + self.ROWS[30:]
+        try:
+            got = parse_libsvm(text, rule)
+        except ParseError as exc:
+            got = str(exc)
+        assert fallbacks == [3]
+        try:
+            expected = parse_per_line(text, rule)
+        except ParseError as exc:
+            assert got == str(exc)
+        else:
+            assert_same_csr(got, expected)
+
+    def test_block_of_one_blank_line(self, fallbacks):
+        long = "-1 " + " ".join(f"{i}:1" for i in range(1, 12)) + "\n"
+        text = long + "\n" + long  # np.fromstring reads "\n" as [-1.]
+        got = parse_libsvm(text)
+        assert fallbacks == [2]
+        assert_same_csr(got, parse_per_line(text))
+
+    def test_cr_file_is_cut_at_its_line_ends(self, fallbacks):
+        raw = self.ROWS.replace("\n", "\r").encode()
+        blocks = list(data._file_blocks(io.BytesIO(raw)))
+        assert b"".join(blocks) == raw
+        assert len(blocks) > 1
+        assert all(b.endswith(b"\r") and len(b) <= 32 for b in blocks)
+
+    @pytest.mark.parametrize("size", [32, 15])  # 15: reads end between \r and \n
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_files(self, fallbacks, monkeypatch, tmp_path, end, size):
+        monkeypatch.setattr(data, "BLOCK_SIZE", size)
+        path = tmp_path / "crlf.libsvm"
+        path.write_bytes(self.ROWS.replace("\n", end).encode())
+        got = load_libsvm(str(path))
+        assert fallbacks == []
+        assert_same_csr(got, parse_per_line(self.ROWS))
+        path.write_bytes((self.ROWS + "+1 0:1\n").replace("\n", end).encode())
+        with pytest.raises(ParseError, match="^line 13: feature index must be >= 1"):
+            load_libsvm(str(path))
+
+    def test_comments_and_blank_lines_fall_back_to_the_same_arrays(self, fallbacks):
+        lines = self.ROWS.splitlines(keepends=True)
+        lines[3] = "# a comment line\n"
+        lines[7] = lines[7].rstrip("\n") + "  # inline\n"
+        lines[9] = "\n"
+        text = "".join(lines)
+        got = parse_libsvm(text)
+        assert fallbacks == [3, 8, 9]  # only the blocks of lines 4, 8 and 10
+        assert_same_csr(got, parse_per_line(text))
+
+    def test_non_utf8_byte_names_its_line(self, fallbacks, tmp_path):
+        path = tmp_path / "latin1.libsvm"
+        path.write_bytes(self.ROWS.encode()[:75] + b"+1 1:0.5 # caf\xe9\n")
+        with pytest.raises(ParseError, match="^line 6: not UTF-8 text: byte 0xe9"):
+            load_libsvm(str(path))
 
 
 class TestSplit:

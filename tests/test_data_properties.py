@@ -1,6 +1,11 @@
-"""Property tests of the CSR Dataset on random sparse datasets."""
+"""Property tests of the CSR Dataset and its LIBSVM parser on random sparse
+datasets."""
 
 import io
+import os
+import tempfile
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +13,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from aucstream.data import Dataset, parse_libsvm, write_libsvm
+from aucstream import data
+from aucstream.data import (BinarizeRule, Dataset, ParseError, load_libsvm,
+                            parse_libsvm, write_libsvm)
+
+from conftest import assert_same_csr, parse_per_line
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -26,14 +35,6 @@ def csr_datasets(draw, values=finite, max_rows=12, max_dim=20):
                                     max_size=len(indices))), dtype=np.float64)
     labels = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
     return Dataset(indptr, indices, values, labels)
-
-
-def assert_same_csr(a: Dataset, b: Dataset) -> None:
-    """Equal dim and bit-equal arrays (tobytes tells -0.0 from 0.0)."""
-    assert a.dim == b.dim
-    for name in ("indptr", "indices", "values", "labels"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 @settings(deadline=None)
@@ -63,3 +64,124 @@ def test_from_examples_of_the_rows_reproduces_the_dataset(ds):
     again = Dataset.from_examples(list(ds), dim=ds.dim)
     assert_same_csr(again, ds)
     assert (again.n_pos, again.n_neg) == (ds.n_pos, ds.n_neg)
+
+
+@contextmanager
+def block_size(size: int, per_line_forbidden: bool = False):
+    """parse_libsvm with blocks of `size`; with `per_line_forbidden`, a block
+    that falls back to the per-line parser fails the test."""
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(data, "BLOCK_SIZE", size))
+        if per_line_forbidden:
+            stack.enter_context(patch.object(
+                data, "_parse_lines", side_effect=AssertionError("per-line fallback")))
+        yield
+
+
+extreme = st.one_of(finite, st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, 0.1 + 0.2, 1.7976931348623157e308]))
+
+
+@settings(deadline=None)
+@given(csr_datasets(values=extreme), st.sampled_from([8, 64, 1 << 16]))
+def test_written_text_takes_the_strict_path_bit_exactly(ds, size):
+    buf = io.StringIO()
+    write_libsvm(ds, buf)
+    with block_size(size, per_line_forbidden=True):
+        assert_same_csr(parse_libsvm(buf.getvalue()), ds)
+
+
+MUTATIONS = ("drop colon", "double colon", "empty value", "index 1e3", "index +5",
+             "nan", "inf", "reorder", "comment", "blank line", "double space",
+             "crlf", "tab", "trailing space", "trailing digits")
+
+
+def mutate(line: str, kind: str, k: int) -> str:
+    """One written line with one defect or one tolerated irregularity."""
+    label, *feats = line.split(" ")
+    whole = {"comment": line + " # note", "blank line": "\n" + line,
+             "double space": line.replace(" ", "  ", 1), "crlf": line + "\r",
+             "tab": line.replace(" ", "\t", 1), "trailing space": line + " ",
+             "trailing digits": line + " 1"}  # a valid label under each rule
+    if kind in whole:
+        return whole[kind]
+    if not feats:
+        return "nan" if kind == "nan" else line
+    j = k % len(feats)
+    idx, _, val = feats[j].partition(":")
+    if kind == "reorder":
+        feats[j - 1], feats[j] = feats[j], feats[j - 1]
+    else:
+        feats[j] = {"drop colon": idx + val, "double colon": f"{idx}::{val}",
+                    "empty value": f"{idx}:",
+                    "index 1e3": f"1e3:{val}", "index +5": f"+{idx}:{val}",
+                    "nan": f"{idx}:nan", "inf": f"{idx}:-inf"}[kind]
+    return " ".join([label, *feats])
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+RULES = st.sampled_from([BinarizeRule.identity(), BinarizeRule.zero_one(),
+                         BinarizeRule.threshold(0)])
+
+
+def written_lines(ds: Dataset) -> list[str]:
+    buf = io.StringIO()
+    write_libsvm(ds, buf)
+    return buf.getvalue().splitlines()
+
+
+def assert_parses_as_the_per_line_parser(text: str, rule: BinarizeRule, size: int):
+    """parse_libsvm on `text` as a string and as a list of lines, and
+    load_libsvm on it as a file, each at blocks of `size`, give the per-line
+    parser's arrays or its ParseError text."""
+    expected = outcome(parse_per_line, text, rule)
+    # a file also ends lines at a lone \r, as Python's text mode does
+    in_file = outcome(parse_per_line,
+                      text.replace("\r\n", "\n").replace("\r", "\n"), rule)
+    with block_size(size), tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.libsvm")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        for got, expected in ((outcome(parse_libsvm, text, rule), expected),
+                              (outcome(parse_libsvm, list(io.StringIO(text)), rule), expected),
+                              (outcome(load_libsvm, path, rule), in_file)):
+            if isinstance(expected, str) or isinstance(got, str):
+                assert got == expected
+            else:
+                assert_same_csr(got, expected)
+
+
+SIZES = st.sampled_from([8, 64, 1 << 16])
+
+
+@settings(deadline=None)
+@given(csr_datasets(values=st.floats(-1e3, 1e3)), st.data())
+def test_mutated_text_parses_as_the_per_line_parser_does(ds, draw):
+    lines = written_lines(ds)
+    for _ in range(draw.draw(st.integers(1, 3))):
+        i = draw.draw(st.integers(0, len(lines) - 1))
+        lines[i] = mutate(lines[i], draw.draw(st.sampled_from(MUTATIONS)),
+                          draw.draw(st.integers(0, 5)))
+    text = "\n".join(lines) + draw.draw(st.sampled_from(["\n", ""]))
+    assert_parses_as_the_per_line_parser(text, draw.draw(RULES), draw.draw(SIZES))
+
+
+@settings(deadline=None)
+@given(csr_datasets(values=st.floats(-1e3, 1e3)), st.data())
+def test_an_extra_field_and_an_empty_field_parse_as_the_per_line_parser_does(ds, draw):
+    """The strict path finds an empty field (a blank line or an empty value)
+    by its number count. A field after a line's last feature adds a number,
+    so the two together in one block must still not pass as strict text."""
+    lines = written_lines(ds)
+    i, j = (draw.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    lines[i] = mutate(lines[i], "trailing digits", 0)
+    lines[j] = mutate(lines[j], draw.draw(st.sampled_from(["blank line", "empty value"])),
+                      draw.draw(st.integers(0, 5)))
+    assert_parses_as_the_per_line_parser("\n".join(lines) + "\n", draw.draw(RULES),
+                                         draw.draw(SIZES))
