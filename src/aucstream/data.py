@@ -14,7 +14,9 @@ iterable of lines is read by the per-line parser alone.
 A Dataset is stored once, in compressed sparse row (CSR) form: four flat
 arrays (indptr, indices, values, labels) and dim. Its rows, from indexing or
 iteration, are Example views into those arrays, not copies. Feature indices
-are 1-based in files (LIBSVM convention) and 0-based internally.
+are 1-based in files (LIBSVM convention) and 0-based internally. The
+dimension is at most MAX_DIM: a larger index is a ParseError naming its
+line, raised before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ class ParseError(ValueError):
 
 
 BINARIZE_RULES = ("identity", "zero_one", "threshold")
+
+# The largest dimension accepted. Each learner holds a few dense vectors of
+# the dimension, so one stray index such as 10^12 would ask for terabytes;
+# 2^25 (256 MiB per vector) still holds the widest LIBSVM benchmark sets
+# (kdd2010, about 3 * 10^7 features).
+MAX_DIM = 2**25
 
 
 @dataclass(frozen=True)
@@ -124,9 +132,10 @@ class Dataset:
 
     Row i has the features indices[indptr[i]:indptr[i+1]] (0-based) with
     values values[indptr[i]:indptr[i+1]] and the label labels[i] in {+1, -1}.
-    dim is at least 1 + the largest feature index. The class counts and the
-    positive/negative row indices are computed in the constructor; nothing is
-    filled in later, and the arrays must not be modified after construction.
+    dim is at least 1 + the largest feature index and at most MAX_DIM. The
+    class counts and the positive/negative row indices are computed in the
+    constructor; nothing is filled in later, and the arrays must not be
+    modified after construction.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
@@ -140,6 +149,8 @@ class Dataset:
             dim = max_idx + 1
         elif dim < max_idx + 1:
             raise ValueError(f"dim {dim} smaller than 1 + max feature index {max_idx}")
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} exceeds the largest supported, {MAX_DIM}")
         self.dim = dim
         self.pos_indices = np.flatnonzero(self.labels == 1)
         self.neg_indices = np.flatnonzero(self.labels == -1)
@@ -331,8 +342,9 @@ def _parse_lines(lines: Iterable[str], first_line: int, rule: BinarizeRule,
                 raise ParseError(f"feature indices not strictly increasing at {idx}", line_no)
             if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {val_s!r}", line_no)
-            if idx >= 2**63:  # the dimension, idx at least, must fit in int64
-                raise ParseError(f"feature index {idx} is too large", line_no)
+            if idx > MAX_DIM:
+                raise ParseError(f"feature index {idx} exceeds the largest supported "
+                                 f"dimension, {MAX_DIM}", line_no)
             indices.append(idx - 1)
             values.append(val)
             prev = idx
@@ -386,7 +398,7 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
     row_starts = ends[:-1][(ends[:-1] > 0) & (ends[:-1] < nnz)]
     rising[row_starts - 1] = True  # the first index of a row may be any
     if (labels is None or not rising.all() or not np.isfinite(vals).all()
-            or nnz and not 1 <= idx.min() <= idx.max() < 2**53):  # exact in float64
+            or nnz and not 1 <= idx.min() <= idx.max() <= MAX_DIM):  # below 2^53: exact
         return False
     rows.indptr.frombytes((len(rows.indices) + ends).tobytes())
     rows.indices.frombytes((idx - 1).astype(np.int64).tobytes())

@@ -3,11 +3,13 @@ pairwise loss.
 
 The per-sample surrogate replaces the class prior and conditional means by a
 statistics snapshot, turning the pairwise objective into a pointwise one whose
-stochastic gradient costs O(d + nnz(x)). That dense gradient serves the l1
-penalty; with no penalty or l2, trainer.FastSpaucTrainer takes the same step
-in O(nnz(x)), keeping the iterate as sigma * r + A * S+ + B * S- over the
-class sums. The same formula evaluated with
-full-data moments is an exactly unbiased estimate of the empirical pairwise
+stochastic gradient costs O(d + nnz(x)). That dense gradient defines the
+step of trainer.SpaucTrainer. The learners train() runs take the same step
+through surrogate_moves, its scalar form over the class sums: with no
+penalty or l2, trainer.FastSpaucTrainer in O(nnz(x)), keeping the iterate
+as sigma * r + A * S+ + B * S-; with l1, trainer.L1SpaucTrainer in O(d)
+without d-sized temporaries. The same formula evaluated with full-data
+moments is an exactly unbiased estimate of the empirical pairwise
 objective, which is also provided here in both a brute-force (all-pairs
 oracle) and a fast moment-based form.
 """
@@ -63,6 +65,21 @@ def surrogate_grad(w: np.ndarray, z: Example, s: StatsSnapshot) -> np.ndarray:
         g -= c * s.v
     z.add_into(g, c)
     return g
+
+
+def surrogate_moves(wx: float, wu: float, wv: float, p: float, n_pos: int,
+                    n_neg: int, eta: float, label: int) -> tuple[float, float, float]:
+    """The step -eta * surrogate_grad in terms of the class sums
+    S+ = n_pos * u and S- = n_neg * v: it moves w by
+    alpha * S+ + beta * S- - eta * c * x. Returns (c, alpha, beta) from
+    wx = w.x, wu = w.u and wv = w.v. Both spauc learners that keep the class
+    sums step through this one formula."""
+    k = 2.0 * p * (1.0 - p) * (1.0 + (wv - wu))
+    if label == 1:
+        c = 2.0 * (1.0 - p) * (wx - wu)
+        return c, eta * (k + c) / n_pos, -(eta * k / n_neg)
+    c = 2.0 * p * (wx - wv)
+    return c, eta * k / n_pos, -(eta * (k - c) / n_neg)
 
 
 def pairwise_objective_bruteforce(w: np.ndarray, dataset: Dataset) -> float:

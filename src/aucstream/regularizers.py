@@ -66,8 +66,7 @@ class Regularizer:
         if eta <= 0:
             raise ValueError(f"prox step must be positive, got {eta}")
         if self.kind == "l1":
-            thresh = eta * self.lam
-            return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+            return soft_threshold(v, eta * self.lam)
         return v / self.prox_divisor(eta)
 
     def prox_divisor(self, eta: float) -> float:
@@ -76,6 +75,18 @@ class Regularizer:
         if self.kind == "l1":
             raise ValueError("the l1 prox is not a rescaling")
         return 1.0 + 2.0 * eta * self.lam if self.kind == "l2" else 1.0
+
+
+def soft_threshold(v: np.ndarray, thresh: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The l1 prox: each entry of v moved thresh toward 0, stopping at 0,
+    computed as v - clip(v, -thresh, thresh). It equals
+    sign(v) * max(|v| - thresh, 0) with == on every entry, infinities and
+    NaN included; only the sign of a zeroed entry may differ. The result
+    goes to `out` when given, which must not be v; otherwise to a new array.
+    """
+    clipped = np.clip(v, -thresh, thresh, out=out)
+    return np.subtract(v, clipped, out=clipped)
 
 
 def none_reg() -> Regularizer:

@@ -34,14 +34,18 @@ class StatsSnapshot:
 
 
 class ClassStats:
-    """Single-writer accumulator of per-class counts and feature sums."""
+    """Single-writer accumulator of per-class counts and feature sums.
+
+    The sums are the rows of one (2, dim) array, `sums`, with sum_pos and
+    sum_neg as views of its rows, so one matrix-vector product reads both.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.t = 0
         self.n_pos = 0
-        self.sum_pos = np.zeros(dim)
-        self.sum_neg = np.zeros(dim)
+        self.sums = np.zeros((2, dim))
+        self.sum_pos, self.sum_neg = self.sums
 
     @property
     def n_neg(self) -> int:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import aucstream
 from aucstream.cli import main
-from aucstream.data import save_libsvm
+from aucstream.data import MAX_DIM, save_libsvm
 from aucstream.trainer import load_model
 
 from conftest import gaussian_task, random_dataset
@@ -90,6 +91,24 @@ class TestTrain:
         assert main(["tune", "--data", str(path)]) == 1
         assert capsys.readouterr().err.startswith(
             "error: line 3: not UTF-8 text: byte 0xff")
+
+    @pytest.mark.parametrize("reg", ["l1", "l2"])
+    def test_huge_index_is_data_error_before_allocating(self, tmp_path, capsys, reg):
+        # d = 10^12 would ask for terabytes per weight vector; the run is
+        # refused at the line, having allocated little
+        path = tmp_path / "wide.libsvm"
+        path.write_text("-1 1:0.5\n+1 1000000000000:1\n")
+        tracemalloc.start()
+        try:
+            code = main(["train", "--data", str(path), "--reg", reg,
+                         "--lambda", "1e-3", "--mu", "0.1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**24
+        assert capsys.readouterr().err == (
+            "error: line 2: feature index 1000000000000 exceeds the largest "
+            f"supported dimension, {MAX_DIM}\n")
 
     def test_test_data_beyond_train_dim_is_data_error(self, tmp_path, tiny_file):
         wide = tmp_path / "wide.libsvm"

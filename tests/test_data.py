@@ -226,6 +226,33 @@ class TestBlocks:
             load_libsvm(str(path))
 
 
+class TestDimension:
+    """Indices up to MAX_DIM parse; a larger one is refused naming its line,
+    on the strict path and per line, before anything d-sized exists."""
+
+    @pytest.mark.parametrize("text", ["+1 1:1\n-1 {}:2\n",
+                                      "+1 1:1\n-1 {}:2  # comment\n"],
+                             ids=["strict", "per-line"])
+    def test_largest_index_sets_the_largest_dimension(self, text):
+        ds = parse_libsvm(text.format(data.MAX_DIM))
+        assert ds.dim == data.MAX_DIM and ds.indices[-1] == data.MAX_DIM - 1
+
+    @pytest.mark.parametrize("text", ["+1 1:1\n-1 {}:2\n",
+                                      "+1 1:1\n-1 {}:2  # comment\n"],
+                             ids=["strict", "per-line"])
+    @pytest.mark.parametrize("index", [data.MAX_DIM + 1, 10**12, 2**63])
+    def test_larger_index_names_its_line(self, text, index):
+        with pytest.raises(ParseError, match=f"^line 2: feature index {index} "
+                                             "exceeds the largest supported dimension"):
+            parse_libsvm(text.format(index))
+
+    def test_dataset_refuses_a_larger_dimension(self):
+        rows = [Example(np.array([0]), np.array([1.0]), 1)]
+        assert Dataset.from_examples(rows, dim=data.MAX_DIM).dim == data.MAX_DIM
+        with pytest.raises(ValueError, match="exceeds the largest supported"):
+            Dataset.from_examples(rows, dim=data.MAX_DIM + 1)
+
+
 class TestSplit:
     def test_sizes(self):
         rng = np.random.default_rng(0)

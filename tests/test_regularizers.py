@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aucstream.regularizers import Regularizer, l1, l2, none_reg
+from aucstream.regularizers import Regularizer, l1, l2, none_reg, soft_threshold
 
 ALL_KINDS = [none_reg(), l2(0.7), l1(0.4)]
 
@@ -79,6 +79,30 @@ class TestProx:
         np.testing.assert_allclose(reg.prox(np.array([3.0]), 0.5), [2.0])
         np.testing.assert_allclose(reg.prox(np.array([0.5]), 0.5), [0.0])
         np.testing.assert_allclose(reg.prox(np.array([-3.0]), 0.5), [-2.0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_l1_prox_equals_the_sign_form(self, seed):
+        # v - clip(v, -t, t) against sign(v) * max(|v| - t, 0) entry by
+        # entry with ==: on entries at +-t, +-0, +-inf, NaN, subnormals and
+        # values near t, for t from 1e-320 to 1e300; only the sign of a
+        # zeroed entry may differ, which == does not see
+        rng = np.random.default_rng([40, seed])
+        tiny = np.finfo(float).smallest_subnormal
+        for thresh in 10.0 ** rng.uniform(-320, 300, size=50):
+            near = thresh * (1.0 + rng.normal(size=50)
+                             * 10.0 ** rng.uniform(-16, 1, size=50))
+            v = np.concatenate([
+                [thresh, -thresh, 0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                 np.nextafter(thresh, 0.0), np.nextafter(thresh, np.inf)],
+                near, -near, tiny * rng.integers(-2**20, 2**20, size=50),
+                rng.normal(size=50) * 10.0 ** rng.uniform(-323, 308, size=50)])
+            with np.errstate(invalid="ignore"):
+                want = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+                got = l1(thresh).prox(v, 1.0)
+                scratch = np.empty_like(v)
+                in_place = soft_threshold(v, thresh, out=scratch)
+            assert in_place is scratch and in_place.tobytes() == got.tobytes()
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_optimality_gap_probes(self):
         rng = np.random.default_rng(2)

@@ -1,7 +1,11 @@
-"""The O(nnz) spauc learner (w = sigma * r + A * S+ + B * S-) against the
-dense SpaucTrainer it stands in for: drift over long streams, the fold when
-the parts outgrow the iterate, the dense fallback for huge weights, and
-divergence at the same iteration."""
+"""The spauc learners that keep the class sums, against the dense
+SpaucTrainer they stand in for: the O(nnz) FastSpaucTrainer
+(w = sigma * r + A * S+ + B * S-) for no penalty and l2, and
+L1SpaucTrainer for l1. Drift over long streams, the fold when the parts
+outgrow the iterate, the dense fallback for huge weights, divergence at the
+same iteration, and no d-sized allocation in an l1 step."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from aucstream.data import Dataset
 from aucstream.regularizers import l1, l2, none_reg
 from aucstream.schedules import PolySchedule, PracticalSchedule
 from aucstream.trainer import (AVERAGES, DivergenceError, FastSpaucTrainer,
-                               SpaucTrainer, TrainConfig, stream_run, train)
+                               L1SpaucTrainer, SpaucTrainer, TrainConfig,
+                               stream_run, train)
 
 from conftest import dense_example, random_dataset, sparse_example
 
@@ -27,12 +32,17 @@ def rel_err(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
-def counting(learner, name):
-    """Count the calls of one of the learner's methods."""
-    calls = []
+def recording(learner, name):
+    """Record what each call of one of the learner's methods returns."""
+    returns = []
     method = getattr(learner, name)
-    setattr(learner, name, lambda *args: (calls.append(1), method(*args))[1])
-    return calls
+    setattr(learner, name, lambda *args: (returns.append(method(*args)), returns[-1])[1])
+    return returns
+
+
+def sums_learner(reg):
+    """The class train() runs for the penalty."""
+    return L1SpaucTrainer if reg.kind == "l1" else FastSpaucTrainer
 
 
 class TestDrift:
@@ -64,6 +74,35 @@ class TestDrift:
         assert fast.t == dense.t
         assert rel_err(fast.w, dense.w) <= DRIFT_BOUND
         assert rel_err(fast.model(), weights @ iterates / weights.sum()) <= DRIFT_BOUND
+
+    def test_l1_long_stream(self):
+        # the l1 learner adds every iterate to the average as the dense one
+        # does; avg1 and avg2 runs also hold the last iterate
+        rng = np.random.default_rng(73)
+        d, t1, steps = 4, 3.0, 10**5
+        ds = random_dataset(rng, n=200, d=d, pos_fraction=0.35)
+        rows = list(ds)
+        dense = SpaucTrainer(d, config(l1(0.08)))
+        sums = [L1SpaucTrainer(d, config(l1(0.08), average=average, t1=t1))
+                for average in ("avg1", "avg2")]
+        taken = [recording(learner, "sums_step") for learner in sums]
+        iterates = np.zeros((steps, d))
+        zeros = 0
+        for i in rng.integers(len(rows), size=steps):
+            dense.step(rows[i])
+            iterates[dense.t - 1] = dense.w
+            zeros += int((dense.w == 0.0).sum())
+            for learner in sums:
+                learner.step(rows[i])
+        iterates = iterates[:dense.t]
+        ks = np.arange(1, dense.t + 1)
+        assert zeros >= steps  # the soft-threshold zeroes weights on this stream
+        for learner, average, took in zip(sums, ("avg1", "avg2"), taken):
+            weights = 2.0 / (0.01 * ks + 1.0) if average == "avg1" else ks + t1 + 1.0
+            assert learner.t == dense.t and all(took)
+            assert rel_err(learner.w, dense.w) <= DRIFT_BOUND
+            assert rel_err(learner.model(), weights @ iterates / weights.sum()) \
+                <= DRIFT_BOUND
 
     @pytest.mark.parametrize("reg", [none_reg(), l2(0.1)], ids=["none", "l2"])
     def test_average_leaves_iterate_alone(self, reg):
@@ -126,7 +165,7 @@ class TestFold:
         ds = random_dataset(np.random.default_rng(3), n=200, d=50)
         cfg = config(epochs=3)
         dense, fast = SpaucTrainer(ds.dim, cfg), FastSpaucTrainer(ds.dim, cfg)
-        dense_steps = counting(fast, "dense_step")
+        dense_steps = recording(fast, "dense_step")
         want, _ = stream_run(dense, ds, cfg)
         got, _ = stream_run(fast, ds, cfg)
         assert fast.t == dense.t
@@ -163,14 +202,14 @@ def divergence_cases():
 
 
 class TestDivergence:
-    @pytest.mark.parametrize("reg", [none_reg(), l2(1e-3), l2(0.3)],
-                             ids=["none", "l2-small", "l2-large"])
+    @pytest.mark.parametrize("reg", [none_reg(), l2(1e-3), l2(0.3), l1(1e-3)],
+                             ids=["none", "l2-small", "l2-large", "l1"])
     @pytest.mark.parametrize("case", range(8))
     def test_same_iteration_as_dense(self, reg, case):
         ds, sched = list(divergence_cases())[case]
         cfg = config(reg, sched, epochs=50)
         errors = []
-        for learner in (SpaucTrainer(ds.dim, cfg), FastSpaucTrainer(ds.dim, cfg)):
+        for learner in (SpaucTrainer(ds.dim, cfg), sums_learner(reg)(ds.dim, cfg)):
             with pytest.raises(DivergenceError) as exc:
                 stream_run(learner, ds, cfg)
             errors.append(exc.value)
@@ -183,16 +222,30 @@ class TestDivergence:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_step_from_huge_numbers(self, seed):
+        self.check_one_steps(np.random.default_rng([100, seed]), lambda rng: (
+            l2(10 ** rng.uniform(-4, 1)) if rng.random() < 0.5 else none_reg()))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l1_one_step_from_huge_numbers(self, seed, monkeypatch):
+        taken = []
+        real = L1SpaucTrainer.sums_step
+        monkeypatch.setattr(L1SpaucTrainer, "sums_step",
+                            lambda *args: (taken.append(real(*args)), taken[-1])[1])
+        self.check_one_steps(np.random.default_rng([101, seed]),
+                             lambda rng: l1(10 ** rng.uniform(-4, 1)))
+        assert set(taken) == {True, False}  # both forms of the step are met
+
+    @staticmethod
+    def check_one_steps(rng, draw_penalty):
         # weights, class means and examples of random scales up to the
         # largest floats, where the dense step's numbers overflow (a tiny
         # example next to huge class means overflows the dense gradient
-        # while the fast step's own numbers stay finite): the fast learner
-        # raises exactly when the dense one does, and otherwise lands on
-        # the same iterate
-        rng = np.random.default_rng([100, seed])
+        # while the fast step's own numbers stay finite): the learner train()
+        # runs for the penalty raises exactly when the dense one does, and
+        # otherwise lands on the same iterate
         outcomes = set()
         for _ in range(1000):
-            reg = l2(10 ** rng.uniform(-4, 1)) if rng.random() < 0.5 else none_reg()
+            reg = draw_penalty(rng)
             cfg = config(reg, PolySchedule(eta1=10 ** rng.uniform(-3, 3), theta=0.51))
             sw, su, sv, sx = 10 ** rng.uniform(-150, 300, size=4)
             warm_up = [dense_example(su * rng.normal(size=3), 1),
@@ -201,7 +254,7 @@ class TestDivergence:
             z = dense_example(sx * rng.normal(size=3), int(rng.choice([1, -1])))
             with np.errstate(over="ignore", invalid="ignore"):
                 want, got = (one_step(cls(3, cfg), warm_up, w0, z)
-                             for cls in (SpaucTrainer, FastSpaucTrainer))
+                             for cls in (SpaucTrainer, sums_learner(reg)))
             assert type(got) is type(want), (sw, su, sv, sx)
             outcomes.add(type(want))
             if isinstance(want, DivergenceError):
@@ -215,7 +268,7 @@ class TestDivergence:
 class TestRouting:
     @pytest.mark.parametrize("reg,cls", [(none_reg(), FastSpaucTrainer),
                                          (l2(0.1), FastSpaucTrainer),
-                                         (l1(0.1), SpaucTrainer)],
+                                         (l1(0.1), L1SpaucTrainer)],
                              ids=["none", "l2", "l1"])
     def test_train_picks_learner(self, monkeypatch, reg, cls):
         seen = []
@@ -232,3 +285,32 @@ class TestRouting:
     def test_fast_learner_rejects_l1(self):
         with pytest.raises(ValueError, match="l1"):
             FastSpaucTrainer(3, config(l1(0.1)))
+
+    @pytest.mark.parametrize("reg", [none_reg(), l2(0.1)], ids=["none", "l2"])
+    def test_l1_learner_rejects_other_penalties(self, reg):
+        with pytest.raises(ValueError, match="l1"):
+            L1SpaucTrainer(3, config(reg))
+
+
+class TestL1Buffers:
+    @pytest.mark.parametrize("average", AVERAGES)
+    def test_no_d_sized_allocation_per_step(self, average):
+        # 100 steps at d = 10^5 allocate less than one d-vector at their
+        # peak: the step reuses its buffers, and the average its term
+        rng = np.random.default_rng(110)
+        d = 10**5
+        rows = [sparse_example(rng, d, y, density=5e-4) for y in [1, -1] * 60]
+        learner = L1SpaucTrainer(d, config(l1(1e-4), average=average))
+        taken = recording(learner, "sums_step")
+        for z in rows[:20]:
+            learner.step(z)
+        tracemalloc.start()
+        try:
+            for z in rows[20:]:
+                learner.step(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert learner.t == 118 and all(taken)
+        assert peak < 8 * d
+

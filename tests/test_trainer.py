@@ -124,6 +124,25 @@ class TestStep:
         assert learner.t == 2  # four warm-up examples, two proximal steps
 
 
+class TestAccept:
+    def test_finite_weights_whose_squares_overflow_are_accepted(self):
+        # the sum of squares overflows, so the check looks at every entry
+        learner = Learner(3, config())
+        w_new = np.array([1e200, -1e200, 3.0])
+        with np.errstate(over="ignore"):
+            learner.accept(w_new, 0.5)
+        assert learner.t == 1 and learner.w is w_new
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_raise(self, bad):
+        learner = Learner(3, config())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                learner.accept(np.array([1.0, bad, 1e200]), 0.5)
+        assert exc.value.iteration == 1 and learner.t == 0
+        assert np.array_equal(exc.value.last_weight, np.zeros(3))
+
+
 class TestAverages:
     def test_incremental_matches_definitions(self):
         rng = np.random.default_rng(4)
