@@ -313,4 +313,3 @@ class TestL1Buffers:
             tracemalloc.stop()
         assert learner.t == 118 and all(taken)
         assert peak < 8 * d
-
