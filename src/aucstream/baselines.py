@@ -14,10 +14,10 @@ Both move w along x only, by a multiple of x, then rescale it (l2 prox,
 projection). run_baseline runs spam with no penalty or l2, and every solam
 run, on FastSpamTrainer/FastSolamTrainer, which store w = sigma * r and step
 in O(nnz(x)). spam with l1 runs on the dense SpamTrainer, since the
-soft-threshold is not a rescaling. The dense classes are also the reference
-the fast ones are tested against: relative error at most 1e-9 after 10^5
-steps, for the last iterate and both averages, and divergence at the same
-iteration.
+soft-threshold is not a rescaling. Each fast class subclasses the dense one
+it is tested against (relative error at most 1e-9 after 10^5 steps, for the
+last iterate and both averages, and divergence at the same iteration) and
+takes the dense step wherever its own declines (see trainer.ScaledLearner).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class SpamTrainer(Learner):
     """Proximal SGD against fixed full-data moments."""
 
     def __init__(self, dim: int, config: TrainConfig, moments: StatsSnapshot):
-        super().__init__(dim, config)
         self.moments = moments
+        super().__init__(dim, config)
 
     def step(self, z: Example) -> None:
         m = self.moments
@@ -86,15 +86,20 @@ class SolamTrainer(Learner):
             if norm > self.radius:
                 w_new *= self.radius / norm
             self.accept(w_new, eta)
-            bound = self.kappa * self.radius
-            self.a = min(max(self.a - eta * ga, -bound), bound)
-            self.b = min(max(self.b - eta * gb, -bound), bound)
-            self.alpha = min(max(self.alpha + eta * galpha, -2 * bound), 2 * bound)
+            self.move_auxiliaries(eta, ga, gb, galpha)
         self.n_pos += z.label == 1
         self.n += 1
 
+    def move_auxiliaries(self, eta: float, ga: float, gb: float,
+                         galpha: float) -> None:
+        """Descend a and b and ascend alpha by step size eta, clamped."""
+        bound = self.kappa * self.radius
+        self.a = min(max(self.a - eta * ga, -bound), bound)
+        self.b = min(max(self.b - eta * gb, -bound), bound)
+        self.alpha = min(max(self.alpha + eta * galpha, -2 * bound), 2 * bound)
 
-class FastSpamTrainer(ScaledLearner):
+
+class FastSpamTrainer(ScaledLearner, SpamTrainer):
     """SpamTrainer's update in O(nnz(x)) per step, for no penalty or l2.
 
     It keeps r.u and r.v, updated at the touched coordinates, so
@@ -104,15 +109,14 @@ class FastSpamTrainer(ScaledLearner):
     def __init__(self, dim: int, config: TrainConfig, moments: StatsSnapshot):
         if config.regularizer.kind == "l1":
             raise ValueError("the l1 prox is not a rescaling; SpamTrainer takes l1")
-        self.moments = moments
-        super().__init__(dim, config)
+        super().__init__(dim, config, moments)
 
     def refresh(self) -> None:
         super().refresh()
         self.ru = float(self.r.dot(self.moments.u))
         self.rv = float(self.r.dot(self.moments.v))
 
-    def step(self, z: Example) -> None:
+    def fast_step(self, z: Example) -> bool:
         m = self.moments
         idx, values = z.indices, z.values
         sigma = self.sigma
@@ -122,55 +126,44 @@ class FastSpamTrainer(ScaledLearner):
         eta = self.config.schedule.step_size(self.t + 1)
         c, _, _, _ = saddle_coefficients(sigma * float(old.dot(values)), a, b, b - a,
                                          z.label, m.p)
-        move = (c * values) * (eta / sigma)
-        self.ru -= float(move.dot(m.u[idx]))
-        self.rv -= float(move.dot(m.v[idx]))
-        if not self.assign(idx, old, old - move):
-            return self.step(z)
+        delta = (c * values) * (eta / sigma)
+        # a fold, after the write or a declined step, refreshes these
+        self.ru -= float(delta.dot(m.u[idx]))
+        self.rv -= float(delta.dot(m.v[idx]))
+        if not self.move(idx, old, old - delta):
+            return False
         self.accept_scale(self.sigma / self.config.regularizer.prox_divisor(eta), eta)
+        return True
 
 
-class FastSolamTrainer(ScaledLearner):
+class FastSolamTrainer(ScaledLearner, SolamTrainer):
     """SolamTrainer's update in O(nnz(x)) per step: with ||r||^2 kept, the
     ball projection only multiplies sigma."""
 
-    def __init__(self, dim: int, config: TrainConfig, radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        super().__init__(dim, config)
-        self.radius = radius
-        self.a = 0.0
-        self.b = 0.0
-        self.alpha = 0.0
-        self.n_pos = 0
-        self.n = 0
-        self.kappa = 1.0
-
-    def step(self, z: Example) -> None:
+    def fast_step(self, z: Example) -> bool:
+        if not 0 < self.n_pos < self.n:
+            return False
+        eta = self.config.schedule.step_size(self.t + 1)
+        idx, values = z.indices, z.values
+        sigma = self.sigma
+        old = self.r[idx]
+        c, ga, gb, galpha = saddle_coefficients(
+            sigma * float(old.dot(values)), self.a, self.b, self.alpha, z.label,
+            self.n_pos / self.n)
+        if not self.move(idx, old, old - (c * values) * (eta / sigma)):
+            return False
+        # an overflowing norm is inf, as in the dense learner, and projects
+        # w to 0
+        sigma = self.sigma
+        norm = sigma * math.sqrt(self.rr)
+        if norm > self.radius:
+            sigma *= self.radius / norm
+        self.accept_scale(sigma, eta)
         self.kappa = max(self.kappa, z.norm())
-        if 0 < self.n_pos < self.n:
-            eta = self.config.schedule.step_size(self.t + 1)
-            idx, values = z.indices, z.values
-            sigma = self.sigma
-            old = self.r[idx]
-            c, ga, gb, galpha = saddle_coefficients(
-                sigma * float(old.dot(values)), self.a, self.b, self.alpha, z.label,
-                self.n_pos / self.n)
-            if not self.assign(idx, old, old - (c * values) * (eta / sigma)):
-                return self.step(z)  # retaken once; it also does the counts
-            # an overflowing norm is inf, as in the dense learner, and
-            # projects w to 0
-            sigma = self.sigma
-            norm = sigma * math.sqrt(self.rr)
-            if norm > self.radius:
-                sigma *= self.radius / norm
-            self.accept_scale(sigma, eta)
-            bound = self.kappa * self.radius
-            self.a = min(max(self.a - eta * ga, -bound), bound)
-            self.b = min(max(self.b - eta * gb, -bound), bound)
-            self.alpha = min(max(self.alpha + eta * galpha, -2 * bound), 2 * bound)
+        self.move_auxiliaries(eta, ga, gb, galpha)
         self.n_pos += z.label == 1
         self.n += 1
+        return True
 
 
 def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,

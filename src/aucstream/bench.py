@@ -255,6 +255,21 @@ def write_report(path, rows: list[ReportRow]) -> None:
                              repr(r.time_per_pass_mean), repr(r.time_per_pass_std)])
 
 
+def check_benchmark(algos: list[str], repeats: int, test_fraction: float,
+                    radius: float) -> None:
+    """Refuse benchmark arguments out of range before any work: split()
+    and solam would refuse test_fraction and radius only on first use."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise ValueError(unknown_algorithm_message(algo))
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+
+
 def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
               repeats: int, base_seed: int, epochs: int, reg_kind: str,
               fixed_params: dict | None = None,
@@ -271,12 +286,7 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
     trace. Per-run trace CSVs and the aggregate report are written under
     `outdir` when given.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ValueError(unknown_algorithm_message(algo))
-
+    check_benchmark(algos, repeats, test_fraction, radius)
     trace_map = {}
     for r in range(repeats):
         seed = base_seed + r

@@ -173,6 +173,15 @@ def _with_config(argv: list[str], parser, commands) -> list[str]:
     return rest[:verb + 1] + flags + rest[verb + 1:]
 
 
+def _usage(parser, build, *args, **kwargs):
+    """build(*args, **kwargs); the ValueError of a value the library refuses
+    is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _rule_from_args(args, parser) -> BinarizeRule:
     if args.binarize == "threshold" and args.threshold_label is None:
         parser.error("--binarize threshold requires --threshold-label")
@@ -182,7 +191,7 @@ def _rule_from_args(args, parser) -> BinarizeRule:
 def _reg_from_args(args, parser) -> Regularizer:
     if args.reg != "none" and args.lam is None:
         parser.error(f"--reg {args.reg} requires --lambda")
-    return Regularizer(args.reg, 0.0 if args.reg == "none" else args.lam)
+    return _usage(parser, Regularizer, args.reg, 0.0 if args.reg == "none" else args.lam)
 
 
 def _schedule_from_args(args, parser, reg: Regularizer, data):
@@ -201,8 +210,9 @@ def _schedule_from_args(args, parser, reg: Regularizer, data):
         params["sigma_f"] = max(args.sigma_phi - reg.sigma_omega, 0.0)
     if fastrate_t1:
         c1 = 1.0 / (2.0 * theory_cap(reg.a1, kappa))
-        params["t1"] = fast_rate_t1(c1, args.sigma_phi, horizon=args.epochs * len(data))
-    sched = cls(**params)
+        params["t1"] = _usage(parser, fast_rate_t1, c1, args.sigma_phi,
+                              horizon=args.epochs * len(data))
+    sched = _usage(parser, cls, **params)
     if args.clamp_theory:
         sched = clamp_for_theory(sched, reg.a1, kappa)
     return sched
@@ -214,9 +224,9 @@ def cmd_train(args, parser) -> int:
     data = load_libsvm(args.data, rule)
     test_data = load_libsvm(args.test, rule) if args.test else None
     schedule = _schedule_from_args(args, parser, reg, data)
-    config = TrainConfig(regularizer=reg, schedule=schedule, epochs=args.epochs,
-                         seed=args.seed, average=args.average,
-                         eval_every=args.eval_every)
+    config = _usage(parser, TrainConfig, regularizer=reg, schedule=schedule,
+                    epochs=args.epochs, seed=args.seed, average=args.average,
+                    eval_every=args.eval_every)
     objective_data = bench.objective_subsample(data, args.seed) \
         if args.trace_objective else None
     w, trace = train(data, config, test_data=test_data, objective_data=objective_data)
@@ -246,11 +256,16 @@ def cmd_benchmark(args, parser) -> int:
         parser.error(f"--reg {args.reg} requires --lambda (or --tune)")
     if not args.tune and args.mu is None:
         parser.error("benchmark needs either --mu or --tune")
+    _usage(parser, bench.check_benchmark, args.algos, args.repeats,
+           args.test_fraction, args.radius)
+    tune_grid = _usage(parser, bench.protocol_grid, args.reg, args.pairs, args.folds) \
+        if args.tune else None
+    params = tune_grid.points()[0] if args.tune else {"mu": args.mu, "lambda": args.lam}
+    _usage(parser, bench.config_from_params, params, args.reg, args.epochs, args.seed,
+           args.eval_every)
     data = load_libsvm(args.data, rule)
     dataset_name = args.data.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
-    tune_grid = bench.protocol_grid(args.reg, args.pairs, args.folds) \
-        if args.tune else None
     rows, _ = bench.benchmark(
         data, dataset_name, args.algos, repeats=args.repeats, base_seed=args.seed,
         epochs=args.epochs, reg_kind=args.reg,
@@ -266,10 +281,12 @@ def cmd_benchmark(args, parser) -> int:
 
 def cmd_tune(args, parser) -> int:
     rule = _rule_from_args(args, parser)
-    data = load_libsvm(args.data, rule)
     # solam's radius is searched too, so no fixed radius is needed
-    grid = bench.protocol_grid(args.reg, args.pairs, args.folds,
-                               tune_radius=args.algo == "solam")
+    grid = _usage(parser, bench.protocol_grid, args.reg, args.pairs, args.folds,
+                  tune_radius=args.algo == "solam")
+    _usage(parser, bench.config_from_params, grid.points()[0], args.reg, args.epochs,
+           args.seed, eval_every=1)
+    data = load_libsvm(args.data, rule)
     best, table = bench.tune(data, args.algo, grid, args.reg, args.seed, args.epochs)
     if args.out:
         bench.write_tune_table(args.out, table)

@@ -13,7 +13,8 @@ which the fast-rate schedule has its guarantee).
 
 SpaucTrainer's step costs O(d + nnz(x)); it defines the update and is the
 reference the other two learners are tested against (relative error at
-most 1e-9 after 10^5 steps, and divergence at the same iteration). train()
+most 1e-9 after 10^5 steps, and divergence at the same iteration). Both
+subclass it and take its step wherever their own step declines. train()
 runs FastSpaucTrainer for no penalty and l2, whose step costs O(nnz(x))
 whatever the dimension, and L1SpaucTrainer for l1, whose step still costs
 O(d) (the soft-threshold touches every weight) but is taken from the class
@@ -93,14 +94,15 @@ class IterateAverages:
     kind in AVERAGES the configuration asks for: "avg1" weights iterate k by
     its step size, "avg2" by k + t1 + 1, and "last" keeps nothing.
 
-    A dense learner add()s each whole iterate. A scaled learner's iterate is
-    a sum of parts coef * V: sigma * r, and for spauc also A * S+ and B * S-,
-    where each vector V changes at a few coordinates per step and each coef
-    is a scalar. It adds lazily (W. Xu, arXiv:1107.2490): add_scaled() grows
-    each part's running mass, the sum of weight * coef, and coordinate j
-    still owes num[j] the amount V[j] * (mass - mark[j]) for the iterates
-    since V[j] last changed. touch() settles coordinates of one part before
-    its vector changes there, flush() settles all of them, O(d).
+    A dense learner add()s each whole iterate and has no parts, so no lazy
+    state. A scaled learner's iterate is a sum of parts coef * V: sigma * r,
+    and for spauc also A * S+ and B * S-, where each vector V changes at a
+    few coordinates per step and each coef is a scalar. It adds lazily
+    (W. Xu, arXiv:1107.2490): add_scaled() grows each part's running mass,
+    the sum of weight * coef, and coordinate j still owes num[j] the amount
+    V[j] * (mass - mark[j]) for the iterates since V[j] last changed.
+    touch() settles coordinates of one part before its vector changes
+    there, flush() settles all of them, O(d).
 
     Part 0 is the scale sigma > 0. It can shrink by 2^200 between folds while
     r grows by as much, and a mass that outgrows its new terms would scale
@@ -124,7 +126,7 @@ class IterateAverages:
         self.num = None if kind == "last" else np.zeros(dim)
         self.den = 0.0
         self.mass = [0.0] * parts
-        if self.num is not None:
+        if self.num is not None and parts:
             self.mark = [np.zeros(dim) for _ in range(parts)]
             self.epoch = np.zeros(dim, dtype=np.int64)  # part 0's epoch at the mark
         # since[e]: part 0's mass from the start of epoch e to the start of
@@ -213,10 +215,10 @@ class Learner:
 
     A subclass implements step(z): it computes a candidate iterate and hands
     it to accept(). PARTS is the number of lazily averaged parts of a
-    scaled iterate (see IterateAverages).
+    scaled iterate (see IterateAverages); a dense iterate has none.
     """
 
-    PARTS = 1
+    PARTS = 0
 
     def __init__(self, dim: int, config: TrainConfig):
         self.config = config
@@ -250,12 +252,18 @@ class ScaledLearner(Learner):
     whose step changes w at the nonzero coordinates of one example and
     rescales all of it: such a step costs O(nnz(x)) whatever the dimension.
 
-    A subclass's step(z) reads r at the example's coordinates, updates its
-    own kept scalars (dot products of r with fixed vectors) for the move,
-    hands the new values to assign(), and then, reading sigma again, the
-    new scale to accept_scale(). The move is computed as
-    (c * x) * (eta / sigma), the dense learner's order of operations once
-    sigma is 1. refresh() recomputes the kept scalars exactly.
+    A subclass also subclasses the dense learner it stands in for, its
+    reference: class FastX(ScaledLearner, X). Its fast_step(z) reads r at
+    the example's coordinates, updates its kept scalars (dot products of r
+    with fixed vectors) for the move, writes the new values with move(),
+    and hands the new scale to accept_scale(). The move is computed as
+    (c * x) * (eta / sigma), the reference's order of operations once sigma
+    is 1. refresh() recomputes the kept scalars exactly.
+
+    A fast step may decline, returning False with r unchanged: during
+    warm-up, at a non-finite value, or where the subclass's bounds fail.
+    step() then folds and takes the reference's own step, in O(d), so
+    DivergenceError is raised exactly where the reference raises it.
 
     fold() multiplies sigma into r and refreshes, in O(d). It runs when
     - the scale drops below FOLD_BELOW (0 included), before it underflows;
@@ -264,14 +272,12 @@ class ScaledLearner(Learner):
       dot product carries a rounding error of a few CHURN_LIMIT * 2^-52
       relative to the norms, also after r shrank from a large transient;
       an infinite ||r||^2 is recomputed as the dense ||w||^2 this way;
-    - a step meets a non-finite value: the step is then taken again from
-      the numbers the dense learner would use, and only a non-finite
-      value there is a divergence.
-    All three are rare. The finiteness check looks only at the new values
-    of r: the scale never exceeds 1, so coordinates a step does not touch
-    can only shrink.
+    - a fast step declines.
+    The finiteness check looks only at the new values of r: the scale
+    never exceeds 1, so coordinates a step does not touch can only shrink.
     """
 
+    PARTS = 1
     FOLD_BELOW = 2.0**-200
     CHURN_LIMIT = 1e4
 
@@ -282,10 +288,22 @@ class ScaledLearner(Learner):
 
     @w.setter
     def w(self, w: np.ndarray) -> None:
-        # restarts the iterate; only valid while the average is empty
+        # restarts the iterate; valid once the lazy average is settled
+        # (after a fold)
         self.r = np.array(w, dtype=np.float64)
         self.sigma = 1.0
         self.refresh()
+
+    def step(self, z: Example) -> None:
+        if not self.fast_step(z):
+            self.fold()
+            super().step(z)
+            self.refresh()
+
+    def fast_step(self, z: Example) -> bool:
+        """Take the step on z in O(nnz(x)) and return True, or decline and
+        return False with r unchanged."""
+        raise NotImplementedError
 
     def refresh(self) -> None:
         """Recompute ||r||^2 and the subclass's kept scalars exactly, O(d)."""
@@ -311,22 +329,14 @@ class ScaledLearner(Learner):
         """Whether the churn rule (or a non-finite ||r||^2) asks for a fold."""
         return not self.churn <= self.CHURN_LIMIT * self.rr < math.inf  # NaN too
 
-    def assign(self, idx: np.ndarray, old: np.ndarray, new: np.ndarray) -> bool:
-        """Change r at coordinates idx from old to new for iterate t+1, and
-        return True.
-
-        If a new value is not finite, nothing changes but a fold, and the
-        return is False: the caller takes the step again from the folded
-        state, where a non-finite value raises DivergenceError carrying the
-        last finite iterate.
-        """
+    def move(self, idx: np.ndarray, old: np.ndarray, new: np.ndarray) -> bool:
+        """Change r at coordinates idx from old to new for iterate t+1 and
+        return True, or return False with nothing changed if a new value is
+        not finite."""
         gain = float(new.dot(new))
         # a finite sum of squares has finite terms; an infinite one may
         # still come from finite values, which only the full check tells
         if not math.isfinite(gain) and not np.isfinite(new).all():
-            if self.sigma == 1.0 and self.churn == 0.0:  # already folded
-                raise DivergenceError(self.t + 1, self.w)
-            self.fold()
             return False
         self.write(idx, old, new, gain, float(old.dot(old)))
         if self.churned():
@@ -368,8 +378,8 @@ class SpaucTrainer(Learner):
     """
 
     def __init__(self, dim: int, config: TrainConfig):
-        super().__init__(dim, config)
         self.stats = ClassStats(dim)
+        super().__init__(dim, config)
 
     def step(self, z: Example) -> None:
         if self.stats.ready:
@@ -379,7 +389,7 @@ class SpaucTrainer(Learner):
         self.stats.update(z)
 
 
-class FastSpaucTrainer(ScaledLearner):
+class FastSpaucTrainer(ScaledLearner, SpaucTrainer):
     """SpaucTrainer's update in O(nnz(x)) per step, for no penalty or l2.
 
     The iterate is stored as w = sigma * r + A * S+ + B * S-, where S+ and
@@ -396,6 +406,7 @@ class FastSpaucTrainer(ScaledLearner):
 
     ScaledLearner's folds here set r = w, A = B = 0 and sigma = 1. The
     step is taken fast only when
+    - both classes have been seen;
     - the parts would not outgrow the new iterate they sum to,
       sigma^2 ||r||^2 + A^2 ||S+||^2 + B^2 ||S-||^2 <= CHURN_LIMIT ||w||^2
       with ||w||^2 from the kept scalars: the parts can cancel, and the
@@ -406,10 +417,8 @@ class FastSpaucTrainer(ScaledLearner):
       coordinate of w, so the finiteness of a step cannot be read from the
       touched coordinates;
     - every number the fast step computes is finite.
-    Otherwise the iterate is folded and SpaucTrainer's step is taken from
-    it, in O(d), and only a non-finite iterate there is a divergence:
-    DivergenceError is raised exactly when SpaucTrainer raises it, at the
-    same iteration.
+    Otherwise the step declines and SpaucTrainer's step is taken from the
+    folded iterate (see ScaledLearner), which also absorbs the example.
 
     l1 takes L1SpaucTrainer: the soft-threshold of sigma * r + A * S+ +
     B * S- does not separate into the parts, so the lazy l1 updates of
@@ -422,7 +431,6 @@ class FastSpaucTrainer(ScaledLearner):
     def __init__(self, dim: int, config: TrainConfig):
         if config.regularizer.kind == "l1":
             raise ValueError("the l1 prox is not a rescaling; L1SpaucTrainer takes l1")
-        self.stats = ClassStats(dim)
         super().__init__(dim, config)
 
     @property
@@ -437,7 +445,7 @@ class FastSpaucTrainer(ScaledLearner):
 
     @w.setter
     def w(self, w: np.ndarray) -> None:
-        # restarts the iterate; only valid while the average is empty
+        # as ScaledLearner's, with A = B = 0
         self.A = self.B = 0.0
         ScaledLearner.w.fset(self, w)
 
@@ -459,10 +467,7 @@ class FastSpaucTrainer(ScaledLearner):
     def fold(self) -> None:
         """Set r = w, sigma = 1 and A = B = 0, and refresh, O(d)."""
         self.averages.flush(self.vectors())
-        self.r = self.w
-        self.sigma = 1.0
-        self.A = self.B = 0.0
-        self.refresh()
+        self.w = self.w
 
     @classmethod
     def tangled(cls, sigma: float, a: float, b: float, rr: float, rsp: float,
@@ -473,18 +478,13 @@ class FastSpaucTrainer(ScaledLearner):
         norm2 = parts + 2.0 * (sigma * a * rsp + sigma * b * rsn + a * b * spsn)
         return not parts <= cls.CHURN_LIMIT * norm2  # NaN too
 
-    def step(self, z: Example) -> None:
-        if not self.stats.ready:
-            self.absorb(z)
-            return
-        eta = self.config.schedule.step_size(self.t + 1)
-        if not self.fast_step(z, eta):
-            self.dense_step(z, eta)
-
-    def fast_step(self, z: Example, eta: float) -> bool:
+    def fast_step(self, z: Example) -> bool:
         """Take the step and absorb z in O(nnz(x)) and return True, or
         return False with nothing changed (see the class docstring)."""
         stats = self.stats
+        if not stats.ready:
+            return False
+        eta = self.config.schedule.step_size(self.t + 1)
         idx, x = z.indices, z.values
         sigma, a, b = self.sigma, self.A, self.B
         n_pos, n_neg = stats.n_pos, stats.n_neg
@@ -523,8 +523,8 @@ class FastSpaucTrainer(ScaledLearner):
         divisor = self.config.regularizer.prox_divisor(eta)
         sigma, a, b = sigma / divisor, a / divisor, b / divisor
         # a finite sum has finite terms; a sum that overflows from finite
-        # terms only sends the step to the dense path, as do parts that
-        # would outgrow the new iterate
+        # terms only declines the step, as do parts that would outgrow the
+        # new iterate
         if not math.isfinite(wx + wu + wv + a + b + gain + rsp + rsn + spsp + snsn
                              + spsn) or self.tangled(sigma, a, b, self.rr + gain - loss,
                                                      rsp, rsn, spsp, snsn, spsn):
@@ -544,40 +544,6 @@ class FastSpaucTrainer(ScaledLearner):
             self.fold()
         self.advance(eta)
         return True
-
-    def dense_step(self, z: Example, eta: float) -> None:
-        """SpaucTrainer's step from the folded iterate, then the absorb of
-        z, O(d)."""
-        self.fold()
-        g = surrogate_grad(self.r, z, self.stats.snapshot())
-        w_new = self.config.regularizer.prox(self.r - eta * g, eta)
-        if not np.isfinite(w_new).all():
-            raise DivergenceError(self.t + 1, self.r)
-        self.r = w_new
-        self.refresh()
-        self.absorb(z)
-        self.advance(eta)
-
-    def absorb(self, z: Example) -> None:
-        """Add z to its class sum, whose coefficient (A or B) must be 0 so
-        that w stays put."""
-        stats = self.stats
-        idx, x = z.indices, z.values
-        positive = z.label == 1
-        sp, sn = stats.sum_pos[idx], stats.sum_neg[idx]
-        self.averages.touch(idx, sp if positive else sn, 1 if positive else 2)
-        xx = float(x.dot(x))
-        x_sp, x_sn = float(x.dot(sp)), float(x.dot(sn))
-        rx = float(self.r[idx].dot(x))
-        if positive:
-            self.rsp += rx
-            self.spsp += 2.0 * x_sp + xx
-            self.spsn += x_sn
-        else:
-            self.rsn += rx
-            self.snsn += 2.0 * x_sn + xx
-            self.spsn += x_sp
-        stats.update(z)
 
 
 class L1SpaucTrainer(SpaucTrainer):

@@ -329,3 +329,33 @@ class TestConfigFile:
                      "--epochs", "1", "--out", str(model)]) == 0
         _, meta = load_model(model)
         assert (meta["schedule"]["eta1"] < 5.0) == on
+
+
+@pytest.mark.parametrize("verb,flags,conf", [
+    ("train", ["--mu", "30", "--epochs", "0"], None),
+    ("train", ["--mu", "30", "--eval-every", "0"], None),
+    ("train", ["--mu", "-1"], None),
+    ("train", ["--mu", "30", "--reg", "l2", "--lambda", "-1"], None),
+    ("train", ["--mu", "30"], "epochs = 0"),
+    ("tune", ["--pairs", "0"], None),
+    ("tune", ["--folds", "1"], None),
+    ("benchmark", ["--mu", "30", "--repeats", "0"], None),
+    ("benchmark", ["--mu", "30", "--test-fraction", "1.5"], None),
+    ("benchmark", ["--mu", "30", "--radius", "-1"], None),
+], ids=["epochs", "eval-every", "mu", "lambda", "config-epochs", "pairs", "folds",
+        "repeats", "test-fraction", "radius"])
+def test_refused_value_is_usage_error(tmp_path, easy_file, capsys, verb, flags, conf):
+    argv = [verb, "--data", easy_file, *flags]
+    if conf is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(conf + "\n")
+        argv = ["--config", str(path), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_more_folds_than_a_class_holds_is_data_error(tiny_file, capsys):
+    assert main(["tune", "--data", tiny_file, "--folds", "3", "--pairs", "1"]) == 1
+    assert "3-fold cross-validation" in capsys.readouterr().err

@@ -198,16 +198,22 @@ class TestDivergence:
 
     def test_step_overflowing_in_c_times_x(self):
         # c * x overflows while c * (eta * x) would not: the dense learner
-        # diverges at this step, and so must the scaled one
+        # diverges at this step, and so must the scaled one; solam takes no
+        # step on its warm-up, after which its prior is 0.1
         moments = StatsSnapshot(0.05, np.zeros(1), np.zeros(1), True)
+        warm_ups = {"spam": [],
+                    "solam": [dense_example([0.0], y) for y in [-1] * 9 + [1]]}
         z = dense_example([1e308], 1)
         cfg = config(schedule=PracticalSchedule(3.0))  # eta_1 = 0.5
-        for learner in pair("spam", 1, cfg, moments):
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(DivergenceError) as exc:
-                learner.step(z)
-            assert exc.value.iteration == 1
-            assert not exc.value.last_weight.any()
+        for algo, warm_up in warm_ups.items():
+            for learner in pair(algo, 1, cfg, moments):
+                for example in warm_up:
+                    learner.step(example)
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(DivergenceError) as exc:
+                    learner.step(z)
+                assert exc.value.iteration == 1
+                assert not exc.value.last_weight.any()
 
 
 class TestRouting:

@@ -161,17 +161,19 @@ class TestFold:
 
     def test_huge_weights_take_the_dense_step(self):
         # ||w||^2 overflows on this stream while every weight stays finite:
-        # the fast learner takes the dense step there and does not diverge
+        # the fast step declines there, the dense step is taken, and the
+        # learner does not diverge
         ds = random_dataset(np.random.default_rng(3), n=200, d=50)
         cfg = config(epochs=3)
         dense, fast = SpaucTrainer(ds.dim, cfg), FastSpaucTrainer(ds.dim, cfg)
-        dense_steps = recording(fast, "dense_step")
+        taken = recording(fast, "fast_step")
         want, _ = stream_run(dense, ds, cfg)
         got, _ = stream_run(fast, ds, cfg)
         assert fast.t == dense.t
         with np.errstate(over="ignore"):
             assert np.linalg.norm(want) == np.inf
-        assert len(dense_steps) >= 10
+        warm_up = cfg.epochs * len(ds) - fast.t  # examples before both classes
+        assert taken.count(False) - warm_up >= 10
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= DRIFT_BOUND * scale
 
@@ -293,6 +295,16 @@ class TestRouting:
 
 
 class TestL1Buffers:
+    def test_average_holds_one_d_vector(self):
+        # a dense learner adds whole iterates, so its average keeps only the
+        # running sum and none of the lazy state of the scaled learners
+        d = 1000
+        averages = L1SpaucTrainer(d, config(l1(1e-4), average="avg2")).averages
+        arrays = [a for v in vars(averages).values()
+                  for a in (v if isinstance(v, list) else [v])
+                  if isinstance(a, np.ndarray) and a.size >= d]
+        assert len(arrays) == 1
+
     @pytest.mark.parametrize("average", AVERAGES)
     def test_no_d_sized_allocation_per_step(self, average):
         # 100 steps at d = 10^5 allocate less than one d-vector at their
