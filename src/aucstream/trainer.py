@@ -298,6 +298,7 @@ class ScaledLearner(Learner):
         if not self.fast_step(z):
             self.fold()
             super().step(z)
+            # spauc's reference step changes the class sums its kept scalars read
             self.refresh()
 
     def fast_step(self, z: Example) -> bool:
