@@ -75,9 +75,13 @@ class SolamTrainer(Learner):
         self.n = 0
         self.kappa = 1.0
 
+    @property
+    def ready(self) -> bool:
+        return 0 < self.n_pos < self.n
+
     def step(self, z: Example) -> None:
         self.kappa = max(self.kappa, z.norm())
-        if 0 < self.n_pos < self.n:
+        if self.ready:
             eta = self.config.schedule.step_size(self.t + 1)
             gw, ga, gb, galpha = saddle_grad(self.w, self.a, self.b, self.alpha,
                                              z, self.n_pos / self.n)
@@ -93,10 +97,18 @@ class SolamTrainer(Learner):
     def move_auxiliaries(self, eta: float, ga: float, gb: float,
                          galpha: float) -> None:
         """Descend a and b and ascend alpha by step size eta, clamped."""
-        bound = self.kappa * self.radius
-        self.a = min(max(self.a - eta * ga, -bound), bound)
-        self.b = min(max(self.b - eta * gb, -bound), bound)
-        self.alpha = min(max(self.alpha + eta * galpha, -2 * bound), 2 * bound)
+        self.a, self.b, self.alpha = clamped_auxiliaries(
+            self.a, self.b, self.alpha, eta, ga, gb, galpha, self.kappa * self.radius)
+
+
+def clamped_auxiliaries(a: float, b: float, alpha: float, eta: float, ga: float,
+                        gb: float, galpha: float,
+                        bound: float) -> tuple[float, float, float]:
+    """solam's auxiliary update: a and b descend by eta * (ga, gb) into
+    [-bound, bound], alpha ascends by eta * galpha into [-2 bound, 2 bound]."""
+    return (min(max(a - eta * ga, -bound), bound),
+            min(max(b - eta * gb, -bound), bound),
+            min(max(alpha + eta * galpha, -2 * bound), 2 * bound))
 
 
 class FastSpamTrainer(ScaledLearner, SpamTrainer):
@@ -141,7 +153,7 @@ class FastSolamTrainer(ScaledLearner, SolamTrainer):
     ball projection only multiplies sigma."""
 
     def fast_step(self, z: Example) -> bool:
-        if not 0 < self.n_pos < self.n:
+        if not self.ready:
             return False
         eta = self.config.schedule.step_size(self.t + 1)
         idx, values = z.indices, z.values

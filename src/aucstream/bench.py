@@ -1,6 +1,16 @@
 """Benchmark and tuning harness: multi-algorithm AUC-versus-time runs with
 repeats, CSV traces, aggregate reports, and cross-validated random grid
 search over step-size and penalty parameters.
+
+Cross-validation fits the K candidates of a fold in lockstep: they share
+the fold's data and stream order and differ only in scalars, so one pass
+over the fold steps them all, with their iterates as the columns of one
+(d, K) array (see lockstep). That step costs O(d * K), so it is taken only
+up to LOCKSTEP_MAX_DIM; above it each candidate is fitted alone by
+run_algorithm. A candidate whose iterate goes non-finite, or whose ||w||^2
+reaches FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is refitted
+alone too, so whether it diverges, and scores 0, is decided as for a
+single run.
 """
 
 from __future__ import annotations
@@ -12,11 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ALGORITHMS, run_baseline, unknown_algorithm_message
-from .data import Dataset, split
-from .regularizers import Regularizer
+from .baselines import (ALGORITHMS, clamped_auxiliaries, run_baseline,
+                        unknown_algorithm_message)
+from .data import Dataset, split, stream_order
+from .objective import saddle_coefficients, surrogate_moves
+from .regularizers import Regularizer, soft_threshold
 from .schedules import PracticalSchedule
-from .trainer import DivergenceError, TracePoint, TrainConfig, train
+from .stats import exact_snapshot
+from .trainer import (DivergenceError, FastSpaucTrainer, TracePoint, TrainConfig,
+                      train)
 
 TRACE_HEADER = ["iter", "elapsed_sec", "test_auc", "objective"]
 REPORT_HEADER = ["algo", "dataset", "auc_mean", "auc_std",
@@ -29,6 +43,12 @@ DEFAULT_LAMBDA_GRID = [10.0**e for e in range(-5, 1)]
 DEFAULT_RADIUS_GRID = [10.0**e for e in range(-1, 6)]
 
 OBJECTIVE_SUBSAMPLE_CAP = 5000
+
+# cross_validate fits the candidates of a fold in lockstep up to this
+# dimension and one at a time above it: a lockstep step costs O(d * K) for
+# K candidates, while K fast learners cost O(nnz(x)) each plus their
+# per-call overhead
+LOCKSTEP_MAX_DIM = 1000
 
 
 def write_trace(path, trace: list[TracePoint]) -> None:
@@ -154,12 +174,113 @@ def _fold_indices(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray]:
     return [order[k::folds] for k in range(folds)]
 
 
-def cross_validate(dataset: Dataset, algo: str, params: dict, reg_kind: str,
-                   folds: int, seed: int, epochs: int,
-                   radius: float = 100.0) -> list[float]:
-    """Per-fold validation AUC of the last iterate; a diverged fold scores 0
-    so it can never win. Every fold needs both classes, so each class must
-    have at least `folds` examples."""
+def lockstep(algo: str, fit: Dataset, configs: list[TrainConfig],
+             radii: list[float]) -> list[np.ndarray | None]:
+    """Fit every candidate on `fit` in one pass over its stream and return
+    each one's last iterate, or None for a candidate that left the
+    lockstep: one whose iterate went non-finite or whose ||w||^2 reached
+    FastSpaucTrainer.SAFE_LIMIT. cross_validate refits those alone.
+
+    The configs share epochs and seed, hence the stream order, and so the
+    candidates share spauc's class sums, spam's full-data moments and
+    solam's running prior and data radius. They differ only in scalars:
+    the step size, the penalty weight and solam's radius (radii, read by
+    solam only). The iterates are the columns of one (d, K) array, and the
+    CSR rows are read directly. Each step does the d-vector work once for
+    every column: one gather of the example's rows, one product for w.x,
+    one with the fixed (2, d) vectors (class sums or moments), one scatter
+    of outer(x, eta * c), and one column rescale (the l2 divisors, the ball
+    projections, or one soft-threshold with per-column thresholds). The
+    scalars come from the learners' own formulas, once per candidate:
+    step_size, surrogate_moves, saddle_coefficients, prox_divisor and
+    clamped_auxiliaries.
+    """
+    first = configs[0]
+    kind = first.regularizer.kind
+    scheds = [c.schedule for c in configs]
+    regs = [c.regularizer for c in configs]
+    aux = [(0.0, 0.0, 0.0)] * len(configs)  # solam's a, b and alpha
+    models: list[np.ndarray | None] = [None] * len(configs)
+    cols = list(range(len(configs)))  # the candidate in each column of W
+    W = np.zeros((fit.dim, len(cols)))
+    if algo == "spam":
+        moments = exact_snapshot(fit)
+        fixed, p = np.stack((moments.u, moments.v)), moments.p
+    else:
+        fixed = np.zeros((2, fit.dim))  # spauc's class sums S+ and S-
+    sums = fixed[0], fixed[1]
+    n_pos = n = t = 0
+    kappa = 1.0
+    ptr, labels = fit.indptr.tolist(), fit.labels.tolist()
+    # a column that overflows leaves below, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(first.epochs):
+            for i in stream_order(fit, epoch, first.seed).tolist():
+                idx, x = fit.indices[ptr[i]:ptr[i + 1]], fit.values[ptr[i]:ptr[i + 1]]
+                y = labels[i]
+                if algo == "solam":
+                    kappa = max(kappa, math.sqrt(x.dot(x)))
+                if algo == "spam" or 0 < n_pos < n:
+                    t += 1
+                    etas = [scheds[j].step_size(t) for j in cols]
+                    rows = W[idx]
+                    wx = x.dot(rows).tolist()
+                    if algo == "spauc":
+                        p, n_neg = n_pos / n, n - n_pos
+                        w_sp, w_sn = fixed.dot(W).tolist()
+                        coefs = np.array([
+                            surrogate_moves(a, u / n_pos, v / n_neg, p, n_pos, n_neg, eta, y)
+                            for a, u, v, eta in zip(wx, w_sp, w_sn, etas)])
+                        cs = coefs[:, 0]
+                    elif algo == "spam":
+                        cs = [saddle_coefficients(a, u, v, v - u, y, p)[0]
+                              for a, u, v in zip(wx, *fixed.dot(W).tolist())]
+                    else:
+                        coefs = [saddle_coefficients(a, *aux[j], y, n_pos / n)
+                                 for a, j in zip(wx, cols)]
+                        cs = [c[0] for c in coefs]
+                    rows -= np.multiply.outer(x, np.multiply(etas, cs))
+                    W[idx] = rows
+                    if algo == "spauc":
+                        W += fixed.T.dot(coefs[:, 1:].T)  # alpha * S+ + beta * S-
+                    sq = np.einsum("ij,ij->j", W, W).tolist()
+                    if algo == "solam":
+                        W *= [radii[j] / norm if norm > radii[j] else 1.0
+                              for j, norm in zip(cols, map(math.sqrt, sq))]
+                        for j, eta, (_, ga, gb, galpha) in zip(cols, etas, coefs):
+                            aux[j] = clamped_auxiliaries(*aux[j], eta, ga, gb, galpha,
+                                                         kappa * radii[j])
+                    elif kind == "l2":
+                        W /= [regs[j].prox_divisor(eta) for j, eta in zip(cols, etas)]
+                    elif kind == "l1":
+                        W = soft_threshold(W, np.multiply(etas, [regs[j].lam for j in cols]))
+                    stay = [v < FastSpaucTrainer.SAFE_LIMIT for v in sq]  # NaN leaves too
+                    if not all(stay):
+                        cols = [j for j, ok in zip(cols, stay) if ok]
+                        if not cols:
+                            return models
+                        W = W[:, stay]
+                if algo == "spauc":
+                    sums[y != 1][idx] += x  # ClassStats.update's sums
+                n_pos += y == 1
+                n += 1
+    for k, j in enumerate(cols):
+        models[j] = W[:, k].copy()
+    return models
+
+
+def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
+                   reg_kind: str, folds: int, seed: int, epochs: int,
+                   radius: float = 100.0) -> list[list[float]]:
+    """Each candidate's per-fold validation AUC of the last iterate; a
+    diverged fit scores 0 so it can never win. Every fold needs both
+    classes, so each class must have at least `folds` examples.
+
+    Each fold's subsets are built once. Up to LOCKSTEP_MAX_DIM one
+    lockstep pass fits every candidate of the fold; a candidate that
+    leaves it, and every candidate above that dimension, is fitted alone
+    by run_algorithm.
+    """
     from .metrics import auc
 
     if dataset.n_pos < folds or dataset.n_neg < folds:
@@ -168,19 +289,24 @@ def cross_validate(dataset: Dataset, algo: str, params: dict, reg_kind: str,
             f"each class, got {dataset.n_pos} positive and {dataset.n_neg} negative")
     fold_idx = _fold_indices(dataset, folds, seed)
     all_idx = np.arange(len(dataset))
-    scores = []
+    radii = [params.get("radius", radius) for params in candidates]
+    scores: list[list[float]] = [[] for _ in candidates]
     for k in range(folds):
         val = dataset.subset(fold_idx[k])
         fit = dataset.subset(np.setdiff1d(all_idx, fold_idx[k]))
-        config = config_from_params(params, reg_kind, epochs, seed,
-                                    eval_every=max(1, len(fit) * epochs))
-        try:
-            w, _ = run_algorithm(algo, fit, config,
-                                 radius=params.get("radius", radius))
-        except DivergenceError:
-            scores.append(0.0)
-            continue
-        scores.append(auc(val.scores(w), val.labels))
+        configs = [config_from_params(params, reg_kind, epochs, seed,
+                                      eval_every=max(1, len(fit) * epochs))
+                   for params in candidates]
+        models = lockstep(algo, fit, configs, radii) if fit.dim <= LOCKSTEP_MAX_DIM \
+            else [None] * len(configs)
+        for row, w, config, r in zip(scores, models, configs, radii):
+            if w is None:
+                try:
+                    w = run_algorithm(algo, fit, config, radius=r)[0]
+                except DivergenceError:
+                    row.append(0.0)
+                    continue
+            row.append(auc(val.scores(w), val.labels))
     return scores
 
 
@@ -191,14 +317,15 @@ def tune(dataset: Dataset, algo: str, grid: TuneGrid, reg_kind: str,
     Returns (best_params, table) where table rows carry the candidate, its
     per-fold AUCs and the mean; ties resolve to the first-sampled candidate.
     """
+    candidates = grid.sample(seed)
+    fold_scores = cross_validate(dataset, algo, candidates, reg_kind, grid.folds,
+                                 seed, epochs, radius)
     best = None
     best_mean = -np.inf
     table = []
-    for params in grid.sample(seed):
-        fold_scores = cross_validate(dataset, algo, params, reg_kind,
-                                     grid.folds, seed, epochs, radius)
-        mean = float(np.mean(fold_scores))
-        table.append({"params": params, "fold_aucs": fold_scores, "mean_auc": mean})
+    for params, scores in zip(candidates, fold_scores):
+        mean = float(np.mean(scores))
+        table.append({"params": params, "fold_aucs": scores, "mean_auc": mean})
         if mean > best_mean:
             best, best_mean = params, mean
     return best, table

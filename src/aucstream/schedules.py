@@ -132,6 +132,8 @@ def clamp_for_theory(schedule: Schedule, a1: float, kappa: float) -> Schedule:
 def fast_rate_t1(c1: float, sigma_phi: float, horizon: int, delta: float = 0.01) -> float:
     """Warm-start offset 32 * c1 / sigma_phi * log(2 * horizon / delta) that
     makes the fast-rate guarantee hold over a planned horizon."""
+    if sigma_phi <= 0:
+        raise ValueError(f"sigma_phi must be positive, got {sigma_phi}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0.0 < delta < 1.0:

@@ -227,6 +227,11 @@ class Learner:
         self.averages = IterateAverages(dim, config.average, config.resolved_t1(),
                                         self.PARTS)
 
+    @property
+    def ready(self) -> bool:
+        """Whether the next example gets a step; False during warm-up."""
+        return True
+
     def step(self, z: Example) -> None:
         raise NotImplementedError
 
@@ -263,7 +268,10 @@ class ScaledLearner(Learner):
     A fast step may decline, returning False with r unchanged: during
     warm-up, at a non-finite value, or where the subclass's bounds fail.
     step() then folds and takes the reference's own step, in O(d), so
-    DivergenceError is raised exactly where the reference raises it.
+    DivergenceError is raised exactly where the reference raises it. Before
+    the first step there is nothing to fold, and the kept scalars are
+    refreshed only once the learner is ready, so a warm-up example costs
+    O(nnz(x)).
 
     fold() multiplies sigma into r and refreshes, in O(d). It runs when
     - the scale drops below FOLD_BELOW (0 included), before it underflows;
@@ -296,10 +304,14 @@ class ScaledLearner(Learner):
 
     def step(self, z: Example) -> None:
         if not self.fast_step(z):
-            self.fold()
+            # before the first step sigma is 1 and spauc's A and B are 0, so
+            # there is nothing to fold; a warm-up example changes only
+            # spauc's class sums, which the kept scalars read once it ends
+            if self.t:
+                self.fold()
             super().step(z)
-            # spauc's reference step changes the class sums its kept scalars read
-            self.refresh()
+            if self.ready:
+                self.refresh()
 
     def fast_step(self, z: Example) -> bool:
         """Take the step on z in O(nnz(x)) and return True, or decline and
@@ -382,8 +394,12 @@ class SpaucTrainer(Learner):
         self.stats = ClassStats(dim)
         super().__init__(dim, config)
 
+    @property
+    def ready(self) -> bool:
+        return self.stats.ready
+
     def step(self, z: Example) -> None:
-        if self.stats.ready:
+        if self.ready:
             eta = self.config.schedule.step_size(self.t + 1)
             g = surrogate_grad(self.w, z, self.stats.snapshot())
             self.accept(self.config.regularizer.prox(self.w - eta * g, eta), eta)
@@ -482,9 +498,9 @@ class FastSpaucTrainer(ScaledLearner, SpaucTrainer):
     def fast_step(self, z: Example) -> bool:
         """Take the step and absorb z in O(nnz(x)) and return True, or
         return False with nothing changed (see the class docstring)."""
-        stats = self.stats
-        if not stats.ready:
+        if not self.ready:
             return False
+        stats = self.stats
         eta = self.config.schedule.step_size(self.t + 1)
         idx, x = z.indices, z.values
         sigma, a, b = self.sigma, self.A, self.B
@@ -588,7 +604,7 @@ class L1SpaucTrainer(SpaucTrainer):
 
     def step(self, z: Example) -> None:
         x_norm = z.norm()
-        if not (self.stats.ready and self.sums_step(z, x_norm)):
+        if not (self.ready and self.sums_step(z, x_norm)):
             super().step(z)
         self.norm_sums[z.label != 1] += x_norm
 

@@ -200,13 +200,18 @@ class TestBenchmark:
 
     def test_tuned_solam_runs_at_the_given_radius(self, monkeypatch):
         seen = []
-        real = bench_module.run_algorithm
+        real, real_lockstep = bench_module.run_algorithm, bench_module.lockstep
 
         def spy(algo, train_data, config, radius=100.0, **kwargs):
             seen.append(radius)
             return real(algo, train_data, config, radius=radius, **kwargs)
 
+        def spy_lockstep(algo, fit, configs, radii):
+            seen.extend(radii)
+            return real_lockstep(algo, fit, configs, radii)
+
         monkeypatch.setattr(bench_module, "run_algorithm", spy)
+        monkeypatch.setattr(bench_module, "lockstep", spy_lockstep)
         ds = gaussian_task(12, n=120, d=4)
         grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=2)
         benchmark(ds, "toy", ["solam"], repeats=1, base_seed=0, epochs=1,

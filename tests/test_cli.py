@@ -342,8 +342,9 @@ class TestConfigFile:
     ("benchmark", ["--mu", "30", "--repeats", "0"], None),
     ("benchmark", ["--mu", "30", "--test-fraction", "1.5"], None),
     ("benchmark", ["--mu", "30", "--radius", "-1"], None),
+    ("train", ["--schedule", "fastrate", "--sigma-phi", "0"], None),
 ], ids=["epochs", "eval-every", "mu", "lambda", "config-epochs", "pairs", "folds",
-        "repeats", "test-fraction", "radius"])
+        "repeats", "test-fraction", "radius", "sigma-phi"])
 def test_refused_value_is_usage_error(tmp_path, easy_file, capsys, verb, flags, conf):
     argv = [verb, "--data", easy_file, *flags]
     if conf is not None:

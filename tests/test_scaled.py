@@ -15,8 +15,9 @@ from aucstream.objective import saddle_grad
 from aucstream.regularizers import l1, l2, none_reg
 from aucstream.schedules import PolySchedule, PracticalSchedule
 from aucstream.stats import StatsSnapshot, exact_snapshot
-from aucstream.trainer import (AVERAGES, DivergenceError, IterateAverages,
-                               ScaledLearner, TrainConfig, stream_run)
+from aucstream.trainer import (AVERAGES, DivergenceError, FastSpaucTrainer,
+                               IterateAverages, ScaledLearner, SpaucTrainer,
+                               TrainConfig, stream_run)
 
 from conftest import dense_example, random_dataset, sparse_example
 
@@ -214,6 +215,38 @@ class TestDivergence:
                     learner.step(z)
                 assert exc.value.iteration == 1
                 assert not exc.value.last_weight.any()
+
+
+class TestWarmUp:
+    @pytest.mark.parametrize("cls", [FastSpaucTrainer, FastSolamTrainer],
+                             ids=["spauc", "solam"])
+    def test_warm_up_costs_no_refresh(self, monkeypatch, cls):
+        # before both classes are seen an example is only absorbed or
+        # counted, in O(nnz(x)): no fold, and one refresh when warm-up ends
+        d = 10**5
+        rng = np.random.default_rng(5)
+        args = (d, config(l2(1e-4))) + ((0.3,) if cls is FastSolamTrainer else ())
+        learner = cls(*args)
+        dense = (SpaucTrainer if cls is FastSpaucTrainer else SolamTrainer)(*args)
+        calls = []
+        real = cls.refresh
+
+        def spy(self):
+            calls.append(self.t)
+            real(self)
+        monkeypatch.setattr(cls, "refresh", spy)
+        stream = [sparse_example(rng, d, -1, density=5e-4) for _ in range(50)]
+        stream += [sparse_example(rng, d, 1, density=5e-4) for _ in range(2)]
+        for z in stream[:50]:
+            learner.step(z)
+            dense.step(z)
+        assert calls == []
+        for z in stream[50:]:
+            learner.step(z)
+            dense.step(z)
+        assert calls == [0]  # warm-up ended; the last example took a fast step
+        assert learner.t == dense.t == 1
+        assert rel_err(learner.w, dense.w) <= 1e-12
 
 
 class TestRouting:
