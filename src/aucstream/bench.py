@@ -7,10 +7,10 @@ the fold's data and stream order and differ only in scalars, so one pass
 over the fold steps them all, with their iterates as the columns of one
 (d, K) array (see lockstep). That step costs O(d * K), so it is taken only
 up to LOCKSTEP_MAX_DIM; above it each candidate is fitted alone by
-run_algorithm. A candidate whose iterate goes non-finite, or whose ||w||^2
-reaches FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is refitted
-alone too, so whether it diverges, and scores 0, is decided as for a
-single run.
+run_algorithm. A candidate whose step goes non-finite, or whose squared
+norm reaches FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is
+refitted alone too, so whether it diverges, and scores 0, is decided as
+for a single run.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def lockstep(algo: str, fit: Dataset, configs: list[TrainConfig],
              radii: list[float]) -> list[np.ndarray | None]:
     """Fit every candidate on `fit` in one pass over its stream and return
     each one's last iterate, or None for a candidate that left the
-    lockstep: one whose iterate went non-finite or whose ||w||^2 reached
-    FastSpaucTrainer.SAFE_LIMIT. cross_validate refits those alone.
+    lockstep: one whose step, before its rescale, went non-finite or
+    reached a squared norm of FastSpaucTrainer.SAFE_LIMIT. cross_validate
+    refits those alone.
 
     The configs share epochs and seed, hence the stream order, and so the
     candidates share spauc's class sums, spam's full-data moments and
