@@ -7,8 +7,8 @@ The cost of that moment pass is charged to the reported training time.
 
 SOLAM-style: primal-dual SGD on the saddle objective with running class prior
 and data radius, descending (w, a, b) and ascending alpha, with the primal
-iterate projected onto an l2 ball of radius R and the auxiliary variables
-clamped to the ranges they can take at feasible w.
+iterate projected onto the l2 ball of radius R = TrainConfig.radius and the
+auxiliary variables clamped to the ranges they can take at feasible w.
 
 Both move w along x only, by a multiple of x, then rescale it (l2 prox,
 projection). run_baseline runs spam with no penalty or l2, and every solam
@@ -63,11 +63,9 @@ class SolamTrainer(Learner):
     reconstruction, shared step size across primal and dual variables.
     """
 
-    def __init__(self, dim: int, config: TrainConfig, radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+    def __init__(self, dim: int, config: TrainConfig):
         super().__init__(dim, config)
-        self.radius = radius
+        self.radius = config.radius
         self.a = 0.0
         self.b = 0.0
         self.alpha = 0.0
@@ -179,7 +177,6 @@ class FastSolamTrainer(ScaledLearner, SolamTrainer):
 
 
 def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
-                 radius: float = 100.0,
                  test_data: Dataset | None = None,
                  objective_data: Dataset | None = None):
     """Train a baseline over the dataset; same contract and trace schema as
@@ -192,11 +189,11 @@ def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
         moment_seconds = time.perf_counter() - tick
         cls = SpamTrainer if config.regularizer.kind == "l1" else FastSpamTrainer
         learner = cls(dataset.dim, config, moments)
-        return stream_run(learner, dataset, config, test_data, objective_data,
+        return stream_run(learner, dataset, test_data, objective_data,
                           time_offset=moment_seconds)
     if algo == "solam":
-        learner = FastSolamTrainer(dataset.dim, config, radius)
-        return stream_run(learner, dataset, config, test_data, objective_data)
+        learner = FastSolamTrainer(dataset.dim, config)
+        return stream_run(learner, dataset, test_data, objective_data)
     raise ValueError(unknown_algorithm_message(algo))
 
 

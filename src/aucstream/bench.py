@@ -94,25 +94,26 @@ def objective_subsample(dataset: Dataset, seed: int,
 
 
 def config_from_params(params: dict, reg_kind: str, epochs: int, seed: int,
-                       eval_every: int, average: str = "last") -> TrainConfig:
+                       eval_every: int,
+                       radius: float = TrainConfig.radius) -> TrainConfig:
     """Build a training configuration from a tuning point: `mu` drives the
-    practical schedule, `lambda` the penalty weight when one is in play."""
+    practical schedule, `lambda` the penalty weight when one is in play, and
+    `radius`, when the point has one, replaces the given radius."""
     lam = 0.0 if reg_kind == "none" else params["lambda"]
     return TrainConfig(regularizer=Regularizer(reg_kind, lam),
                        schedule=PracticalSchedule(mu=params["mu"]), epochs=epochs,
-                       seed=seed, average=average, eval_every=eval_every)
+                       seed=seed, eval_every=eval_every,
+                       radius=params.get("radius", radius))
 
 
 def run_algorithm(algo: str, train_data: Dataset, config: TrainConfig,
-                  radius: float = 100.0,
                   test_data: Dataset | None = None,
                   objective_data: Dataset | None = None):
     """Dispatch one training run; identical trace schema for every algorithm.
     run_baseline rejects a name that is not an algorithm."""
     if algo == "spauc":
         return train(train_data, config, test_data, objective_data)
-    return run_baseline(algo, train_data, config, radius=radius,
-                        test_data=test_data, objective_data=objective_data)
+    return run_baseline(algo, train_data, config, test_data, objective_data)
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,8 @@ def _fold_indices(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray]:
     return [order[k::folds] for k in range(folds)]
 
 
-def lockstep(algo: str, fit: Dataset, configs: list[TrainConfig],
-             radii: list[float]) -> list[np.ndarray | None]:
+def lockstep(algo: str, fit: Dataset,
+             configs: list[TrainConfig]) -> list[np.ndarray | None]:
     """Fit every candidate on `fit` in one pass over its stream and return
     each one's last iterate, or None for a candidate that left the
     lockstep: one whose step, before its rescale, went non-finite or
@@ -185,21 +186,21 @@ def lockstep(algo: str, fit: Dataset, configs: list[TrainConfig],
     The configs share epochs and seed, hence the stream order, and so the
     candidates share spauc's class sums, spam's full-data moments and
     solam's running prior and data radius. They differ only in scalars:
-    the step size, the penalty weight and solam's radius (radii, read by
-    solam only). The iterates are the columns of one (d, K) array, and the
-    CSR rows are read directly. Each step does the d-vector work once for
-    every column: one gather of the example's rows, one product for w.x,
-    one with the fixed (2, d) vectors (class sums or moments), one scatter
-    of outer(x, eta * c), and one column rescale (the l2 divisors, the ball
-    projections, or one soft-threshold with per-column thresholds). The
-    scalars come from the learners' own formulas, once per candidate:
-    step_size, surrogate_moves, saddle_coefficients, prox_divisor and
-    clamped_auxiliaries.
+    the step size, the penalty weight and solam's radius. The iterates are
+    the columns of one (d, K) array, and the CSR rows are read directly.
+    Each step does the d-vector work once for every column: one gather of
+    the example's rows, one product for w.x, one with the fixed (2, d)
+    vectors (class sums or moments), one scatter of outer(x, eta * c), and
+    one column rescale (the l2 divisors, the ball projections, or one
+    soft-threshold with per-column thresholds). The scalars come from the
+    learners' own formulas, once per candidate: step_size, surrogate_moves,
+    saddle_coefficients, prox_divisor and clamped_auxiliaries.
     """
     first = configs[0]
     kind = first.regularizer.kind
     scheds = [c.schedule for c in configs]
     regs = [c.regularizer for c in configs]
+    radii = [c.radius for c in configs]
     aux = [(0.0, 0.0, 0.0)] * len(configs)  # solam's a, b and alpha
     models: list[np.ndarray | None] = [None] * len(configs)
     cols = list(range(len(configs)))  # the candidate in each column of W
@@ -272,7 +273,7 @@ def lockstep(algo: str, fit: Dataset, configs: list[TrainConfig],
 
 def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
                    reg_kind: str, folds: int, seed: int, epochs: int,
-                   radius: float = 100.0) -> list[list[float]]:
+                   radius: float = TrainConfig.radius) -> list[list[float]]:
     """Each candidate's per-fold validation AUC of the last iterate; a
     diverged fit scores 0 so it can never win. Every fold needs both
     classes, so each class must have at least `folds` examples.
@@ -290,20 +291,19 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
             f"each class, got {dataset.n_pos} positive and {dataset.n_neg} negative")
     fold_idx = _fold_indices(dataset, folds, seed)
     all_idx = np.arange(len(dataset))
-    radii = [params.get("radius", radius) for params in candidates]
     scores: list[list[float]] = [[] for _ in candidates]
     for k in range(folds):
         val = dataset.subset(fold_idx[k])
         fit = dataset.subset(np.setdiff1d(all_idx, fold_idx[k]))
         configs = [config_from_params(params, reg_kind, epochs, seed,
-                                      eval_every=max(1, len(fit) * epochs))
+                                      max(1, len(fit) * epochs), radius)
                    for params in candidates]
-        models = lockstep(algo, fit, configs, radii) if fit.dim <= LOCKSTEP_MAX_DIM \
+        models = lockstep(algo, fit, configs) if fit.dim <= LOCKSTEP_MAX_DIM \
             else [None] * len(configs)
-        for row, w, config, r in zip(scores, models, configs, radii):
+        for row, w, config in zip(scores, models, configs):
             if w is None:
                 try:
-                    w = run_algorithm(algo, fit, config, radius=r)[0]
+                    w = run_algorithm(algo, fit, config)[0]
                 except DivergenceError:
                     row.append(0.0)
                     continue
@@ -312,7 +312,7 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
 
 
 def tune(dataset: Dataset, algo: str, grid: TuneGrid, reg_kind: str,
-         seed: int, epochs: int, radius: float = 100.0):
+         seed: int, epochs: int, radius: float = TrainConfig.radius):
     """Random grid search by K-fold cross-validation.
 
     Returns (best_params, table) where table rows carry the candidate, its
@@ -383,10 +383,9 @@ def write_report(path, rows: list[ReportRow]) -> None:
                              repr(r.time_per_pass_mean), repr(r.time_per_pass_std)])
 
 
-def check_benchmark(algos: list[str], repeats: int, test_fraction: float,
-                    radius: float) -> None:
+def check_benchmark(algos: list[str], repeats: int, test_fraction: float) -> None:
     """Refuse benchmark arguments out of range before any work: split()
-    and solam would refuse test_fraction and radius only on first use."""
+    would refuse test_fraction only on first use."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     for algo in algos:
@@ -394,8 +393,6 @@ def check_benchmark(algos: list[str], repeats: int, test_fraction: float,
             raise ValueError(unknown_algorithm_message(algo))
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
 
 
 def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
@@ -404,7 +401,7 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
               tune_grid: TuneGrid | None = None,
               test_fraction: float = 0.2,
               eval_every: int = 1000,
-              radius: float = 100.0,
+              radius: float = TrainConfig.radius,
               outdir=None):
     """The measurement protocol: per repeat, a fresh seeded split, then per
     algorithm an optional cross-validated parameter search on the training
@@ -414,7 +411,7 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
     trace. Per-run trace CSVs and the aggregate report are written under
     `outdir` when given.
     """
-    check_benchmark(algos, repeats, test_fraction, radius)
+    check_benchmark(algos, repeats, test_fraction)
     trace_map = {}
     for r in range(repeats):
         seed = base_seed + r
@@ -426,10 +423,10 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
                               radius=radius)[0]
             else:
                 params = dict(fixed_params or {"mu": 0.01})
-            config = config_from_params(params, reg_kind, epochs, seed, eval_every)
+            config = config_from_params(params, reg_kind, epochs, seed, eval_every,
+                                        radius)
             trace_map[(algo, r)] = run_algorithm(
-                algo, fit, config, radius=params.get("radius", radius),
-                test_data=held_out, objective_data=obj_data)[1]
+                algo, fit, config, test_data=held_out, objective_data=obj_data)[1]
 
     if outdir is not None:
         for (algo, r), trace in trace_map.items():

@@ -105,7 +105,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--lambda", dest="lam", type=float, default=None)
     p_bench.add_argument("--mu", type=float, default=None,
                          help="fixed step parameter (omit with --tune)")
-    p_bench.add_argument("--radius", type=float, default=100.0,
+    p_bench.add_argument("--radius", type=float, default=TrainConfig.radius,
                          help="l2-ball radius for solam")
     p_bench.add_argument("--tune", action="store_true",
                          help="cross-validate parameters per repeat")
@@ -256,13 +256,12 @@ def cmd_benchmark(args, parser) -> int:
         parser.error(f"--reg {args.reg} requires --lambda (or --tune)")
     if not args.tune and args.mu is None:
         parser.error("benchmark needs either --mu or --tune")
-    _usage(parser, bench.check_benchmark, args.algos, args.repeats,
-           args.test_fraction, args.radius)
+    _usage(parser, bench.check_benchmark, args.algos, args.repeats, args.test_fraction)
     tune_grid = _usage(parser, bench.protocol_grid, args.reg, args.pairs, args.folds) \
         if args.tune else None
     params = tune_grid.points()[0] if args.tune else {"mu": args.mu, "lambda": args.lam}
     _usage(parser, bench.config_from_params, params, args.reg, args.epochs, args.seed,
-           args.eval_every)
+           args.eval_every, args.radius)
     data = load_libsvm(args.data, rule)
     dataset_name = args.data.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 

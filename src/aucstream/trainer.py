@@ -61,6 +61,7 @@ class TrainConfig:
     average: str = "last"
     eval_every: int = 1000
     t1: float | None = None  # averaging offset; defaults to the schedule's
+    radius: float = 100.0  # solam's l2-ball radius, read by solam only
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -69,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.average not in AVERAGES:
             raise ValueError(f"average must be one of {AVERAGES}, got {self.average!r}")
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
 
     def resolved_t1(self) -> float:
         if self.t1 is not None:
@@ -636,11 +639,11 @@ class L1SpaucTrainer(SpaucTrainer):
         return True
 
 
-def stream_run(learner: Learner, dataset: Dataset, config: TrainConfig,
-               test_data: Dataset | None = None,
+def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = None,
                objective_data: Dataset | None = None,
                time_offset: float = 0.0) -> tuple[np.ndarray, list[TracePoint]]:
-    """Drive a learner over epochs * n examples in shuffled stream order.
+    """Drive a learner over epochs * n examples in shuffled stream order,
+    with the epochs, seed and eval_every of learner.config.
 
     The training data must hold both classes, and evaluation data may not be
     wider than it. The clock is paused while evaluating trace points, so
@@ -667,6 +670,7 @@ def stream_run(learner: Learner, dataset: Dataset, config: TrainConfig,
         trace.append(point)
         last_traced = learner.t
 
+    config = learner.config
     elapsed = time_offset
     tick = time.perf_counter()
     # a step that overflows is caught by the learner's finiteness check and
@@ -694,7 +698,7 @@ def train(dataset: Dataset, config: TrainConfig,
     and l2 take the O(nnz) step, l1 the O(d) step from the class sums."""
     cls = L1SpaucTrainer if config.regularizer.kind == "l1" else FastSpaucTrainer
     learner = cls(dataset.dim, config)
-    return stream_run(learner, dataset, config, test_data, objective_data)
+    return stream_run(learner, dataset, test_data, objective_data)
 
 
 def describe_config(config: TrainConfig) -> dict:
@@ -709,6 +713,7 @@ def describe_config(config: TrainConfig) -> dict:
         "average": config.average,
         "eval_every": config.eval_every,
         "t1": config.t1,
+        "radius": config.radius,
     }
 
 

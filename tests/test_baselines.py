@@ -74,7 +74,7 @@ class TestSolam:
     def test_projection_keeps_w_in_ball(self):
         rng = np.random.default_rng(3)
         radius = 0.05
-        learner = SolamTrainer(4, config(schedule=PracticalSchedule(0.5)), radius)
+        learner = SolamTrainer(4, config(schedule=PracticalSchedule(0.5), radius=radius))
         for _ in range(50):
             y = 1 if rng.random() < 0.5 else -1
             learner.step(sparse_example(rng, 4, y))
@@ -83,7 +83,7 @@ class TestSolam:
     def test_feasibility_invariants_on_random_stream(self):
         rng = np.random.default_rng(4)
         radius = 2.0
-        learner = SolamTrainer(5, config(schedule=PracticalSchedule(1.0)), radius)
+        learner = SolamTrainer(5, config(schedule=PracticalSchedule(1.0), radius=radius))
         for _ in range(300):
             y = 1 if rng.random() < 0.3 else -1
             learner.step(sparse_example(rng, 5, y))
@@ -97,9 +97,8 @@ class TestSolam:
         d = 4
         ds = random_dataset(rng, n=30, d=d)
         moments = exact_snapshot(ds)
-        cfg = config()
-        spam = SpamTrainer(d, cfg, moments)
-        solam = SolamTrainer(d, cfg, radius=np.inf)
+        spam = SpamTrainer(d, config(), moments)
+        solam = SolamTrainer(d, config(radius=np.inf))
         w0 = rng.normal(size=d)
         spam.w = w0.copy()
         solam.w = w0.copy()
@@ -123,7 +122,7 @@ class TestSolam:
         labels = [1, 1, 1] + [1 if rng.random() < 0.35 else -1 for _ in range(250)]
         stream = [sparse_example(rng, d, y) for y in labels]
         sched = PracticalSchedule(0.01)
-        learner = SolamTrainer(d, config(schedule=sched), radius)
+        learner = SolamTrainer(d, config(schedule=sched, radius=radius))
         got = []
         for z in stream:
             learner.step(z)
@@ -165,7 +164,7 @@ class TestSolam:
         tr, te = split(ds, 0.2, seed=6)
         cfg = config(schedule=PracticalSchedule(30.0), epochs=5, seed=6,
                      eval_every=10**9)
-        _, trace = run_baseline("solam", tr, cfg, radius=100.0, test_data=te)
+        _, trace = run_baseline("solam", tr, cfg, test_data=te)
         assert trace[-1].test_auc >= 0.93
 
 

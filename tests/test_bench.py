@@ -202,13 +202,13 @@ class TestBenchmark:
         seen = []
         real, real_lockstep = bench_module.run_algorithm, bench_module.lockstep
 
-        def spy(algo, train_data, config, radius=100.0, **kwargs):
-            seen.append(radius)
-            return real(algo, train_data, config, radius=radius, **kwargs)
+        def spy(algo, train_data, config, **kwargs):
+            seen.append(config.radius)
+            return real(algo, train_data, config, **kwargs)
 
-        def spy_lockstep(algo, fit, configs, radii):
-            seen.extend(radii)
-            return real_lockstep(algo, fit, configs, radii)
+        def spy_lockstep(algo, fit, configs):
+            seen.extend(config.radius for config in configs)
+            return real_lockstep(algo, fit, configs)
 
         monkeypatch.setattr(bench_module, "run_algorithm", spy)
         monkeypatch.setattr(bench_module, "lockstep", spy_lockstep)

@@ -35,10 +35,10 @@ def per_candidate_cv(dataset, algo, candidates, reg_kind, folds, seed, epochs,
             val = dataset.subset(fold_idx[k])
             fit = dataset.subset(np.setdiff1d(all_idx, fold_idx[k]))
             config = config_from_params(params, reg_kind, epochs, seed,
-                                        eval_every=max(1, len(fit) * epochs))
+                                        eval_every=max(1, len(fit) * epochs),
+                                        radius=radius)
             try:
-                w, _ = run_algorithm(algo, fit, config,
-                                     radius=params.get("radius", radius))
+                w, _ = run_algorithm(algo, fit, config)
             except DivergenceError:
                 scores.append(0.0)
                 continue
@@ -92,10 +92,9 @@ def test_models_match_run_algorithm_after_1e4_steps(algo, reg_kind):
     ds = gaussian_task(22, n=1001, d=5)
     configs = [config_from_params(params, reg_kind, epochs=10, seed=3, eval_every=10**5)
                for params in candidates(algo, reg_kind, [30.0, 100.0], lams=(0.01, 0.1))]
-    radii = [10.0, 0.3]
-    models = lockstep(algo, ds, configs, radii)
-    for w, config, radius in zip(models, configs, radii):
-        want, trace = run_algorithm(algo, ds, config, radius=radius)
+    models = lockstep(algo, ds, configs)
+    for w, config in zip(models, configs):
+        want, trace = run_algorithm(algo, ds, config)
         assert trace[-1].step >= 10**4
         assert np.linalg.norm(w - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -147,9 +146,9 @@ def test_size_rule(monkeypatch, fits, dim, in_lockstep):
     steps = []
     real = bench.lockstep
 
-    def spy(algo, fit, configs, radii):
+    def spy(algo, fit, configs):
         steps.append(len(configs))
-        return real(algo, fit, configs, radii)
+        return real(algo, fit, configs)
     monkeypatch.setattr(bench, "lockstep", spy)
     ds = random_dataset(np.random.default_rng(24), n=40, d=dim, density=0.01)
     cands = candidates("spauc", "l2", [10.0, 30.0, 100.0])

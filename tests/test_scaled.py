@@ -24,20 +24,20 @@ from conftest import dense_example, random_dataset, sparse_example
 DRIFT_BOUND = 1e-9
 
 
-def config(reg=None, schedule=None, **kw):
+def config(reg=None, schedule=None, radius=0.3, **kw):
     return TrainConfig(regularizer=reg or none_reg(),
-                       schedule=schedule or PracticalSchedule(0.01), **kw)
+                       schedule=schedule or PracticalSchedule(0.01), radius=radius, **kw)
 
 
 def rel_err(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
-def pair(algo, d, cfg, moments=None, radius=0.3):
+def pair(algo, d, cfg, moments=None):
     """A dense learner and its scaled sibling under one configuration."""
     if algo == "spam":
         return SpamTrainer(d, cfg, moments), FastSpamTrainer(d, cfg, moments)
-    return SolamTrainer(d, cfg, radius), FastSolamTrainer(d, cfg, radius)
+    return SolamTrainer(d, cfg), FastSolamTrainer(d, cfg)
 
 
 class TestDrift:
@@ -108,7 +108,7 @@ class TestFold:
         labels = [1, -1] + [1 if rng.random() < 0.35 else -1 for _ in range(steps - 2)]
         stream = [dense_example(rng.uniform(-1.0, 1.0, d), y) for y in labels]
         cfg = config(average="avg2")
-        dense, fast = pair("solam", d, cfg, radius=0.3)
+        dense, fast = pair("solam", d, cfg)
         folds = []
         fold = fast.fold
         fast.fold = lambda: (folds.append(fast.sigma), fold())
@@ -127,7 +127,7 @@ class TestFold:
         d = 8
         stream = [dense_example(1e160 * rng.uniform(0.5, 1.0, d), y)
                   for y in (1, -1, 1, -1, -1)]
-        dense, fast = pair("solam", d, config(), radius=0.3)
+        dense, fast = pair("solam", d, config())
         with np.errstate(over="ignore"):
             for z in stream[:2]:
                 dense.step(z)
@@ -145,7 +145,7 @@ class TestFold:
         # at sigma = 1e-100, ||r||^2 overflows where the dense ||w||^2 does
         # not; the fold computes it from w, so the projection matches
         d = 3
-        dense, fast = pair("solam", d, config(), radius=0.3)
+        dense, fast = pair("solam", d, config())
         for z in (dense_example([1.0, 0.0, 0.0], 1), dense_example([0.0, 1.0, 0.0], -1)):
             dense.step(z)  # warm-up: no step yet
             fast.step(z)
@@ -188,7 +188,7 @@ class TestDivergence:
         errors = []
         for learner in pair("spam", ds.dim, cfg, moments):
             with pytest.raises(DivergenceError) as exc:
-                stream_run(learner, ds, cfg)
+                stream_run(learner, ds)
             errors.append(exc.value)
         dense, fast = errors
         assert fast.iteration == dense.iteration
@@ -225,7 +225,7 @@ class TestWarmUp:
         # counted, in O(nnz(x)): no fold, and one refresh when warm-up ends
         d = 10**5
         rng = np.random.default_rng(5)
-        args = (d, config(l2(1e-4))) + ((0.3,) if cls is FastSolamTrainer else ())
+        args = (d, config(l2(1e-4)))
         learner = cls(*args)
         dense = (SpaucTrainer if cls is FastSpaucTrainer else SolamTrainer)(*args)
         calls = []

@@ -167,8 +167,8 @@ class TestFold:
         cfg = config(epochs=3)
         dense, fast = SpaucTrainer(ds.dim, cfg), FastSpaucTrainer(ds.dim, cfg)
         taken = recording(fast, "fast_step")
-        want, _ = stream_run(dense, ds, cfg)
-        got, _ = stream_run(fast, ds, cfg)
+        want, _ = stream_run(dense, ds)
+        got, _ = stream_run(fast, ds)
         assert fast.t == dense.t
         with np.errstate(over="ignore"):
             assert np.linalg.norm(want) == np.inf
@@ -213,7 +213,7 @@ class TestDivergence:
         errors = []
         for learner in (SpaucTrainer(ds.dim, cfg), sums_learner(reg)(ds.dim, cfg)):
             with pytest.raises(DivergenceError) as exc:
-                stream_run(learner, ds, cfg)
+                stream_run(learner, ds)
             errors.append(exc.value)
         dense, fast = errors
         assert fast.iteration == dense.iteration

@@ -50,10 +50,10 @@ class TestCausality:
         examples = fixed_stream(rng, rng.choice([1, -1], size=n), d)
         k = int(rng.integers(2, n - 5))
         tail = [examples[k + i] for i in rng.permutation(n - k)]
-        cfg = config(reg=l2(0.05), schedule=PracticalSchedule(1.0))
+        cfg = config(reg=l2(0.05), schedule=PracticalSchedule(1.0), radius=5.0)
 
         def fresh():
-            return SpaucTrainer(d, cfg) if algo == "spauc" else SolamTrainer(d, cfg, 5.0)
+            return SpaucTrainer(d, cfg) if algo == "spauc" else SolamTrainer(d, cfg)
 
         before = states(fresh(), examples)
         after = states(fresh(), examples[:k] + tail)
@@ -253,7 +253,7 @@ class TestTrain:
         ds = random_dataset(rng, n=20, d=3)
         cfg = config(epochs=1, eval_every=5)
         learner = SpaucTrainer(ds.dim, cfg)
-        _, trace = stream_run(learner, ds, cfg, time_offset=5.0)
+        _, trace = stream_run(learner, ds, time_offset=5.0)
         assert all(p.elapsed_sec >= 5.0 for p in trace)
 
     def test_final_trace_point_is_under_the_overflow_policy(self):
@@ -268,7 +268,7 @@ class TestTrain:
         cfg = config(epochs=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, trace = stream_run(Huge(ds.dim, cfg), ds, cfg, objective_data=ds)
+            _, trace = stream_run(Huge(ds.dim, cfg), ds, objective_data=ds)
         assert [p.step for p in trace] == [20]
 
 
