@@ -155,7 +155,8 @@ def protocol_grid(reg_kind: str, pairs: int, folds: int,
                   tune_radius: bool = False) -> TuneGrid:
     """The tuning protocol's grid: mu, then lambda when a penalty is in play,
     then the l2-ball radius when asked (solam under `tune`), sampling
-    min(pairs, grid size) points."""
+    min(pairs, grid size) points. solam does not read the penalty, so its
+    candidates that differ only in lambda are the same run."""
     params = {"mu": list(DEFAULT_MU_GRID)}
     if reg_kind != "none":
         params["lambda"] = list(DEFAULT_LAMBDA_GRID)
@@ -385,12 +386,15 @@ def write_report(path, rows: list[ReportRow]) -> None:
 
 def check_benchmark(algos: list[str], repeats: int, test_fraction: float) -> None:
     """Refuse benchmark arguments out of range before any work: split()
-    would refuse test_fraction only on first use."""
+    would refuse test_fraction only on first use, and a repeated algorithm
+    would be fitted twice and reported as two rows of its second run."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ValueError(unknown_algorithm_message(algo))
+    if len(set(algos)) < len(algos):
+        raise ValueError(f"each algorithm may be named once, got {', '.join(algos)}")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
 

@@ -27,7 +27,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in PENALTIES:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.kind != "none" and self.lam <= 0:
+        if self.kind != "none" and not self.lam > 0:
             raise ValueError(f"{self.kind} regularizer needs lam > 0, got {self.lam}")
 
     @property

@@ -26,7 +26,7 @@ class PolySchedule:
     theta: float
 
     def __post_init__(self):
-        if self.eta1 <= 0:
+        if not self.eta1 > 0:
             raise ValueError(f"eta1 must be positive, got {self.eta1}")
         if not 0.5 < self.theta <= 1.0:
             raise ValueError(f"theta must be in (1/2, 1], got {self.theta}")
@@ -47,9 +47,9 @@ class LogDampedSchedule:
     beta: float
 
     def __post_init__(self):
-        if self.eta1 <= 0:
+        if not self.eta1 > 0:
             raise ValueError(f"eta1 must be positive, got {self.eta1}")
-        if self.beta <= 2.0:
+        if not self.beta > 2.0:
             raise ValueError(f"beta must be > 2, got {self.beta}")
 
     def step_size(self, t: int) -> float:
@@ -74,11 +74,11 @@ class FastRateSchedule:
     t1: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_phi <= 0:
+        if not self.sigma_phi > 0:
             raise ValueError(f"sigma_phi must be positive, got {self.sigma_phi}")
-        if self.sigma_f < 0:
+        if not self.sigma_f >= 0:
             raise ValueError(f"sigma_f must be >= 0, got {self.sigma_f}")
-        if self.t1 < 0:
+        if not self.t1 >= 0:
             raise ValueError(f"t1 must be >= 0, got {self.t1}")
 
     def step_size(self, t: int) -> float:
@@ -98,7 +98,7 @@ class PracticalSchedule:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
 
     def step_size(self, t: int) -> float:
@@ -132,7 +132,7 @@ def clamp_for_theory(schedule: Schedule, a1: float, kappa: float) -> Schedule:
 def fast_rate_t1(c1: float, sigma_phi: float, horizon: int, delta: float = 0.01) -> float:
     """Warm-start offset 32 * c1 / sigma_phi * log(2 * horizon / delta) that
     makes the fast-rate guarantee hold over a planned horizon."""
-    if sigma_phi <= 0:
+    if not sigma_phi > 0:
         raise ValueError(f"sigma_phi must be positive, got {sigma_phi}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -261,6 +261,14 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert "fsauc" in err and "solam" in err
 
+    def test_repeated_algorithm_usage_error(self, easy_file, capsys):
+        # a repeated name would be fitted twice and reported as two rows
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--data", easy_file, "--algos", "spauc,spauc",
+                  "--mu", "30"])
+        assert exc.value.code == 2
+        assert "once" in capsys.readouterr().err
+
     def test_needs_mu_or_tune(self, easy_file):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--data", easy_file])
@@ -343,8 +351,16 @@ class TestConfigFile:
     ("benchmark", ["--mu", "30", "--test-fraction", "1.5"], None),
     ("benchmark", ["--mu", "30", "--radius", "-1"], None),
     ("train", ["--schedule", "fastrate", "--sigma-phi", "0"], None),
+    ("train", ["--mu", "nan"], None),
+    ("train", ["--mu", "30", "--reg", "l2", "--lambda", "nan"], None),
+    ("train", ["--mu", "30", "--reg", "l1", "--lambda", "nan"], None),
+    ("train", ["--schedule", "poly", "--eta1", "nan", "--theta", "0.6"], None),
+    ("train", ["--schedule", "logdamped", "--eta1", "1", "--beta", "nan"], None),
+    ("train", ["--schedule", "fastrate", "--sigma-phi", "nan"], None),
+    ("benchmark", ["--mu", "30", "--radius", "nan"], None),
 ], ids=["epochs", "eval-every", "mu", "lambda", "config-epochs", "pairs", "folds",
-        "repeats", "test-fraction", "radius", "sigma-phi"])
+        "repeats", "test-fraction", "radius", "sigma-phi", "mu-nan", "l2-lambda-nan",
+        "l1-lambda-nan", "eta1-nan", "beta-nan", "sigma-phi-nan", "radius-nan"])
 def test_refused_value_is_usage_error(tmp_path, easy_file, capsys, verb, flags, conf):
     argv = [verb, "--data", easy_file, *flags]
     if conf is not None:

@@ -152,3 +152,9 @@ def test_bad_construction():
         l1(-0.5)
     with pytest.raises(ValueError):
         Regularizer("elastic", 0.1)
+
+
+@pytest.mark.parametrize("make", [l2, l1], ids=["l2", "l1"])
+def test_nan_weight_refused(make):
+    with pytest.raises(ValueError, match="lam > 0"):
+        make(float("nan"))

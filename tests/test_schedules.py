@@ -93,6 +93,9 @@ def test_fast_rate_t1_formula():
         fast_rate_t1(c1, sigma_phi, 10, delta=1.5)
 
 
+NAN = float("nan")
+
+
 @pytest.mark.parametrize("bad", [
     lambda: PolySchedule(1.0, 0.5),
     lambda: PolySchedule(1.0, 1.01),
@@ -102,6 +105,14 @@ def test_fast_rate_t1_formula():
     lambda: FastRateSchedule(1.0, -0.1, 0.0),
     lambda: FastRateSchedule(1.0, 0.0, -1.0),
     lambda: PracticalSchedule(0.0),
+    lambda: PolySchedule(NAN, 0.8),
+    lambda: LogDampedSchedule(NAN, 3.0),
+    lambda: LogDampedSchedule(1.0, NAN),
+    lambda: FastRateSchedule(NAN, 0.0, 0.0),
+    lambda: FastRateSchedule(1.0, NAN, 0.0),
+    lambda: FastRateSchedule(1.0, 0.0, NAN),
+    lambda: PracticalSchedule(NAN),
+    lambda: fast_rate_t1(16.0, NAN, 1000),
 ])
 def test_invalid_parameters(bad):
     with pytest.raises(ValueError):

@@ -302,3 +302,9 @@ def test_config_validation():
         config(eval_every=0)
     with pytest.raises(ValueError):
         config(average="median")
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_config_refuses_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        config(radius=radius)

@@ -1,0 +1,99 @@
+"""Microseconds per learner step at growing dimension, one table.
+
+    PYTHONPATH=src python3 tools/step_cost.py [--dims 1000,10000,100000,1000000]
+
+For each d it draws 400 seeded rows of 50 nonzeros (distinct indices, normal
+values, labels +1/-1 with prior 1/2) and steps a fresh learner over them once,
+in row order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
+the last iterate. A cell is the best of 3 such passes: the seconds of the
+step loop alone (rows are built and learners constructed before the clock
+starts) divided by the 400 rows, warm-up rows included. Learners:
+
+    spam l2      FastSpamTrainer      (O(nnz) per step)
+    spam l1      SpamTrainer          (dense, O(d))
+    spauc l1     L1SpaucTrainer       (class sums, O(d))
+    spauc l2     FastSpaucTrainer     (O(nnz))
+    solam        FastSolamTrainer     (O(nnz), radius TrainConfig.radius)
+
+The full table takes about half a minute on a 2-core machine and uses a few
+hundred MB at d = 10^6. It is not part of the test suite.
+"""
+
+import argparse
+import os
+import time
+
+# one BLAS thread, as in perfbench/run.py, unless the caller chose otherwise;
+# set before numpy loads BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from aucstream.baselines import (FastSolamTrainer, FastSpamTrainer,  # noqa: E402
+                                 SpamTrainer)
+from aucstream.data import Dataset  # noqa: E402
+from aucstream.regularizers import l1, l2, none_reg  # noqa: E402
+from aucstream.schedules import PracticalSchedule  # noqa: E402
+from aucstream.stats import exact_snapshot  # noqa: E402
+from aucstream.trainer import (FastSpaucTrainer, L1SpaucTrainer,  # noqa: E402
+                               TrainConfig)
+
+ROWS, NNZ, REPEATS, MU, LAM = 400, 50, 3, 0.01, 1e-4
+
+
+def random_rows(d: int, seed: int = 0) -> Dataset:
+    rng = np.random.default_rng([seed, d])
+    indices = np.concatenate([np.sort(rng.choice(d, size=NNZ, replace=False))
+                              for _ in range(ROWS)])
+    values = rng.normal(size=ROWS * NNZ)
+    labels = rng.choice([1, -1], size=ROWS)
+    return Dataset(np.arange(0, ROWS * NNZ + 1, NNZ), indices, values, labels, dim=d)
+
+
+def learners(ds: Dataset) -> dict:
+    """Column name -> a function building a fresh learner for ds."""
+    def config(reg):
+        return TrainConfig(regularizer=reg, schedule=PracticalSchedule(MU))
+    moments = exact_snapshot(ds)
+    return {
+        "spam l2": lambda: FastSpamTrainer(ds.dim, config(l2(LAM)), moments),
+        "spam l1": lambda: SpamTrainer(ds.dim, config(l1(LAM)), moments),
+        "spauc l1": lambda: L1SpaucTrainer(ds.dim, config(l1(LAM))),
+        "spauc l2": lambda: FastSpaucTrainer(ds.dim, config(l2(LAM))),
+        "solam": lambda: FastSolamTrainer(ds.dim, config(none_reg())),
+    }
+
+
+def us_per_step(make, rows: list) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        learner = make()
+        tick = time.perf_counter()
+        for z in rows:
+            learner.step(z)
+        best = min(best, time.perf_counter() - tick)
+    return 1e6 * best / len(rows)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dims", default="1000,10000,100000,1000000",
+                        help="comma-separated dimensions")
+    args = parser.parse_args()
+    dims = [int(d) for d in args.dims.split(",")]
+    header = None
+    for d in dims:
+        ds = random_rows(d)
+        rows = list(ds)
+        cells = {name: us_per_step(make, rows) for name, make in learners(ds).items()}
+        if header is None:
+            header = list(cells)
+            print("| d | " + " | ".join(header) + " |")
+            print("|---" * (len(header) + 1) + "|")
+        print(f"| {d:,} | " + " | ".join(f"{cells[n]:,.1f}" for n in header) + " |",
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()
