@@ -386,8 +386,11 @@ def write_report(path, rows: list[ReportRow]) -> None:
 
 def check_benchmark(algos: list[str], repeats: int, test_fraction: float) -> None:
     """Refuse benchmark arguments out of range before any work: split()
-    would refuse test_fraction only on first use, and a repeated algorithm
-    would be fitted twice and reported as two rows of its second run."""
+    would refuse test_fraction only on first use, a repeated algorithm
+    would be fitted twice and reported as two rows of its second run, and
+    an empty list would load the data to report nothing."""
+    if not algos:
+        raise ValueError("name at least one algorithm")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     for algo in algos:

@@ -74,16 +74,23 @@ class ClassStats:
 
 
 def exact_snapshot(dataset: Dataset) -> StatsSnapshot:
-    """Full-data moments (p, u, v) over a dataset containing both classes."""
+    """Full-data moments (p, u, v) over a dataset containing both classes,
+    summed over the runs of rows of dataset.chunks()."""
     if dataset.n_pos < 1 or dataset.n_neg < 1:
         raise NotReadyError(
             f"need at least one example of each class, got {dataset.n_pos} positive "
             f"and {dataset.n_neg} negative"
         )
-    # per-class sums in row order, the same additions ClassStats.update makes
-    row_is_pos = np.repeat(dataset.labels == 1, np.diff(dataset.indptr))
-    sums = [np.bincount(dataset.indices[mask], weights=dataset.values[mask],
-                        minlength=dataset.dim)
-            for mask in (row_is_pos, ~row_is_pos)]
-    return StatsSnapshot(dataset.n_pos / len(dataset), sums[0] / dataset.n_pos,
-                         sums[1] / dataset.n_neg, True)
+    # the positive sums then the negative ones, in one flat array; entries
+    # are added in row order, the same additions ClassStats.update makes
+    d, indptr = dataset.dim, dataset.indptr
+    sums = np.zeros(2 * d)
+    bounds = dataset.chunks()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        lo, hi = indptr.item(start), indptr.item(stop)
+        offsets = np.repeat(np.where(dataset.labels[start:stop] == 1, 0, d),
+                            indptr[start + 1:stop + 1] - indptr[start:stop])
+        offsets += dataset.indices[lo:hi]
+        np.add.at(sums, offsets, dataset.values[lo:hi])
+    return StatsSnapshot(dataset.n_pos / len(dataset), sums[:d] / dataset.n_pos,
+                         sums[d:] / dataset.n_neg, True)

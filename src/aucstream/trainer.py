@@ -204,11 +204,11 @@ class IterateAverages:
             self.epoch.fill(0)
             self.since = np.zeros(1)
 
-    def get(self, fallback: np.ndarray) -> np.ndarray:
-        """The average, or a copy of `fallback` (the last iterate) for "last"
-        and before the first step. A scaled learner flush()es first."""
+    def get(self) -> np.ndarray | None:
+        """The average, or None for "last" and before the first step, where
+        the model is the last iterate. A scaled learner flush()es first."""
         if self.den == 0.0:
-            return fallback.copy()
+            return None
         return self.num / self.den
 
 
@@ -250,8 +250,10 @@ class Learner:
         self.t += 1
 
     def model(self) -> np.ndarray:
-        """The configured iterate: the last one or a weighted running average."""
-        return self.averages.get(self.w)
+        """The configured iterate, the last one or a weighted running
+        average, in an array the learner does not keep."""
+        average = self.averages.get()
+        return self.w.copy() if average is None else average
 
 
 class ScaledLearner(Learner):
@@ -382,7 +384,8 @@ class ScaledLearner(Learner):
 
     def model(self) -> np.ndarray:
         self.averages.flush(self.vectors())
-        return self.averages.get(self.w)
+        average = self.averages.get()
+        return self.w if average is None else average  # w is built afresh
 
 
 class SpaucTrainer(Learner):

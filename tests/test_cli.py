@@ -269,6 +269,14 @@ class TestBenchmarkCommand:
         assert exc.value.code == 2
         assert "once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algos", [",", ""], ids=["comma", "empty"])
+    def test_no_algorithm_usage_error(self, easy_file, capsys, algos):
+        # an empty list loaded the data, ran nothing and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--data", easy_file, "--algos", algos, "--mu", "30"])
+        assert exc.value.code == 2
+        assert "at least one algorithm" in capsys.readouterr().err
+
     def test_needs_mu_or_tune(self, easy_file):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--data", easy_file])

@@ -1,5 +1,6 @@
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,25 @@ def test_scores_match_example_dots():
     w = rng.normal(size=9)
     expected = np.array([ex.dot(w) for ex in ds])
     np.testing.assert_allclose(ds.scores(w), expected, rtol=1e-12, atol=1e-14)
+
+
+def test_scores_memory_is_bounded_by_the_chunk():
+    # the one-pass scores held three temporaries of the dataset's size (16
+    # MB here); per run of rows they are a few hundred KiB
+    n, per_row, d = 10_000, 100, 10_000
+    rng = np.random.default_rng(13)
+    ds = Dataset(np.arange(0, n * per_row + 1, per_row),
+                 rng.integers(d, size=n * per_row), rng.normal(size=n * per_row),
+                 rng.choice([1, -1], size=n), d)
+    w = rng.normal(size=d)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ds.scores(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * 2**20
 
 
 def test_subset_keeps_dim_and_counts():

@@ -1,5 +1,5 @@
-"""Property tests of the CSR Dataset and its LIBSVM parser on random sparse
-datasets."""
+"""Property tests of the CSR Dataset, its LIBSVM parser and its chunked
+whole-dataset passes on random sparse datasets."""
 
 import io
 import os
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from aucstream import data
 from aucstream.data import (BinarizeRule, Dataset, ParseError, load_libsvm,
                             parse_libsvm, write_libsvm)
+from aucstream.stats import NotReadyError, exact_snapshot
 
 from conftest import assert_same_csr, parse_per_line
 
@@ -185,3 +186,79 @@ def test_an_extra_field_and_an_empty_field_parse_as_the_per_line_parser_does(ds,
                       draw.draw(st.integers(0, 5)))
     assert_parses_as_the_per_line_parser("\n".join(lines) + "\n", draw.draw(RULES),
                                          draw.draw(SIZES))
+
+
+# -- chunked passes -------------------------------------------------------
+
+def one_pass_scores(ds: Dataset, w: np.ndarray) -> np.ndarray:
+    """Dataset.scores as one bincount over the whole dataset: the oracle."""
+    rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
+    return np.bincount(rows, weights=ds.values * w[ds.indices], minlength=len(ds))
+
+
+def one_pass_snapshot(ds: Dataset) -> tuple[float, np.ndarray, np.ndarray]:
+    """exact_snapshot's (p, u, v) from boolean masks over the whole dataset:
+    the oracle."""
+    row_is_pos = np.repeat(ds.labels == 1, np.diff(ds.indptr))
+    sums = [np.bincount(ds.indices[mask], weights=ds.values[mask], minlength=ds.dim)
+            for mask in (row_is_pos, ~row_is_pos)]
+    return ds.n_pos / len(ds), sums[0] / ds.n_pos, sums[1] / ds.n_neg
+
+
+@st.composite
+def chunked_datasets(draw):
+    """A Dataset whose rows may be empty (the first, the last or all of
+    them) or longer than a small chunk, possibly wider than its indices."""
+    n = draw(st.integers(1, 15))
+    shape = draw(st.sampled_from(["any", "empty ends", "all empty"]))
+    # few columns, so that sums of three or more terms, whose value depends
+    # on the order of addition, are common
+    rows = [sorted(draw(st.sets(st.integers(0, 5), max_size=0 if shape == "all empty"
+                                else 6))) for _ in range(n)]
+    if shape == "empty ends":
+        rows[0] = rows[-1] = []
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([i for r in rows for i in r], dtype=np.int64)
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(indices),
+                                    max_size=len(indices))), dtype=np.float64)
+    labels = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    dim = int(indices.max(initial=-1)) + 1 + draw(st.integers(0, 2))
+    return Dataset(indptr, indices, values, labels, dim)
+
+
+CHUNKS = st.sampled_from([1, 3, 16])
+
+
+@settings(deadline=None)
+@given(chunked_datasets(), CHUNKS)
+def test_chunks_cut_whole_rows_of_at_most_a_chunk(ds, chunk):
+    with patch.object(data, "SCORE_CHUNK", chunk):
+        bounds = ds.chunks()
+    assert bounds[0] == 0 and bounds[-1] == len(ds)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        assert start < stop or len(ds) == 0
+        assert ds.indptr[stop] - ds.indptr[start] <= chunk or stop == start + 1
+
+
+@settings(deadline=None)
+@given(chunked_datasets(), CHUNKS, st.data())
+def test_chunked_scores_are_the_one_pass_scores(ds, chunk, draw):
+    w = np.array(draw.draw(st.lists(st.floats(-1e3, 1e3), min_size=ds.dim,
+                                    max_size=ds.dim)), dtype=np.float64)
+    with patch.object(data, "SCORE_CHUNK", chunk):
+        got = ds.scores(w)
+    assert got.tobytes() == one_pass_scores(ds, w).tobytes()
+
+
+@settings(deadline=None)
+@given(chunked_datasets(), CHUNKS)
+def test_chunked_snapshot_is_the_one_pass_snapshot(ds, chunk):
+    with patch.object(data, "SCORE_CHUNK", chunk):
+        if not (ds.n_pos and ds.n_neg):
+            with pytest.raises(NotReadyError):
+                exact_snapshot(ds)
+            return
+        got = exact_snapshot(ds)
+    p, u, v = one_pass_snapshot(ds)
+    assert got.p == p and got.ready
+    assert got.u.tobytes() == u.tobytes() and got.v.tobytes() == v.tobytes()
