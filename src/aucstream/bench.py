@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,17 +93,15 @@ def objective_subsample(dataset: Dataset, seed: int,
     return dataset.subset(idx)
 
 
-def config_from_params(params: dict, reg_kind: str, epochs: int, seed: int,
-                       eval_every: int,
-                       radius: float = TrainConfig.radius) -> TrainConfig:
-    """Build a training configuration from a tuning point: `mu` drives the
-    practical schedule, `lambda` the penalty weight when one is in play, and
-    `radius`, when the point has one, replaces the given radius."""
-    lam = 0.0 if reg_kind == "none" else params["lambda"]
-    return TrainConfig(regularizer=Regularizer(reg_kind, lam),
-                       schedule=PracticalSchedule(mu=params["mu"]), epochs=epochs,
-                       seed=seed, eval_every=eval_every,
-                       radius=params.get("radius", radius))
+def config_from_params(params: dict, config: TrainConfig) -> TrainConfig:
+    """The run's config at one tuning point: `mu` sets the practical
+    schedule, `lambda` the weight of the config's penalty unless that is
+    none, and `radius`, when the point has one, replaces the config's."""
+    reg = config.regularizer
+    if reg.kind != "none":
+        reg = Regularizer(reg.kind, params["lambda"])
+    return replace(config, regularizer=reg, schedule=PracticalSchedule(mu=params["mu"]),
+                   radius=params.get("radius", config.radius))
 
 
 def run_algorithm(algo: str, train_data: Dataset, config: TrainConfig,
@@ -272,17 +270,19 @@ def lockstep(algo: str, fit: Dataset,
     return models
 
 
-def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
-                   reg_kind: str, folds: int, seed: int, epochs: int,
-                   radius: float = TrainConfig.radius) -> list[list[float]]:
-    """Each candidate's per-fold validation AUC of the last iterate; a
-    diverged fit scores 0 so it can never win. Every fold needs both
-    classes, so each class must have at least `folds` examples.
+def cross_validate(dataset: Dataset, algo: str, candidates: list[dict], folds: int,
+                   config: TrainConfig) -> list[list[float]]:
+    """Each candidate's per-fold validation AUC of the last iterate of
+    `config` at the candidate's point; a diverged fit scores 0 so it can
+    never win. Every fold needs both classes, so each class must have at
+    least `folds` examples.
 
     Each fold's subsets are built once. Up to LOCKSTEP_MAX_DIM one
     lockstep pass fits every candidate of the fold; a candidate that
     leaves it, and every candidate above that dimension, is fitted alone
-    by run_algorithm.
+    by run_algorithm. The lockstep returns last iterates, so every fold
+    config asks for the last iterate and one trace point, whatever the
+    config's average and trace interval.
     """
     from .metrics import auc
 
@@ -290,21 +290,21 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
         raise ValueError(
             f"{folds}-fold cross-validation needs at least {folds} examples of "
             f"each class, got {dataset.n_pos} positive and {dataset.n_neg} negative")
-    fold_idx = _fold_indices(dataset, folds, seed)
+    fold_idx = _fold_indices(dataset, folds, config.seed)
     all_idx = np.arange(len(dataset))
     scores: list[list[float]] = [[] for _ in candidates]
     for k in range(folds):
         val = dataset.subset(fold_idx[k])
         fit = dataset.subset(np.setdiff1d(all_idx, fold_idx[k]))
-        configs = [config_from_params(params, reg_kind, epochs, seed,
-                                      max(1, len(fit) * epochs), radius)
-                   for params in candidates]
+        fold_config = replace(config, average="last",
+                              eval_every=max(1, len(fit) * config.epochs))
+        configs = [config_from_params(params, fold_config) for params in candidates]
         models = lockstep(algo, fit, configs) if fit.dim <= LOCKSTEP_MAX_DIM \
             else [None] * len(configs)
-        for row, w, config in zip(scores, models, configs):
+        for row, w, cfg in zip(scores, models, configs):
             if w is None:
                 try:
-                    w = run_algorithm(algo, fit, config)[0]
+                    w = run_algorithm(algo, fit, cfg)[0]
                 except DivergenceError:
                     row.append(0.0)
                     continue
@@ -312,16 +312,15 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[dict],
     return scores
 
 
-def tune(dataset: Dataset, algo: str, grid: TuneGrid, reg_kind: str,
-         seed: int, epochs: int, radius: float = TrainConfig.radius):
-    """Random grid search by K-fold cross-validation.
+def tune(dataset: Dataset, algo: str, grid: TuneGrid, config: TrainConfig):
+    """Random grid search by K-fold cross-validation of `config` at the
+    sampled points, drawn with the config's seed.
 
     Returns (best_params, table) where table rows carry the candidate, its
     per-fold AUCs and the mean; ties resolve to the first-sampled candidate.
     """
-    candidates = grid.sample(seed)
-    fold_scores = cross_validate(dataset, algo, candidates, reg_kind, grid.folds,
-                                 seed, epochs, radius)
+    candidates = grid.sample(config.seed)
+    fold_scores = cross_validate(dataset, algo, candidates, grid.folds, config)
     best = None
     best_mean = -np.inf
     table = []
@@ -402,17 +401,13 @@ def check_benchmark(algos: list[str], repeats: int, test_fraction: float) -> Non
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
 
 
-def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
-              repeats: int, base_seed: int, epochs: int, reg_kind: str,
-              fixed_params: dict | None = None,
-              tune_grid: TuneGrid | None = None,
-              test_fraction: float = 0.2,
-              eval_every: int = 1000,
-              radius: float = TrainConfig.radius,
-              outdir=None):
-    """The measurement protocol: per repeat, a fresh seeded split, then per
-    algorithm an optional cross-validated parameter search on the training
-    part and one traced run.
+def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: int,
+              config: TrainConfig, tune_grid: TuneGrid | None = None,
+              test_fraction: float = 0.2, outdir=None):
+    """The measurement protocol: repeat r runs `config` with seed
+    config.seed + r, on a fresh split drawn with that seed, and per
+    algorithm one traced run, at the point an optional cross-validated
+    search on the training part picks when `tune_grid` is given.
 
     Returns (report_rows, trace_map) with trace_map[(algo, repeat)] the run's
     trace. Per-run trace CSVs and the aggregate report are written under
@@ -421,25 +416,20 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str],
     check_benchmark(algos, repeats, test_fraction)
     trace_map = {}
     for r in range(repeats):
-        seed = base_seed + r
-        fit, held_out = split(dataset, test_fraction, seed)
-        obj_data = objective_subsample(fit, seed)
+        run = replace(config, seed=config.seed + r)
+        fit, held_out = split(dataset, test_fraction, run.seed)
+        obj_data = objective_subsample(fit, run.seed)
         for algo in algos:
-            if tune_grid is not None:
-                params = tune(fit, algo, tune_grid, reg_kind, seed, epochs,
-                              radius=radius)[0]
-            else:
-                params = dict(fixed_params or {"mu": 0.01})
-            config = config_from_params(params, reg_kind, epochs, seed, eval_every,
-                                        radius)
+            algo_run = run if tune_grid is None else \
+                config_from_params(tune(fit, algo, tune_grid, run)[0], run)
             trace_map[(algo, r)] = run_algorithm(
-                algo, fit, config, test_data=held_out, objective_data=obj_data)[1]
+                algo, fit, algo_run, test_data=held_out, objective_data=obj_data)[1]
 
     if outdir is not None:
         for (algo, r), trace in trace_map.items():
             write_trace(f"{outdir}/{algo}_rep{r}.csv", trace)
     rows = [aggregate(algo, dataset_name,
-                      [trace_map[(algo, r)] for r in range(repeats)], epochs)
+                      [trace_map[(algo, r)] for r in range(repeats)], config.epochs)
             for algo in algos]
     if outdir is not None:
         write_report(f"{outdir}/report.csv", rows)

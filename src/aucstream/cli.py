@@ -18,8 +18,8 @@ from .data import BINARIZE_RULES, BinarizeRule, ParseError, load_libsvm
 from .metrics import auc
 from .objective import dataset_kappa
 from .regularizers import PENALTIES, Regularizer
-from .schedules import (SCHEDULES, FastRateSchedule, clamp_for_theory,
-                        fast_rate_t1, theory_cap)
+from .schedules import (SCHEDULES, FastRateSchedule, PracticalSchedule,
+                        clamp_for_theory, fast_rate_t1, theory_cap)
 from .trainer import (AVERAGES, DivergenceError, TrainConfig, describe_config,
                       load_model, save_model, train)
 
@@ -250,6 +250,16 @@ def cmd_eval(args, parser) -> int:
     return 0
 
 
+def _practical_config(args, parser, params: dict, **fields) -> TrainConfig:
+    """The config of a benchmark or tune run at the point `params` of the
+    practical schedule: its mu, and its lambda unless --reg is none."""
+    def build():
+        lam = 0.0 if args.reg == "none" else params["lambda"]
+        return TrainConfig(Regularizer(args.reg, lam), PracticalSchedule(params["mu"]),
+                           epochs=args.epochs, seed=args.seed, **fields)
+    return _usage(parser, build)
+
+
 def cmd_benchmark(args, parser) -> int:
     rule = _rule_from_args(args, parser)
     if args.reg != "none" and args.lam is None and not args.tune:
@@ -260,17 +270,14 @@ def cmd_benchmark(args, parser) -> int:
     tune_grid = _usage(parser, bench.protocol_grid, args.reg, args.pairs, args.folds) \
         if args.tune else None
     params = tune_grid.points()[0] if args.tune else {"mu": args.mu, "lambda": args.lam}
-    _usage(parser, bench.config_from_params, params, args.reg, args.epochs, args.seed,
-           args.eval_every, args.radius)
+    config = _practical_config(args, parser, params, eval_every=args.eval_every,
+                               radius=args.radius)
     data = load_libsvm(args.data, rule)
     dataset_name = args.data.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
-    rows, _ = bench.benchmark(
-        data, dataset_name, args.algos, repeats=args.repeats, base_seed=args.seed,
-        epochs=args.epochs, reg_kind=args.reg,
-        fixed_params={"mu": args.mu, "lambda": args.lam}, tune_grid=tune_grid,
-        test_fraction=args.test_fraction, eval_every=args.eval_every,
-        radius=args.radius, outdir=args.outdir)
+    rows, _ = bench.benchmark(data, dataset_name, args.algos, args.repeats, config,
+                              tune_grid=tune_grid, test_fraction=args.test_fraction,
+                              outdir=args.outdir)
     print(",".join(bench.REPORT_HEADER))
     for r in rows:
         print(f"{r.algo},{r.dataset},{r.auc_mean:.4f},{r.auc_std:.4f},"
@@ -283,10 +290,9 @@ def cmd_tune(args, parser) -> int:
     # solam's radius is searched too, so no fixed radius is needed
     grid = _usage(parser, bench.protocol_grid, args.reg, args.pairs, args.folds,
                   tune_radius=args.algo == "solam")
-    _usage(parser, bench.config_from_params, grid.points()[0], args.reg, args.epochs,
-           args.seed, eval_every=1)
+    config = _practical_config(args, parser, grid.points()[0])
     data = load_libsvm(args.data, rule)
-    best, table = bench.tune(data, args.algo, grid, args.reg, args.seed, args.epochs)
+    best, table = bench.tune(data, args.algo, grid, config)
     if args.out:
         bench.write_tune_table(args.out, table)
     print(" ".join(f"{k}={v!r}" for k, v in best.items()))

@@ -7,7 +7,10 @@ import numpy as np
 
 from aucstream import data
 from aucstream.data import Dataset, Example
+from aucstream.regularizers import Regularizer
+from aucstream.schedules import PracticalSchedule
 from aucstream.stats import StatsSnapshot
+from aucstream.trainer import TrainConfig
 
 
 def sparse_example(rng, d, label, density=0.6):
@@ -29,6 +32,14 @@ def random_dataset(rng, n, d, pos_fraction=0.5, density=0.6):
     rng.shuffle(labels)
     examples = [sparse_example(rng, d, y, density) for y in labels]
     return Dataset.from_examples(examples, dim=d)
+
+
+def practical_config(reg_kind="none", mu=50.0, **fields) -> TrainConfig:
+    """A practical-schedule run config, as benchmark and tune take it; the
+    penalty weight, when a penalty is in play, is 1.0 until a tuning point
+    sets it."""
+    return TrainConfig(Regularizer(reg_kind, 0.0 if reg_kind == "none" else 1.0),
+                       PracticalSchedule(mu), **fields)
 
 
 def assert_same_csr(a: Dataset, b: Dataset) -> None:

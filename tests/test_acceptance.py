@@ -249,9 +249,9 @@ def test_criterion_10_table_spot_reproduction():
         # adapt to whichever feature scaling the supplied file carries
         grid = TuneGrid({"mu": [10.0**e for e in range(-7, 3)]},
                         pair_sample_size=10, folds=5)
-        rows, _ = benchmark(ds, "diabetes", ["spauc"], repeats=20, base_seed=0,
-                            epochs=15, reg_kind="none", tune_grid=grid,
-                            eval_every=10**9)
+        config = TrainConfig(none_reg(), PracticalSchedule(1.0), epochs=15, seed=0,
+                             eval_every=10**9)
+        rows, _ = benchmark(ds, "diabetes", ["spauc"], 20, config, tune_grid=grid)
         assert abs(rows[0].auc_mean - 0.8266) <= 0.05
 
 

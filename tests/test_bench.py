@@ -11,7 +11,7 @@ from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID,
                              tune, write_report, write_trace, write_tune_table)
 from aucstream.trainer import TracePoint
 
-from conftest import gaussian_task, random_dataset
+from conftest import gaussian_task, practical_config, random_dataset
 
 
 class TestTraceIO:
@@ -73,7 +73,7 @@ class TestTune:
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n=40, d=4)
         grid = TuneGrid({"mu": [50.0]}, pair_sample_size=1, folds=2)
-        best, table = tune(ds, "spauc", grid, "none", seed=1, epochs=1)
+        best, table = tune(ds, "spauc", grid, practical_config(seed=1, epochs=1))
         assert best == {"mu": 50.0}
         assert len(table) == 1
 
@@ -83,7 +83,7 @@ class TestTune:
         # and scores 0.59-0.99 on the folds, mu = 30 about 0.98 on each, so
         # tune must pick the higher mean fold AUC
         grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=3)
-        best, table = tune(ds, "spauc", grid, "none", seed=2, epochs=2)
+        best, table = tune(ds, "spauc", grid, practical_config(seed=2, epochs=2))
         assert best == {"mu": 30.0}
         means = {row["params"]["mu"]: row["mean_auc"] for row in table}
         assert means[30.0] > means[1.0]
@@ -94,7 +94,7 @@ class TestTune:
         assert ds.n_pos == 4
         grid = TuneGrid({"mu": [50.0]}, pair_sample_size=1, folds=5)
         with pytest.raises(ValueError) as exc:
-            tune(ds, "spauc", grid, "none", seed=1, epochs=1)
+            tune(ds, "spauc", grid, practical_config(seed=1, epochs=1))
         assert "4 positive and 196 negative" in str(exc.value)
 
     def test_stratified_folds_hold_both_classes(self):
@@ -111,7 +111,7 @@ class TestTune:
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, n=40, d=4)
         grid = TuneGrid({"mu": [50.0, 80.0]}, pair_sample_size=2, folds=2)
-        _, table = tune(ds, "spauc", grid, "none", seed=1, epochs=1)
+        _, table = tune(ds, "spauc", grid, practical_config(seed=1, epochs=1))
         path = tmp_path / "cv.csv"
         write_tune_table(path, table)
         with open(path) as fh:
@@ -124,8 +124,7 @@ class TestBenchmark:
     def test_two_repeats_schema(self, tmp_path):
         ds = gaussian_task(4, n=200, d=5)
         rows, traces = benchmark(ds, "toy", ["spauc", "spam"], repeats=2,
-                                 base_seed=5, epochs=2, reg_kind="none",
-                                 fixed_params={"mu": 50.0}, eval_every=100,
+                                 config=practical_config(seed=5, epochs=2, eval_every=100),
                                  outdir=tmp_path)
         assert [r.algo for r in rows] == ["spauc", "spam"]
         for r in rows:
@@ -138,17 +137,15 @@ class TestBenchmark:
 
     def test_single_repeat_has_zero_std(self):
         ds = gaussian_task(5, n=150, d=4)
-        rows, _ = benchmark(ds, "toy", ["spauc"], repeats=1, base_seed=0,
-                            epochs=1, reg_kind="none",
-                            fixed_params={"mu": 50.0}, eval_every=100)
+        rows, _ = benchmark(ds, "toy", ["spauc"], repeats=1,
+                            config=practical_config(seed=0, epochs=1, eval_every=100))
         assert rows[0].auc_std == 0.0 and rows[0].time_per_pass_std == 0.0
 
     def test_aggregate_matches_trace_recomputation(self, tmp_path):
         ds = gaussian_task(6, n=200, d=5)
         epochs = 2
-        rows, _ = benchmark(ds, "toy", ["spauc"], repeats=3, base_seed=1,
-                            epochs=epochs, reg_kind="none",
-                            fixed_params={"mu": 50.0}, eval_every=100,
+        rows, _ = benchmark(ds, "toy", ["spauc"], repeats=3,
+                            config=practical_config(seed=1, epochs=epochs, eval_every=100),
                             outdir=tmp_path)
         finals = [read_trace(tmp_path / f"spauc_rep{r}.csv")[-1] for r in range(3)]
         aucs = [pt.test_auc for pt in finals]
@@ -164,8 +161,7 @@ class TestBenchmark:
 
     def test_reproducible_except_elapsed(self):
         ds = gaussian_task(7, n=200, d=5)
-        kw = dict(repeats=2, base_seed=3, epochs=2, reg_kind="none",
-                  fixed_params={"mu": 50.0}, eval_every=50)
+        kw = dict(repeats=2, config=practical_config(seed=3, epochs=2, eval_every=50))
         _, traces_a = benchmark(ds, "toy", ["spauc", "solam"], **kw)
         _, traces_b = benchmark(ds, "toy", ["spauc", "solam"], **kw)
         for key in traces_a:
@@ -176,9 +172,8 @@ class TestBenchmark:
 
     def test_repeats_use_distinct_seeds(self):
         ds = gaussian_task(8, n=200, d=5)
-        _, traces = benchmark(ds, "toy", ["spauc"], repeats=2, base_seed=0,
-                              epochs=1, reg_kind="none",
-                              fixed_params={"mu": 50.0}, eval_every=50)
+        _, traces = benchmark(ds, "toy", ["spauc"], repeats=2,
+                              config=practical_config(seed=0, epochs=1, eval_every=50))
         a = [p.test_auc for p in traces[("spauc", 0)]]
         b = [p.test_auc for p in traces[("spauc", 1)]]
         assert a != b
@@ -186,16 +181,16 @@ class TestBenchmark:
     def test_unknown_algorithm_rejected(self):
         ds = gaussian_task(10, n=100, d=4)
         with pytest.raises(ValueError) as exc:
-            benchmark(ds, "toy", ["opauc"], repeats=1, base_seed=0, epochs=1,
-                      reg_kind="none", fixed_params={"mu": 50.0})
+            benchmark(ds, "toy", ["opauc"], repeats=1,
+                      config=practical_config(seed=0, epochs=1))
         assert "fsauc" in str(exc.value)
 
     def test_tuned_repeats(self):
         ds = gaussian_task(11, n=300, d=5)
         grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=2)
-        rows, traces = benchmark(ds, "toy", ["spauc"], repeats=2, base_seed=0,
-                                 epochs=2, reg_kind="none", tune_grid=grid,
-                                 eval_every=100)
+        rows, traces = benchmark(ds, "toy", ["spauc"], repeats=2,
+                                 config=practical_config(seed=0, epochs=2, eval_every=100),
+                                 tune_grid=grid)
         assert rows[0].auc_mean > 0.9
         assert len(traces) == 2
 
@@ -215,21 +210,22 @@ class TestBenchmark:
         monkeypatch.setattr(bench_module, "lockstep", spy_lockstep)
         ds = gaussian_task(12, n=120, d=4)
         grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=2)
-        benchmark(ds, "toy", ["solam"], repeats=1, base_seed=0, epochs=1,
-                  reg_kind="none", tune_grid=grid, eval_every=100, radius=5.0)
+        benchmark(ds, "toy", ["solam"], repeats=1,
+                  config=practical_config(seed=0, epochs=1, eval_every=100, radius=5.0),
+                  tune_grid=grid)
         assert len(seen) == 5  # 2 candidates x 2 folds, then the reported run
         assert set(seen) == {5.0}
 
 
 def test_config_from_params():
-    cfg = config_from_params({"mu": 0.5, "lambda": 0.1}, "l2", epochs=3,
-                             seed=4, eval_every=10)
+    cfg = config_from_params({"mu": 0.5, "lambda": 0.1},
+                             practical_config("l2", epochs=3, seed=4, eval_every=10))
     assert cfg.schedule.mu == 0.5
     assert cfg.regularizer.kind == "l2" and cfg.regularizer.lam == 0.1
-    cfg = config_from_params({"mu": 0.5}, "none", epochs=1, seed=0, eval_every=1)
+    cfg = config_from_params({"mu": 0.5}, practical_config(epochs=1, seed=0, eval_every=1))
     assert cfg.regularizer.kind == "none"
     with pytest.raises(KeyError):
-        config_from_params({"mu": 0.5}, "l1", epochs=1, seed=0, eval_every=1)
+        config_from_params({"mu": 0.5}, practical_config("l1", epochs=1, seed=0, eval_every=1))
 
 
 def test_objective_subsample_is_deterministic_and_capped():
