@@ -2,6 +2,11 @@
 repeats, CSV traces, aggregate reports, and cross-validated random grid
 search over step-size and penalty parameters.
 
+Every entry point takes the run's TrainConfig and reads the penalty kind,
+epochs, seed, trace interval, average and solam radius from it; a tuning
+point (config_from_params) changes only the schedule's mu, the penalty
+weight and, when it has one, the radius.
+
 Cross-validation fits the K candidates of a fold in lockstep: they share
 the fold's data and stream order and differ only in scalars, so one pass
 over the fold steps them all, with their iterates as the columns of one
@@ -26,7 +31,7 @@ from .baselines import (ALGORITHMS, clamped_auxiliaries, run_baseline,
                         unknown_algorithm_message)
 from .data import Dataset, split, stream_order
 from .objective import saddle_coefficients, surrogate_moves
-from .regularizers import Regularizer, soft_threshold
+from .regularizers import soft_threshold
 from .schedules import PracticalSchedule
 from .stats import exact_snapshot
 from .trainer import (DivergenceError, FastSpaucTrainer, TracePoint, TrainConfig,
@@ -99,7 +104,7 @@ def config_from_params(params: dict, config: TrainConfig) -> TrainConfig:
     none, and `radius`, when the point has one, replaces the config's."""
     reg = config.regularizer
     if reg.kind != "none":
-        reg = Regularizer(reg.kind, params["lambda"])
+        reg = replace(reg, lam=params["lambda"])
     return replace(config, regularizer=reg, schedule=PracticalSchedule(mu=params["mu"]),
                    radius=params.get("radius", config.radius))
 

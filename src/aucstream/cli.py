@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 
 from . import bench
@@ -182,6 +184,17 @@ def _usage(parser, build, *args, **kwargs):
         parser.error(str(exc))
 
 
+def _check_output(path: str | None, is_dir: bool = False) -> None:
+    """Refuse, before any data is loaded, an output path (or output
+    directory) whose directory does not exist: the write would fail only
+    after the whole fit. An OSError, so exit 1, as for a missing input."""
+    if path is None:
+        return
+    folder = path if is_dir else os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such directory for output", path)
+
+
 def _rule_from_args(args, parser) -> BinarizeRule:
     if args.binarize == "threshold" and args.threshold_label is None:
         parser.error("--binarize threshold requires --threshold-label")
@@ -221,6 +234,8 @@ def _schedule_from_args(args, parser, reg: Regularizer, data):
 def cmd_train(args, parser) -> int:
     rule = _rule_from_args(args, parser)
     reg = _reg_from_args(args, parser)
+    _check_output(args.out)
+    _check_output(args.trace)
     data = load_libsvm(args.data, rule)
     test_data = load_libsvm(args.test, rule) if args.test else None
     schedule = _schedule_from_args(args, parser, reg, data)
@@ -272,6 +287,7 @@ def cmd_benchmark(args, parser) -> int:
     params = tune_grid.points()[0] if args.tune else {"mu": args.mu, "lambda": args.lam}
     config = _practical_config(args, parser, params, eval_every=args.eval_every,
                                radius=args.radius)
+    _check_output(args.outdir, is_dir=True)
     data = load_libsvm(args.data, rule)
     dataset_name = args.data.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
@@ -291,6 +307,7 @@ def cmd_tune(args, parser) -> int:
     grid = _usage(parser, bench.protocol_grid, args.reg, args.pairs, args.folds,
                   tune_radius=args.algo == "solam")
     config = _practical_config(args, parser, grid.points()[0])
+    _check_output(args.out)
     data = load_libsvm(args.data, rule)
     best, table = bench.tune(data, args.algo, grid, config)
     if args.out:

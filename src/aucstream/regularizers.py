@@ -27,8 +27,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in PENALTIES:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.kind != "none" and not self.lam > 0:
-            raise ValueError(f"{self.kind} regularizer needs lam > 0, got {self.lam}")
+        if self.kind != "none" and not 0 < self.lam < np.inf:
+            raise ValueError(f"{self.kind} regularizer needs a finite lam > 0, got {self.lam}")
 
     @property
     def a1(self) -> float:

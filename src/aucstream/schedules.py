@@ -26,8 +26,8 @@ class PolySchedule:
     theta: float
 
     def __post_init__(self):
-        if not self.eta1 > 0:
-            raise ValueError(f"eta1 must be positive, got {self.eta1}")
+        if not 0 < self.eta1 < math.inf:
+            raise ValueError(f"eta1 must be positive and finite, got {self.eta1}")
         if not 0.5 < self.theta <= 1.0:
             raise ValueError(f"theta must be in (1/2, 1], got {self.theta}")
 
@@ -47,10 +47,10 @@ class LogDampedSchedule:
     beta: float
 
     def __post_init__(self):
-        if not self.eta1 > 0:
-            raise ValueError(f"eta1 must be positive, got {self.eta1}")
-        if not self.beta > 2.0:
-            raise ValueError(f"beta must be > 2, got {self.beta}")
+        if not 0 < self.eta1 < math.inf:
+            raise ValueError(f"eta1 must be positive and finite, got {self.eta1}")
+        if not 2.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 2, got {self.beta}")
 
     def step_size(self, t: int) -> float:
         _check_t(t)
@@ -74,12 +74,12 @@ class FastRateSchedule:
     t1: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma_phi > 0:
-            raise ValueError(f"sigma_phi must be positive, got {self.sigma_phi}")
-        if not self.sigma_f >= 0:
-            raise ValueError(f"sigma_f must be >= 0, got {self.sigma_f}")
-        if not self.t1 >= 0:
-            raise ValueError(f"t1 must be >= 0, got {self.t1}")
+        if not 0 < self.sigma_phi < math.inf:
+            raise ValueError(f"sigma_phi must be positive and finite, got {self.sigma_phi}")
+        if not 0 <= self.sigma_f < math.inf:
+            raise ValueError(f"sigma_f must be finite and >= 0, got {self.sigma_f}")
+        if not 0 <= self.t1 < math.inf:
+            raise ValueError(f"t1 must be finite and >= 0, got {self.t1}")
 
     def step_size(self, t: int) -> float:
         _check_t(t)
@@ -98,8 +98,8 @@ class PracticalSchedule:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def step_size(self, t: int) -> float:
         _check_t(t)

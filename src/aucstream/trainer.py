@@ -64,6 +64,8 @@ class TrainConfig:
     radius: float = 100.0  # solam's l2-ball radius, read by solam only
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.eval_every < 1:

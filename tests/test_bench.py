@@ -194,27 +194,60 @@ class TestBenchmark:
         assert rows[0].auc_mean > 0.9
         assert len(traces) == 2
 
-    def test_tuned_solam_runs_at_the_given_radius(self, monkeypatch):
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """(kind, fit data, config) of every fit: "cv" for each lockstep
+        candidate, "run" for each run_algorithm call."""
         seen = []
         real, real_lockstep = bench_module.run_algorithm, bench_module.lockstep
 
         def spy(algo, train_data, config, **kwargs):
-            seen.append(config.radius)
+            seen.append(("run", train_data, config))
             return real(algo, train_data, config, **kwargs)
 
         def spy_lockstep(algo, fit, configs):
-            seen.extend(config.radius for config in configs)
+            seen.extend(("cv", fit, config) for config in configs)
             return real_lockstep(algo, fit, configs)
 
         monkeypatch.setattr(bench_module, "run_algorithm", spy)
         monkeypatch.setattr(bench_module, "lockstep", spy_lockstep)
+        return seen
+
+    def test_tuned_solam_runs_at_the_given_radius(self, fits):
         ds = gaussian_task(12, n=120, d=4)
         grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=2)
-        benchmark(ds, "toy", ["solam"], repeats=1,
-                  config=practical_config(seed=0, epochs=1, eval_every=100, radius=5.0),
-                  tune_grid=grid)
+        config = practical_config(seed=0, epochs=1, eval_every=100, radius=5.0,
+                                  average="avg1")
+        benchmark(ds, "toy", ["solam"], repeats=1, config=config, tune_grid=grid)
+        seen = [config.radius for _, _, config in fits]
         assert len(seen) == 5  # 2 candidates x 2 folds, then the reported run
         assert set(seen) == {5.0}
+        self.check_one_config(fits, config, repeats=1)
+
+    def test_every_repeat_runs_the_config_at_seed_plus_r(self, fits):
+        ds = gaussian_task(13, n=150, d=4)
+        grid = TuneGrid({"mu": [1.0, 30.0], "lambda": [1e-3]}, pair_sample_size=2,
+                        folds=3)
+        config = practical_config("l2", seed=7, epochs=2, eval_every=30, radius=3.0,
+                                  average="avg2")
+        benchmark(ds, "toy", ["spauc", "solam"], repeats=2, config=config,
+                  tune_grid=grid)
+        assert len(fits) == 2 * 2 * (2 * 3 + 1)
+        self.check_one_config(fits, config, repeats=2)
+
+    @staticmethod
+    def check_one_config(fits, config, repeats):
+        """Every fit of repeat r has the config's epochs and radius and seed
+        + r; a CV fit is of the last iterate with one trace point, a
+        reported run has the config's average and trace interval."""
+        per_repeat = len(fits) // repeats
+        for k, (kind, fit, c) in enumerate(fits):
+            assert (c.epochs, c.radius, c.seed) == (config.epochs, config.radius,
+                                                    config.seed + k // per_repeat)
+            if kind == "cv":
+                assert (c.average, c.eval_every) == ("last", len(fit) * config.epochs)
+            else:
+                assert (c.average, c.eval_every) == (config.average, config.eval_every)
 
 
 def test_config_from_params():

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import aucstream
+import aucstream.bench as bench
+import aucstream.cli as cli
 from aucstream.cli import main
 from aucstream.data import MAX_DIM, save_libsvm
 from aucstream.trainer import load_model
@@ -366,9 +368,25 @@ class TestConfigFile:
     ("train", ["--schedule", "logdamped", "--eta1", "1", "--beta", "nan"], None),
     ("train", ["--schedule", "fastrate", "--sigma-phi", "nan"], None),
     ("benchmark", ["--mu", "30", "--radius", "nan"], None),
+    ("train", ["--mu", "inf"], None),
+    ("benchmark", ["--mu", "inf"], None),
+    ("train", ["--mu", "30", "--reg", "l2", "--lambda", "inf"], None),
+    ("train", ["--mu", "30", "--reg", "l1", "--lambda", "inf"], None),
+    ("train", ["--schedule", "poly", "--eta1", "inf", "--theta", "0.6"], None),
+    ("train", ["--schedule", "logdamped", "--eta1", "inf", "--beta", "3"], None),
+    ("train", ["--schedule", "logdamped", "--eta1", "1", "--beta", "inf"], None),
+    ("train", ["--schedule", "fastrate", "--sigma-phi", "inf", "--t1", "1"], None),
+    ("train", ["--schedule", "fastrate", "--sigma-phi", "1", "--sigma-f", "inf"], None),
+    ("train", ["--schedule", "fastrate", "--sigma-phi", "1", "--t1", "inf"], None),
+    ("train", ["--mu", "30", "--seed", "-1"], None),
+    ("benchmark", ["--mu", "30", "--seed", "-1"], None),
+    ("tune", ["--seed", "-1"], None),
 ], ids=["epochs", "eval-every", "mu", "lambda", "config-epochs", "pairs", "folds",
         "repeats", "test-fraction", "radius", "sigma-phi", "mu-nan", "l2-lambda-nan",
-        "l1-lambda-nan", "eta1-nan", "beta-nan", "sigma-phi-nan", "radius-nan"])
+        "l1-lambda-nan", "eta1-nan", "beta-nan", "sigma-phi-nan", "radius-nan",
+        "mu-inf", "benchmark-mu-inf", "l2-lambda-inf", "l1-lambda-inf", "eta1-inf",
+        "logdamped-eta1-inf", "beta-inf", "sigma-phi-inf", "sigma-f-inf", "t1-inf",
+        "train-seed", "benchmark-seed", "tune-seed"])
 def test_refused_value_is_usage_error(tmp_path, easy_file, capsys, verb, flags, conf):
     argv = [verb, "--data", easy_file, *flags]
     if conf is not None:
@@ -379,6 +397,35 @@ def test_refused_value_is_usage_error(tmp_path, easy_file, capsys, verb, flags, 
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,flags", [
+    ("train", ["--mu", "30", "--test", "{data}", "--out", "{missing}/m.json"]),
+    ("train", ["--mu", "30", "--test", "{data}", "--trace", "{missing}/t.csv"]),
+    ("benchmark", ["--mu", "30", "--repeats", "1", "--outdir", "{missing}"]),
+    ("tune", ["--pairs", "1", "--folds", "2", "--out", "{missing}/cv.csv"]),
+], ids=["train-out", "train-trace", "benchmark-outdir", "tune-out"])
+def test_output_into_a_missing_directory_fails_before_the_fit(
+        monkeypatch, tmp_path, easy_file, capsys, verb, flags):
+    # the write used to fail with [Errno 2] only after the whole fit
+    fits = []
+    for owner, name in [(cli, "train"), (bench, "run_algorithm"), (bench, "lockstep")]:
+        def spy(*args, real=getattr(owner, name), **kwargs):
+            fits.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    missing = str(tmp_path / "no_such_dir")
+    argv = [verb, "--data", easy_file,
+            *(f.format(data=easy_file, missing=missing) for f in flags)]
+    assert main(argv) == 1
+    assert fits == []
+    assert missing in capsys.readouterr().err
+
+
+def test_infinite_radius_is_an_unconstrained_solam(easy_file, capsys):
+    assert main(["benchmark", "--data", easy_file, "--algos", "solam", "--mu", "30",
+                 "--radius", "inf", "--repeats", "1", "--epochs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("solam,")
 
 
 def test_more_folds_than_a_class_holds_is_data_error(tiny_file, capsys):

@@ -156,8 +156,13 @@ def test_size_rule(monkeypatch, fits, dim, in_lockstep):
     monkeypatch.setattr(bench, "lockstep", spy)
     ds = random_dataset(np.random.default_rng(24), n=40, d=dim, density=0.01)
     cands = candidates("spauc", "l2", [10.0, 30.0, 100.0])
-    config = practical_config("l2", seed=1, epochs=1)
-    got = cross_validate(ds, "spauc", cands, 2, config)
-    assert (steps, len(fits)) == (([3, 3], 0) if in_lockstep else ([], 6))
-    fits.clear()
-    assert got == per_candidate_cv(ds, "spauc", cands, 2, config)
+    want = per_candidate_cv(ds, "spauc", cands, 2, practical_config("l2", seed=1, epochs=1))
+    # the lockstep scores last iterates, so a run config asking for an
+    # average is cross-validated at its last iterate on both sides of the rule
+    for average in ("last", "avg2"):
+        steps.clear()
+        fits.clear()
+        config = practical_config("l2", seed=1, epochs=1, average=average)
+        got = cross_validate(ds, "spauc", cands, 2, config)
+        assert (steps, len(fits)) == (([3, 3], 0) if in_lockstep else ([], 6))
+        assert got == want

@@ -156,5 +156,6 @@ def test_bad_construction():
 
 @pytest.mark.parametrize("make", [l2, l1], ids=["l2", "l1"])
 def test_nan_weight_refused(make):
-    with pytest.raises(ValueError, match="lam > 0"):
-        make(float("nan"))
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam > 0"):
+            make(weight)

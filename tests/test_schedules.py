@@ -93,7 +93,7 @@ def test_fast_rate_t1_formula():
         fast_rate_t1(c1, sigma_phi, 10, delta=1.5)
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("bad", [
@@ -113,6 +113,13 @@ NAN = float("nan")
     lambda: FastRateSchedule(1.0, 0.0, NAN),
     lambda: PracticalSchedule(NAN),
     lambda: fast_rate_t1(16.0, NAN, 1000),
+    lambda: PolySchedule(INF, 0.8),
+    lambda: LogDampedSchedule(INF, 3.0),
+    lambda: LogDampedSchedule(1.0, INF),
+    lambda: FastRateSchedule(INF, 0.0, 0.0),
+    lambda: FastRateSchedule(1.0, INF, 0.0),
+    lambda: FastRateSchedule(1.0, 0.0, INF),
+    lambda: PracticalSchedule(INF),
 ])
 def test_invalid_parameters(bad):
     with pytest.raises(ValueError):

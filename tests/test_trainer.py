@@ -302,6 +302,8 @@ def test_config_validation():
         config(eval_every=0)
     with pytest.raises(ValueError):
         config(average="median")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        config(seed=-1)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
