@@ -7,15 +7,22 @@ epochs, seed, trace interval, average and solam radius from it; a tuning
 point (config_from_params) changes only the schedule's mu, the penalty
 weight and, when it has one, the radius.
 
-Cross-validation fits the K candidates of a fold in lockstep: they share
-the fold's data and stream order and differ only in scalars, so one pass
-over the fold steps them all, with their iterates as the columns of one
-(d, K) array (see lockstep). That step costs O(d * K), so it is taken only
-up to LOCKSTEP_MAX_DIM; above it each candidate is fitted alone by
-run_algorithm. A candidate whose step goes non-finite, or whose squared
-norm reaches FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is
-refitted alone too, so whether it diverges, and scores 0, is decided as
-for a single run.
+Cross-validation takes several problems at once (benchmark passes every
+repeat of an algorithm, the tune verb one problem) and fits every candidate of
+every fold of every problem in one lockstep pass (see lockstep). A fold's
+candidates share its rows and stream order and differ only in scalars;
+the folds read their own rows, in their own stream order, from the one
+dataset by row id, so no fold's fit rows are copied. The iterates are the
+columns of one (d, C) array, and each step does the d-vector work once for
+all of them. On the tune-dense-d8 data (d = 8; 4 repeats x 3 folds x 4
+candidates, so 48 columns per algorithm) the three algorithms' tuning
+takes about 0.1 s in-process (one BLAS thread, 2-core Xeon VM), a
+quarter of the time of one pass per fold.
+That step costs O(d * C), so it is taken only up to LOCKSTEP_MAX_DIM;
+above it each candidate is fitted alone by run_algorithm. A candidate
+whose step goes non-finite, or whose squared norm reaches
+FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is refitted alone
+too, so whether it diverges, and scores 0, is decided as for a single run.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import (ALGORITHMS, clamped_auxiliaries, run_baseline,
-                        unknown_algorithm_message)
-from .data import Dataset, split, stream_order
-from .objective import saddle_coefficients, surrogate_moves
+from . import data
+from .baselines import ALGORITHMS, run_baseline, unknown_algorithm_message
+from .data import Dataset, split, split_rows, stream_order
+from .objective import saddle_terms, surrogate_moves
 from .regularizers import soft_threshold
 from .schedules import PracticalSchedule
 from .stats import exact_snapshot
@@ -49,10 +56,10 @@ DEFAULT_RADIUS_GRID = [10.0**e for e in range(-1, 6)]
 
 OBJECTIVE_SUBSAMPLE_CAP = 5000
 
-# cross_validate fits the candidates of a fold in lockstep up to this
-# dimension and one at a time above it: a lockstep step costs O(d * K) for
-# K candidates, while K fast learners cost O(nnz(x)) each plus their
-# per-call overhead
+# cross_validate fits its candidates in lockstep up to this dimension and
+# one at a time above it: a lockstep step costs O(d * C) for C columns,
+# while C fast learners cost O(nnz(x)) each plus their per-call overhead
+# (measured with the 4 candidates of one fold)
 LOCKSTEP_MAX_DIM = 1000
 
 
@@ -169,145 +176,270 @@ def protocol_grid(reg_kind: str, pairs: int, folds: int,
     return TuneGrid(params, pair_sample_size=min(pairs, size), folds=folds)
 
 
-def _fold_indices(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray]:
-    """Class-stratified folds: the shuffled positives, then the shuffled
-    negatives, dealt round-robin, so class counts and fold sizes each differ
-    by at most one across folds."""
+def _fold_indices(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
+    """Class-stratified folds of the rows with these labels: the shuffled
+    positives, then the shuffled negatives, dealt round-robin, so class
+    counts and fold sizes each differ by at most one across folds."""
     rng = np.random.default_rng([seed, 2971])
-    order = np.concatenate([rng.permutation(dataset.pos_indices),
-                            rng.permutation(dataset.neg_indices)])
+    order = np.concatenate([rng.permutation(np.flatnonzero(labels == 1)),
+                            rng.permutation(np.flatnonzero(labels == -1))])
     return [order[k::folds] for k in range(folds)]
 
 
-def lockstep(algo: str, fit: Dataset,
-             configs: list[TrainConfig]) -> list[np.ndarray | None]:
-    """Fit every candidate on `fit` in one pass over its stream and return
-    each one's last iterate, or None for a candidate that left the
+# Array forms of scalar formulas, equal to their sources bit for bit on
+# every input, infinities and NaN included (tests/test_lockstep.py).
+
+def _step_sizes(mu, t):
+    """PracticalSchedule(mu).step_size(t)."""
+    return 2.0 / (mu * t + 1.0)
+
+
+def _prox_divisors(eta, lam):
+    """Regularizer("l2", lam).prox_divisor(eta)."""
+    return 1.0 + 2.0 * eta * lam
+
+
+def _clamp(x, bound):
+    """min(max(x, -bound), bound): the builtin max(x, lo) is lo only if
+    lo > x, and min(x, hi) is hi only if hi < x."""
+    x = np.where(-bound > x, -bound, x)
+    return np.where(bound < x, bound, x)
+
+
+def _clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bound):
+    """baselines.clamped_auxiliaries."""
+    return (_clamp(a - eta * ga, bound), _clamp(b - eta * gb, bound),
+            _clamp(alpha + eta * galpha, 2 * bound))
+
+
+def _by_label(formula, positive, *args, **kwargs):
+    """formula(*args, label=..., **kwargs) on arrays, each entry taking the
+    branch of its own label: +1 where `positive`, -1 elsewhere."""
+    return [np.where(positive, x, y) for x, y in zip(formula(*args, label=1, **kwargs),
+                                                     formula(*args, label=-1, **kwargs))]
+
+
+def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[TrainConfig]]]
+             ) -> list[list[np.ndarray | None]]:
+    """Fit every candidate of every group in one pass and return, per group,
+    each candidate's last iterate, or None for a candidate that left the
     lockstep: one whose step, before its rescale, went non-finite or
     reached a squared norm of FastSpaucTrainer.SAFE_LIMIT. cross_validate
     refits those alone.
 
-    The configs share epochs and seed, hence the stream order, and so the
-    candidates share spauc's class sums, spam's full-data moments and
-    solam's running prior and data radius. They differ only in scalars:
-    the step size, the penalty weight and solam's radius. The iterates are
-    the columns of one (d, K) array, and the CSR rows are read directly.
-    Each step does the d-vector work once for every column: one gather of
-    the example's rows, one product for w.x, one with the fixed (2, d)
-    vectors (class sums or moments), one scatter of outer(x, eta * c), and
-    one column rescale (the l2 divisors, the ball projections, or one
-    soft-threshold with per-column thresholds). The scalars come from the
-    learners' own formulas, once per candidate: step_size, surrogate_moves,
-    saddle_coefficients, prox_divisor and clamped_auxiliaries.
+    A group is a fit set, given as row ids of `dataset` in fit order, and
+    its candidates' configs. These share the group's epochs and seed, hence
+    its stream order, and so its spauc class sums, spam full-data moments
+    and solam running prior and data radius; they differ only in scalars:
+    the practical schedule's mu, the penalty weight and solam's radius. All
+    configs share one penalty kind. The iterates of every group are the
+    columns of one (d, C) array, and step s steps each group at the s-th
+    example of its own stream, read from `dataset` by row id; a group whose
+    stream has ended, or that has not seen both classes yet (spauc, solam),
+    keeps its columns.
+
+    What depends on the data alone, the class counts, the prior, the step
+    count t, the label masks, solam's data radius kappa and the examples'
+    (column, nonzero) entries, is computed for a chunk of steps at once: as
+    many steps as hold at most SCORE_CHUNK / 4 entries with the longest row
+    of `dataset`, so memory does not grow with the epochs or the groups. Each
+    step then does the d-vector work once for every column: one gather of
+    the examples' entries, one bincount for w.x, one product with each
+    column's (2, d) vectors (class sums or moments), one scatter of
+    x * eta * c, and one column rescale (the l2 divisors, the ball
+    projections, or one soft-threshold with per-column thresholds). The
+    coefficients come from the learners' own formulas evaluated on arrays:
+    surrogate_moves and saddle_terms, with each column taking the branch of
+    its example's label, and the array forms above of step_size,
+    prox_divisor and clamped_auxiliaries.
     """
-    first = configs[0]
-    kind = first.regularizer.kind
-    scheds = [c.schedule for c in configs]
-    regs = [c.regularizer for c in configs]
-    radii = [c.radius for c in configs]
-    aux = [(0.0, 0.0, 0.0)] * len(configs)  # solam's a, b and alpha
-    models: list[np.ndarray | None] = [None] * len(configs)
-    cols = list(range(len(configs)))  # the candidate in each column of W
-    W = np.zeros((fit.dim, len(cols)))
+    configs = [c for _, cfgs in groups for c in cfgs]
+    kinds = {c.regularizer.kind for c in configs}
+    if len(kinds) != 1:
+        raise ValueError(f"lockstep candidates must share one penalty kind, got {sorted(kinds)}")
+    kind = kinds.pop()
+    sizes = [len(cfgs) for _, cfgs in groups]
+    col_group = np.repeat(np.arange(len(groups)), sizes)
+    col_start = np.cumsum([0] + sizes[:-1])
+    n_cols, d = len(configs), dataset.dim
+    mu = np.array([c.schedule.mu for c in configs])
+    lam = np.array([c.regularizer.lam for c in configs])
+    radius = np.array([c.radius for c in configs])
+    ends = [len(rows) * cfgs[0].epochs for rows, cfgs in groups]  # stream lengths
+    streams = [(-1, None)] * len(groups)  # each group's epoch and its rows in stream order
+    ptr, labels = dataset.indptr, dataset.labels
     if algo == "spam":
-        moments = exact_snapshot(fit)
-        fixed, p = np.stack((moments.u, moments.v)), moments.p
+        moments = [exact_snapshot(dataset, rows) for rows, _ in groups]
+        fixed = np.stack([(m.u, m.v) for m in moments], axis=2)[:, :, col_group]
+        prior = np.array([m.p for m in moments])[col_group]
+    elif algo == "spauc":
+        fixed = np.zeros((2, d, n_cols))  # each column's class sums S+ and S-
     else:
-        fixed = np.zeros((2, fit.dim))  # spauc's class sums S+ and S-
-    sums = fixed[0], fixed[1]
-    n_pos = n = t = 0
-    kappa = 1.0
-    ptr, labels = fit.indptr.tolist(), fit.labels.tolist()
+        norms = np.array([ex.norm() for ex in dataset])
+        aux = [np.zeros(n_cols) for _ in range(3)]  # a, b and alpha
+    # per group: examples and positives seen, steps taken, data radius
+    seen, pos_seen, taken = (np.zeros(len(groups), np.int64) for _ in range(3))
+    kappa = np.ones(len(groups))
+    W = np.zeros((d, n_cols))
+    live = np.ones(n_cols, dtype=bool)
+    # building a chunk's (column, nonzero) entries keeps three entry-sized
+    # arrays alive, so a chunk holds at most a quarter of SCORE_CHUNK
+    # entries, taking every row to be the longest one
+    span = max(1, data.SCORE_CHUNK // (4 * n_cols * max(1, int(np.diff(ptr).max(initial=0)))))
+    total = max(ends)
     # a column that overflows leaves below, so numpy's warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(first.epochs):
-            for i in stream_order(fit, epoch, first.seed).tolist():
-                idx, x = fit.indices[ptr[i]:ptr[i + 1]], fit.values[ptr[i]:ptr[i + 1]]
-                y = labels[i]
-                if algo == "solam":
-                    kappa = max(kappa, math.sqrt(x.dot(x)))
-                if algo == "spam" or 0 < n_pos < n:
-                    t += 1
-                    etas = [scheds[j].step_size(t) for j in cols]
-                    rows = W[idx]
-                    wx = x.dot(rows).tolist()
-                    if algo == "spauc":
-                        p, n_neg = n_pos / n, n - n_pos
-                        w_sp, w_sn = fixed.dot(W).tolist()
-                        coefs = np.array([
-                            surrogate_moves(a, u / n_pos, v / n_neg, p, n_pos, n_neg, eta, y)
-                            for a, u, v, eta in zip(wx, w_sp, w_sn, etas)])
-                        cs = coefs[:, 0]
-                    elif algo == "spam":
-                        cs = [saddle_coefficients(a, u, v, v - u, y, p)[0]
-                              for a, u, v in zip(wx, *fixed.dot(W).tolist())]
-                    else:
-                        coefs = [saddle_coefficients(a, *aux[j], y, n_pos / n)
-                                 for a, j in zip(wx, cols)]
-                        cs = [c[0] for c in coefs]
-                    rows -= np.multiply.outer(x, np.multiply(etas, cs))
-                    W[idx] = rows
-                    if algo == "spauc":
-                        W += fixed.T.dot(coefs[:, 1:].T)  # alpha * S+ + beta * S-
-                    sq = np.einsum("ij,ij->j", W, W).tolist()
-                    if algo == "solam":
-                        W *= [radii[j] / norm if norm > radii[j] else 1.0
-                              for j, norm in zip(cols, map(math.sqrt, sq))]
-                        for j, eta, (_, ga, gb, galpha) in zip(cols, etas, coefs):
-                            aux[j] = clamped_auxiliaries(*aux[j], eta, ga, gb, galpha,
-                                                         kappa * radii[j])
-                    elif kind == "l2":
-                        W /= [regs[j].prox_divisor(eta) for j, eta in zip(cols, etas)]
-                    elif kind == "l1":
-                        W = soft_threshold(W, np.multiply(etas, [regs[j].lam for j in cols]))
-                    stay = [v < FastSpaucTrainer.SAFE_LIMIT for v in sq]  # NaN leaves too
-                    if not all(stay):
-                        cols = [j for j, ok in zip(cols, stay) if ok]
-                        if not cols:
-                            return models
-                        W = W[:, stay]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for s0 in range(0, total, span):
+            s1 = min(s0 + span, total)
+            active = np.arange(s0, s1)[:, None] < ends  # (steps, groups)
+            at = np.zeros(active.shape, np.int64)  # each group's example, by row id
+            for g, (rows, cfgs) in enumerate(groups):
+                lo, stop = s0, min(s1, ends[g])
+                while lo < stop:
+                    epoch, first = divmod(lo, len(rows))
+                    if streams[g][0] != epoch:
+                        streams[g] = (epoch, rows[stream_order(len(rows), epoch, cfgs[0].seed)])
+                    hi = min(stop, (epoch + 1) * len(rows))
+                    at[lo - s0:hi - s0, g] = streams[g][1][first:first + hi - lo]
+                    lo = hi
+            pos = active & (labels[at] == 1)
+            n_pos = pos_seen + np.cumsum(pos, axis=0) - pos  # before the example
+            n = seen + np.cumsum(active, axis=0) - active
+            pos_seen, seen = n_pos[-1] + pos[-1], n[-1] + active[-1]
+            ready = active if algo == "spam" else active & (0 < n_pos) & (n_pos < n)
+            t = taken + np.cumsum(ready, axis=0)
+            taken = t[-1]
+            eta = _step_sizes(mu, t[:, col_group])
+            if algo != "solam" and kind != "none":  # the l2 divisors or l1 thresholds
+                shrink = _prox_divisors(eta, lam) if kind == "l2" else eta * lam
+            positive, stepping = pos[:, col_group], ready[:, col_group]
+            frozen = ~stepping.all(axis=1)
+            if algo == "spauc":
+                n_pos_c, n_neg_c = n_pos[:, col_group], (n - n_pos)[:, col_group]
+            if algo != "spam":
+                prior = (n_pos / n)[:, col_group]
+            if algo == "solam":
+                radii = np.maximum.accumulate(
+                    np.vstack([kappa, np.where(active, norms[at], 1.0)]))[1:]
+                kappa = radii[-1]
+                bound = radii[:, col_group] * radius
+            # the entries of every active group's example, for each of its
+            # columns, row by row: step s holds entries bounds[s]:bounds[s+1],
+            # flat indices of W (of the class sums for spauc) and values
+            ev_step, ev_group = np.nonzero(active)
+            ev_row = at[ev_step, ev_group]
+            nnz = ptr[ev_row + 1] - ptr[ev_row]
+            width = nnz * np.take(sizes, ev_group)
+            # built in place, so that at most three entry-sized arrays are alive
+            offset = np.arange(width.sum())
+            offset -= np.repeat(np.cumsum(width) - width, width)
+            col = np.empty_like(offset)
+            np.divmod(offset, np.repeat(nnz, width), out=(col, offset))  # offset: in the row
+            col += np.repeat(col_start[ev_group], width)
+            offset += np.repeat(ptr[ev_row], width)
+            flat = dataset.indices[offset]
+            flat *= n_cols
+            flat += col
+            del col
+            x = dataset.values[offset]
+            del offset
+            if algo == "spauc":  # S- for a negative example
+                flat += np.repeat(np.where(labels[ev_row] == 1, 0, d * n_cols), width)
+            bounds = np.concatenate([[0], np.cumsum(width)])[
+                np.searchsorted(ev_step, np.arange(s1 - s0 + 1))].tolist()
+            for s in range(s1 - s0):
+                lo, hi = bounds[s], bounds[s + 1]
+                if frozen[s]:
+                    keep = ~stepping[s]
+                    kept = W[:, keep]
+                at_w = flat[lo:hi] % (d * n_cols) if algo == "spauc" else flat[lo:hi]
+                col = at_w % n_cols
+                old = W.take(at_w)
+                wx = np.bincount(col, old * x[lo:hi], minlength=n_cols)
                 if algo == "spauc":
-                    sums[y != 1][idx] += x  # ClassStats.update's sums
-                n_pos += y == 1
-                n += 1
-    for k, j in enumerate(cols):
-        models[j] = W[:, k].copy()
-    return models
+                    w_sp, w_sn = np.einsum("kij,ij->kj", fixed, W)
+                    c, alpha, beta = _by_label(
+                        surrogate_moves, positive[s], wx, w_sp / n_pos_c[s], w_sn / n_neg_c[s],
+                        prior[s], n_pos_c[s], n_neg_c[s], eta[s])
+                elif algo == "spam":
+                    w_u, w_v = np.einsum("kij,ij->kj", fixed, W)
+                    c = _by_label(saddle_terms, positive[s], wx, w_u, w_v, w_v - w_u,
+                                  p=prior)[0]
+                else:
+                    c, ga, gb, galpha = _by_label(saddle_terms, positive[s], wx, *aux,
+                                                  p=prior[s])
+                W.put(at_w, old - x[lo:hi] * (eta[s] * c)[col])
+                if algo == "spauc":
+                    W += fixed[0] * alpha + fixed[1] * beta
+                sq = np.einsum("ij,ij->j", W, W)
+                if algo == "solam":
+                    norm = np.sqrt(sq)
+                    W *= np.where(norm > radius, radius / norm, 1.0)
+                    moved = _clamped_auxiliaries(*aux, eta[s], ga, gb, galpha, bound[s])
+                    aux = [np.where(stepping[s], new, was) for new, was in zip(moved, aux)] \
+                        if frozen[s] else moved
+                elif kind == "l2":
+                    W /= shrink[s]
+                elif kind == "l1":
+                    W = soft_threshold(W, shrink[s])
+                if frozen[s]:
+                    W[:, keep] = kept
+                left = live & stepping[s] & ~(sq < FastSpaucTrainer.SAFE_LIMIT)  # NaN leaves too
+                if left.any():
+                    live &= ~left
+                    if not live.any():
+                        return [[None] * k for k in sizes]
+                if algo == "spauc":  # ClassStats.update's sums
+                    fixed.put(flat[lo:hi], fixed.take(flat[lo:hi]) + x[lo:hi])
+            del x, flat  # before the next chunk's are built
+    models = [W[:, j].copy() if live[j] else None for j in range(n_cols)]
+    return [models[start:start + k] for start, k in zip(col_start, sizes)]
 
 
-def cross_validate(dataset: Dataset, algo: str, candidates: list[dict], folds: int,
-                   config: TrainConfig) -> list[list[float]]:
-    """Each candidate's per-fold validation AUC of the last iterate of
-    `config` at the candidate's point; a diverged fit scores 0 so it can
-    never win. Every fold needs both classes, so each class must have at
+def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], folds: int,
+                   configs: list[TrainConfig],
+                   rows: list[np.ndarray] | None = None) -> list[list[list[float]]]:
+    """Cross-validate several problems at once. Problem i is the rows
+    rows[i] of `dataset`, in that order (every row when `rows` is None),
+    with configs[i] at the points candidates[i]. Returns, per problem, each
+    candidate's per-fold validation AUC of the last iterate of the config at
+    the candidate's point; a diverged fit scores 0 so it can never win.
+    Every fold needs both classes, so each class of a problem must have at
     least `folds` examples.
 
-    Each fold's subsets are built once. Up to LOCKSTEP_MAX_DIM one
-    lockstep pass fits every candidate of the fold; a candidate that
-    leaves it, and every candidate above that dimension, is fitted alone
-    by run_algorithm. The lockstep returns last iterates, so every fold
-    config asks for the last iterate and one trace point, whatever the
-    config's average and trace interval.
+    Up to LOCKSTEP_MAX_DIM one lockstep pass fits every candidate of every
+    fold of every problem, reading the fold's rows of `dataset` in place; a
+    candidate that leaves it, and every candidate above that dimension, is
+    fitted alone by run_algorithm on its fold's rows. The lockstep returns
+    last iterates, so every fold config asks for the last iterate and one
+    trace point, whatever the config's average and trace interval.
     """
     from .metrics import auc
 
-    if dataset.n_pos < folds or dataset.n_neg < folds:
-        raise ValueError(
-            f"{folds}-fold cross-validation needs at least {folds} examples of "
-            f"each class, got {dataset.n_pos} positive and {dataset.n_neg} negative")
-    fold_idx = _fold_indices(dataset, folds, config.seed)
-    all_idx = np.arange(len(dataset))
-    scores: list[list[float]] = [[] for _ in candidates]
-    for k in range(folds):
-        val = dataset.subset(fold_idx[k])
-        fit = dataset.subset(np.setdiff1d(all_idx, fold_idx[k]))
-        fold_config = replace(config, average="last",
-                              eval_every=max(1, len(fit) * config.epochs))
-        configs = [config_from_params(params, fold_config) for params in candidates]
-        models = lockstep(algo, fit, configs) if fit.dim <= LOCKSTEP_MAX_DIM \
-            else [None] * len(configs)
-        for row, w, cfg in zip(scores, models, configs):
+    groups, held_out = [], []  # per fold of each problem
+    for cands, config, part in zip(candidates, configs, rows or [None] * len(configs)):
+        part = np.arange(len(dataset)) if part is None else part
+        labels = dataset.labels[part]
+        n_pos = int(np.count_nonzero(labels == 1))
+        if n_pos < folds or labels.size - n_pos < folds:
+            raise ValueError(
+                f"{folds}-fold cross-validation needs at least {folds} examples of "
+                f"each class, got {n_pos} positive and {labels.size - n_pos} negative")
+        all_idx = np.arange(len(part))
+        for val in _fold_indices(labels, folds, config.seed):
+            fit_rows = part[np.setdiff1d(all_idx, val)]
+            fold_config = replace(config, average="last",
+                                  eval_every=max(1, len(fit_rows) * config.epochs))
+            groups.append((fit_rows, [config_from_params(p, fold_config) for p in cands]))
+            held_out.append(part[val])
+    models = lockstep(algo, dataset, groups) if dataset.dim <= LOCKSTEP_MAX_DIM \
+        else [[None] * len(cfgs) for _, cfgs in groups]
+    scores = [[[] for _ in cands] for cands in candidates]
+    for g, ((fit_rows, fold_configs), val_rows) in enumerate(zip(groups, held_out)):
+        val, fit = dataset.subset(val_rows), None
+        for row, w, cfg in zip(scores[g // folds], models[g], fold_configs):
             if w is None:
+                fit = dataset.subset(fit_rows) if fit is None else fit
                 try:
                     w = run_algorithm(algo, fit, cfg)[0]
                 except DivergenceError:
@@ -317,24 +449,30 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[dict], folds: i
     return scores
 
 
-def tune(dataset: Dataset, algo: str, grid: TuneGrid, config: TrainConfig):
-    """Random grid search by K-fold cross-validation of `config` at the
-    sampled points, drawn with the config's seed.
+def tune(dataset: Dataset, algo: str, grid: TuneGrid, configs: list[TrainConfig],
+         rows: list[np.ndarray] | None = None):
+    """Random grid search by K-fold cross-validation for several problems
+    at once: problem i is the rows rows[i] of `dataset` (every row when
+    `rows` is None) and configs[i] at the points sampled with its seed.
 
-    Returns (best_params, table) where table rows carry the candidate, its
-    per-fold AUCs and the mean; ties resolve to the first-sampled candidate.
+    Returns, per problem, (best_params, table) where table rows carry the
+    candidate, its per-fold AUCs and the mean; ties resolve to the
+    first-sampled candidate.
     """
-    candidates = grid.sample(config.seed)
-    fold_scores = cross_validate(dataset, algo, candidates, grid.folds, config)
-    best = None
-    best_mean = -np.inf
-    table = []
-    for params, scores in zip(candidates, fold_scores):
-        mean = float(np.mean(scores))
-        table.append({"params": params, "fold_aucs": scores, "mean_auc": mean})
-        if mean > best_mean:
-            best, best_mean = params, mean
-    return best, table
+    candidates = [grid.sample(config.seed) for config in configs]
+    results = []
+    for cands, fold_scores in zip(candidates, cross_validate(
+            dataset, algo, candidates, grid.folds, configs, rows)):
+        best = None
+        best_mean = -np.inf
+        table = []
+        for params, scores in zip(cands, fold_scores):
+            mean = float(np.mean(scores))
+            table.append({"params": params, "fold_aucs": scores, "mean_auc": mean})
+            if mean > best_mean:
+                best, best_mean = params, mean
+        results.append((best, table))
+    return results
 
 
 def write_tune_table(path, table) -> None:
@@ -412,21 +550,27 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: in
     """The measurement protocol: repeat r runs `config` with seed
     config.seed + r, on a fresh split drawn with that seed, and per
     algorithm one traced run, at the point an optional cross-validated
-    search on the training part picks when `tune_grid` is given.
+    search on the training part picks when `tune_grid` is given. The
+    searches of all repeats of an algorithm run as one tune call, before
+    the traced runs, which run repeat by repeat.
 
     Returns (report_rows, trace_map) with trace_map[(algo, repeat)] the run's
     trace. Per-run trace CSVs and the aggregate report are written under
     `outdir` when given.
     """
     check_benchmark(algos, repeats, test_fraction)
+    runs = [replace(config, seed=config.seed + r) for r in range(repeats)]
+    if tune_grid is not None:  # every repeat of an algorithm in one pass
+        fit_rows = [split_rows(len(dataset), test_fraction, run.seed)[0] for run in runs]
+        tuned = {algo: [config_from_params(best, run) for (best, _), run in zip(
+                     tune(dataset, algo, tune_grid, runs, fit_rows), runs)]
+                 for algo in algos}
     trace_map = {}
-    for r in range(repeats):
-        run = replace(config, seed=config.seed + r)
+    for r, run in enumerate(runs):
         fit, held_out = split(dataset, test_fraction, run.seed)
         obj_data = objective_subsample(fit, run.seed)
         for algo in algos:
-            algo_run = run if tune_grid is None else \
-                config_from_params(tune(fit, algo, tune_grid, run)[0], run)
+            algo_run = run if tune_grid is None else tuned[algo][r]
             trace_map[(algo, r)] = run_algorithm(
                 algo, fit, algo_run, test_data=held_out, objective_data=obj_data)[1]
 

@@ -234,14 +234,16 @@ def _schedule_from_args(args, parser, reg: Regularizer, data):
 def cmd_train(args, parser) -> int:
     rule = _rule_from_args(args, parser)
     reg = _reg_from_args(args, parser)
+    # the run settings are checked before the load, under a stand-in
+    # schedule: the real one may need the data's kappa
+    config = _usage(parser, TrainConfig, regularizer=reg, schedule=PracticalSchedule(1.0),
+                    epochs=args.epochs, seed=args.seed, average=args.average,
+                    eval_every=args.eval_every)
     _check_output(args.out)
     _check_output(args.trace)
     data = load_libsvm(args.data, rule)
     test_data = load_libsvm(args.test, rule) if args.test else None
-    schedule = _schedule_from_args(args, parser, reg, data)
-    config = _usage(parser, TrainConfig, regularizer=reg, schedule=schedule,
-                    epochs=args.epochs, seed=args.seed, average=args.average,
-                    eval_every=args.eval_every)
+    config = dataclasses.replace(config, schedule=_schedule_from_args(args, parser, reg, data))
     objective_data = bench.objective_subsample(data, args.seed) \
         if args.trace_objective else None
     w, trace = train(data, config, test_data=test_data, objective_data=objective_data)
@@ -309,7 +311,7 @@ def cmd_tune(args, parser) -> int:
     config = _practical_config(args, parser, grid.points()[0])
     _check_output(args.out)
     data = load_libsvm(args.data, rule)
-    best, table = bench.tune(data, args.algo, grid, config)
+    best, table = bench.tune(data, args.algo, grid, [config])[0]
     if args.out:
         bench.write_tune_table(args.out, table)
     print(" ".join(f"{k}={v!r}" for k, v in best.items()))

@@ -194,20 +194,9 @@ class Dataset:
                        self.labels.item(i))
 
     def chunks(self) -> list[int]:
-        """Row bounds [0, ..., len(self)] cutting the rows into runs of
-        whole rows, each of at most SCORE_CHUNK nonzeros or of one longer
-        row; [0, len(self)] when the dataset fits in one run."""
-        indptr, n = self.indptr, len(self)
-        if indptr.item(-1) <= SCORE_CHUNK:
-            return [0, n]
-        bounds = [0]
-        while bounds[-1] < n:
-            start = bounds[-1]
-            # the last row bound within SCORE_CHUNK nonzeros of this start
-            stop = int(indptr.searchsorted(indptr.item(start) + SCORE_CHUNK,
-                                           "right")) - 1
-            bounds.append(max(stop, start + 1))
-        return bounds
+        """chunk_bounds of the rows: runs of whole rows of at most
+        SCORE_CHUNK nonzeros each."""
+        return chunk_bounds(self.indptr)
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """All inner products w.x_i, one np.bincount per run of chunks();
@@ -233,6 +222,23 @@ class Dataset:
         gather = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return Dataset(indptr, self.indices[gather], self.values[gather],
                        self.labels[rows], self.dim)
+
+
+def chunk_bounds(indptr: np.ndarray) -> list[int]:
+    """Row bounds [0, ..., n] cutting the n rows whose bounds are indptr
+    (starting at 0) into runs of whole rows, each of at most SCORE_CHUNK
+    nonzeros or of one longer row; [0, n] when they fit in one run."""
+    n = indptr.size - 1
+    if indptr.item(-1) <= SCORE_CHUNK:
+        return [0, n]
+    bounds = [0]
+    while bounds[-1] < n:
+        start = bounds[-1]
+        # the last row bound within SCORE_CHUNK nonzeros of this start
+        stop = int(indptr.searchsorted(indptr.item(start) + SCORE_CHUNK,
+                                       "right")) - 1
+        bounds.append(max(stop, start + 1))
+    return bounds
 
 
 def _row_sums(indptr: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -481,19 +487,22 @@ def save_libsvm(dataset: Dataset, path: str) -> None:
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled train/test partition.
+    """Deterministic shuffled train/test partition: the rows split_rows
+    gives each part, in that order, with the parent's dim."""
+    fit_rows, test_rows = split_rows(len(dataset), test_fraction, seed)
+    return dataset.subset(fit_rows), dataset.subset(test_rows)
 
-    Test size is floor(test_fraction * n); both parts keep the order of the
-    shuffled permutation and the parent's dim.
-    """
+
+def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row ids of split's two parts: a shuffled permutation of range(n)
+    cut before its last floor(test_fraction * n) entries, the test part."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-    n = len(dataset)
     if n == 0:
         raise ValueError("cannot split an empty dataset")
     perm = np.random.default_rng(seed).permutation(n)
     n_test = int(np.floor(test_fraction * n))
-    return dataset.subset(perm[: n - n_test]), dataset.subset(perm[n - n_test:])
+    return perm[: n - n_test], perm[n - n_test:]
 
 
 def stream_order(dataset: Dataset | int, epoch: int, seed: int) -> np.ndarray:

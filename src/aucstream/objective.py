@@ -150,7 +150,15 @@ def saddle_coefficients(wx: float, a: float, b: float, alpha: float,
     """Scalar parts (c, ga, gb, galpha) of `saddle_grad` at an example with
     label `label` and score wx = w.x: the w-partial is c * x. Both the dense
     and the scaled-vector learners step through this one formula."""
-    _require_prior(p)
+    if not 0.0 < p < 1.0:  # compared here: one call fewer on every step
+        _require_prior(p)
+    return saddle_terms(wx, a, b, alpha, label, p)
+
+
+def saddle_terms(wx, a, b, alpha, label: int, p) -> tuple:
+    """saddle_coefficients without its check of p, so that it also runs
+    elementwise on arrays of wx, a, b, alpha and p, as bench.lockstep
+    evaluates it for many iterates at once."""
     if label == 1:
         sign_term = -(1.0 - p)
         c = 2.0 * (1.0 - p) * (wx - a) + 2.0 * (1.0 + alpha) * sign_term

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Example
+from .data import Dataset, Example, chunk_bounds
 
 
 class NotReadyError(ValueError):
@@ -73,24 +73,35 @@ class ClassStats:
         return StatsSnapshot(p, u, v, self.ready)
 
 
-def exact_snapshot(dataset: Dataset) -> StatsSnapshot:
-    """Full-data moments (p, u, v) over a dataset containing both classes,
-    summed over the runs of rows of dataset.chunks()."""
-    if dataset.n_pos < 1 or dataset.n_neg < 1:
+def exact_snapshot(dataset: Dataset, rows: np.ndarray | None = None) -> StatsSnapshot:
+    """Full-data moments (p, u, v) over the rows `rows` of a dataset, in
+    that order (every row when None), which must hold both classes. The
+    rows are read in place, in runs of chunk_bounds, so the result is that
+    of dataset.subset(rows) without the copy."""
+    labels = dataset.labels if rows is None else dataset.labels[rows]
+    n_pos = int(np.count_nonzero(labels == 1))
+    n_neg = labels.size - n_pos
+    if n_pos < 1 or n_neg < 1:
         raise NotReadyError(
-            f"need at least one example of each class, got {dataset.n_pos} positive "
-            f"and {dataset.n_neg} negative"
+            f"need at least one example of each class, got {n_pos} positive "
+            f"and {n_neg} negative"
         )
     # the positive sums then the negative ones, in one flat array; entries
     # are added in row order, the same additions ClassStats.update makes
     d, indptr = dataset.dim, dataset.indptr
+    starts = indptr[:-1] if rows is None else indptr[rows]
+    lengths = (indptr[1:] if rows is None else indptr[rows + 1]) - starts
+    ends = np.concatenate([[0], np.cumsum(lengths)])  # the rows' bounds, read in order
     sums = np.zeros(2 * d)
-    bounds = dataset.chunks()
+    bounds = chunk_bounds(ends)
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        lo, hi = indptr.item(start), indptr.item(stop)
-        offsets = np.repeat(np.where(dataset.labels[start:stop] == 1, 0, d),
-                            indptr[start + 1:stop + 1] - indptr[start:stop])
-        offsets += dataset.indices[lo:hi]
-        np.add.at(sums, offsets, dataset.values[lo:hi])
-    return StatsSnapshot(dataset.n_pos / len(dataset), sums[:d] / dataset.n_pos,
-                         sums[d:] / dataset.n_neg, True)
+        run = lengths[start:stop]
+        if rows is None:  # the rows' entries are one slice: views, no copy
+            at = slice(ends.item(start), ends.item(stop))
+        else:
+            at = np.repeat(starts[start:stop] - ends[start:stop], run)
+            at += np.arange(ends.item(start), ends.item(stop))
+        offsets = np.repeat(np.where(labels[start:stop] == 1, 0, d), run)
+        offsets += dataset.indices[at]
+        np.add.at(sums, offsets, dataset.values[at])
+    return StatsSnapshot(n_pos / labels.size, sums[:d] / n_pos, sums[d:] / n_neg, True)

@@ -73,7 +73,7 @@ class TestTune:
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n=40, d=4)
         grid = TuneGrid({"mu": [50.0]}, pair_sample_size=1, folds=2)
-        best, table = tune(ds, "spauc", grid, practical_config(seed=1, epochs=1))
+        best, table = tune(ds, "spauc", grid, [practical_config(seed=1, epochs=1)])[0]
         assert best == {"mu": 50.0}
         assert len(table) == 1
 
@@ -83,7 +83,7 @@ class TestTune:
         # and scores 0.59-0.99 on the folds, mu = 30 about 0.98 on each, so
         # tune must pick the higher mean fold AUC
         grid = TuneGrid({"mu": [1.0, 30.0]}, pair_sample_size=2, folds=3)
-        best, table = tune(ds, "spauc", grid, practical_config(seed=2, epochs=2))
+        best, table = tune(ds, "spauc", grid, [practical_config(seed=2, epochs=2)])[0]
         assert best == {"mu": 30.0}
         means = {row["params"]["mu"]: row["mean_auc"] for row in table}
         assert means[30.0] > means[1.0]
@@ -94,13 +94,13 @@ class TestTune:
         assert ds.n_pos == 4
         grid = TuneGrid({"mu": [50.0]}, pair_sample_size=1, folds=5)
         with pytest.raises(ValueError) as exc:
-            tune(ds, "spauc", grid, practical_config(seed=1, epochs=1))
+            tune(ds, "spauc", grid, [practical_config(seed=1, epochs=1)])
         assert "4 positive and 196 negative" in str(exc.value)
 
     def test_stratified_folds_hold_both_classes(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n=200, d=4, pos_fraction=0.025)
-        folds = _fold_indices(ds, 5, seed=0)
+        folds = _fold_indices(ds.labels, 5, seed=0)
         assert sorted(np.concatenate(folds)) == list(range(200))
         for idx in folds:
             assert len(idx) == 40
@@ -111,7 +111,7 @@ class TestTune:
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, n=40, d=4)
         grid = TuneGrid({"mu": [50.0, 80.0]}, pair_sample_size=2, folds=2)
-        _, table = tune(ds, "spauc", grid, practical_config(seed=1, epochs=1))
+        _, table = tune(ds, "spauc", grid, [practical_config(seed=1, epochs=1)])[0]
         path = tmp_path / "cv.csv"
         write_tune_table(path, table)
         with open(path) as fh:
@@ -196,18 +196,20 @@ class TestBenchmark:
 
     @pytest.fixture
     def fits(self, monkeypatch):
-        """(kind, fit data, config) of every fit: "cv" for each lockstep
-        candidate, "run" for each run_algorithm call."""
+        """(kind, fit size, config, where) of every fit: "cv" for each
+        lockstep candidate, where is its group's index and the call's
+        number of groups; "run" for each run_algorithm call."""
         seen = []
         real, real_lockstep = bench_module.run_algorithm, bench_module.lockstep
 
         def spy(algo, train_data, config, **kwargs):
-            seen.append(("run", train_data, config))
+            seen.append(("run", len(train_data), config, None))
             return real(algo, train_data, config, **kwargs)
 
-        def spy_lockstep(algo, fit, configs):
-            seen.extend(("cv", fit, config) for config in configs)
-            return real_lockstep(algo, fit, configs)
+        def spy_lockstep(algo, dataset, groups):
+            seen.extend(("cv", len(rows), config, (g, len(groups)))
+                        for g, (rows, configs) in enumerate(groups) for config in configs)
+            return real_lockstep(algo, dataset, groups)
 
         monkeypatch.setattr(bench_module, "run_algorithm", spy)
         monkeypatch.setattr(bench_module, "lockstep", spy_lockstep)
@@ -219,7 +221,7 @@ class TestBenchmark:
         config = practical_config(seed=0, epochs=1, eval_every=100, radius=5.0,
                                   average="avg1")
         benchmark(ds, "toy", ["solam"], repeats=1, config=config, tune_grid=grid)
-        seen = [config.radius for _, _, config in fits]
+        seen = [config.radius for _, _, config, _ in fits]
         assert len(seen) == 5  # 2 candidates x 2 folds, then the reported run
         assert set(seen) == {5.0}
         self.check_one_config(fits, config, repeats=1)
@@ -239,15 +241,20 @@ class TestBenchmark:
     def check_one_config(fits, config, repeats):
         """Every fit of repeat r has the config's epochs and radius and seed
         + r; a CV fit is of the last iterate with one trace point, a
-        reported run has the config's average and trace interval."""
-        per_repeat = len(fits) // repeats
-        for k, (kind, fit, c) in enumerate(fits):
+        reported run has the config's average and trace interval. A
+        lockstep call's groups are the folds of each repeat in turn, and
+        the reported runs come repeat by repeat."""
+        runs = [c for kind, _, c, _ in fits if kind == "run"]
+        for k, c in enumerate(runs):
             assert (c.epochs, c.radius, c.seed) == (config.epochs, config.radius,
-                                                    config.seed + k // per_repeat)
+                                                    config.seed + k * repeats // len(runs))
+            assert (c.average, c.eval_every) == (config.average, config.eval_every)
+        for kind, size, c, where in fits:
             if kind == "cv":
-                assert (c.average, c.eval_every) == ("last", len(fit) * config.epochs)
-            else:
-                assert (c.average, c.eval_every) == (config.average, config.eval_every)
+                g, n_groups = where
+                assert (c.epochs, c.radius, c.seed) == (config.epochs, config.radius,
+                                                        config.seed + g * repeats // n_groups)
+                assert (c.average, c.eval_every) == ("last", size * config.epochs)
 
 
 def test_config_from_params():

@@ -400,6 +400,21 @@ def test_refused_value_is_usage_error(tmp_path, easy_file, capsys, verb, flags, 
 
 
 @pytest.mark.parametrize("verb,flags", [
+    ("train", ["--mu", "1", "--seed", "-1"]),
+    ("train", ["--mu", "1", "--epochs", "0"]),
+    ("train", ["--mu", "1", "--eval-every", "0"]),
+    ("benchmark", ["--mu", "1", "--seed", "-1"]),
+    ("tune", ["--seed", "-1"]),
+], ids=["train-seed", "train-epochs", "train-eval-every", "benchmark-seed", "tune-seed"])
+def test_run_settings_are_refused_before_the_load(tmp_path, capsys, verb, flags):
+    # train used to check these only after loading, so a missing file exited 1
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--data", str(tmp_path / "no_such.libsvm"), *flags])
+    assert exc.value.code == 2
+    assert "no_such" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,flags", [
     ("train", ["--mu", "30", "--test", "{data}", "--out", "{missing}/m.json"]),
     ("train", ["--mu", "30", "--test", "{data}", "--trace", "{missing}/t.csv"]),
     ("benchmark", ["--mu", "30", "--repeats", "1", "--outdir", "{missing}"]),

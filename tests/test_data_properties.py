@@ -262,3 +262,19 @@ def test_chunked_snapshot_is_the_one_pass_snapshot(ds, chunk):
     p, u, v = one_pass_snapshot(ds)
     assert got.p == p and got.ready
     assert got.u.tobytes() == u.tobytes() and got.v.tobytes() == v.tobytes()
+
+
+@settings(deadline=None)
+@given(chunked_datasets(), CHUNKS, st.data())
+def test_snapshot_of_rows_is_the_snapshot_of_their_subset(ds, chunk, draw):
+    rows = np.array(draw.draw(st.lists(st.integers(0, len(ds) - 1), unique=True)),
+                    dtype=np.int64)
+    sub = ds.subset(rows)
+    with patch.object(data, "SCORE_CHUNK", chunk):
+        if not (sub.n_pos and sub.n_neg):
+            with pytest.raises(NotReadyError):
+                exact_snapshot(ds, rows)
+            return
+        got, want = exact_snapshot(ds, rows), exact_snapshot(sub)
+    assert got.p == want.p and got.ready
+    assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()

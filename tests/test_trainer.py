@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -11,8 +12,9 @@ from aucstream.objective import surrogate_grad
 from aucstream.regularizers import l2, none_reg
 from aucstream.schedules import FastRateSchedule, PolySchedule, PracticalSchedule
 from aucstream.stats import ClassStats
-from aucstream.trainer import (DivergenceError, Learner, SpaucTrainer, TrainConfig,
-                               load_model, save_model, stream_run, train)
+from aucstream.trainer import (MODEL_FORMAT_VERSION, SAVE_BLOCK, DivergenceError,
+                               Learner, SpaucTrainer, TrainConfig, load_model,
+                               save_model, stream_run, train)
 
 from conftest import (dense_example, gaussian_task, pairwise_quadratic,
                       random_dataset, sparse_example)
@@ -281,6 +283,26 @@ class TestModelPersistence:
         w2, meta = load_model(path)
         assert np.array_equal(w, w2)
         assert meta == {"note": "test"}
+
+    @pytest.mark.parametrize("d", [1, 8, 300, SAVE_BLOCK, 2 * SAVE_BLOCK + 5])
+    def test_file_is_the_json_dump_form(self, tmp_path, d):
+        # save_model encodes with json.dumps, whose C encoder must write the
+        # bytes of json.dump's pure-Python one, block by block
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=max(d, 8)) * 10.0 ** rng.integers(-320, 308, size=max(d, 8))
+        w[:8] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e-5, 123456.0]
+        w = w[:d]
+        echo = {"note": "caf\u00e9", "mu": 0.1, "epochs": 2, "average": None}
+        want = tmp_path / "dump.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump({"format_version": MODEL_FORMAT_VERSION, "d": len(w),
+                       "weights": [float(x) for x in w], "config": echo}, fh)
+            fh.write("\n")
+        path = tmp_path / "model.json"
+        save_model(path, w, echo)
+        assert path.read_bytes() == want.read_bytes()
+        w2, _ = load_model(path)
+        assert w2.tobytes() == w.tobytes()
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
