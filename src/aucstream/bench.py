@@ -8,17 +8,18 @@ point (config_from_params) changes only the schedule's mu, the penalty
 weight and, when it has one, the radius.
 
 Cross-validation takes several problems at once (benchmark passes every
-repeat of an algorithm, the tune verb one problem) and fits every candidate of
-every fold of every problem in one lockstep pass (see lockstep). A fold's
-candidates share its rows and stream order and differ only in scalars;
-the folds read their own rows, in their own stream order, from the one
-dataset by row id, so no fold's fit rows are copied. The iterates are the
-columns of one (d, C) array, and each step does the d-vector work once for
-all of them. On the tune-dense-d8 data (d = 8; 4 repeats x 3 folds x 4
-candidates, so 48 columns per algorithm) the three algorithms' tuning
-takes about 0.1 s in-process (one BLAS thread, 2-core Xeon VM), a
-quarter of the time of one pass per fold.
-That step costs O(d * C), so it is taken only up to LOCKSTEP_MAX_DIM;
+repeat of an algorithm, the tune verb one problem) and fits the candidates
+of many folds in one lockstep pass (see lockstep). A fold's candidates
+share its rows and stream order and differ only in scalars; the folds read
+their own rows, in their own stream order, from the one dataset by row id,
+so no fold's fit rows are copied. The iterates are one (folds, K, d)
+array, and each step does the d-vector work once for all of them. A pass
+holds O(folds * K * d) floats, so cross_validate packs consecutive folds
+into passes of at most LOCKSTEP_MAX_CELLS iterate entries. On the tune-dense-d8
+data (d = 8; 4 repeats x 3 folds x 4 candidates, so 48 per algorithm) that
+is one pass, and under the CLI's default protocol (20 repeats x 5 folds x
+15 candidates) one pass at d = 8 and four folds per pass at d = 1000.
+A lockstep step costs O(d * C), so it is taken only up to LOCKSTEP_MAX_DIM;
 above it each candidate is fitted alone by run_algorithm. A candidate
 whose step goes non-finite, or whose squared norm reaches
 FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is refitted alone
@@ -57,10 +58,17 @@ DEFAULT_RADIUS_GRID = [10.0**e for e in range(-1, 6)]
 OBJECTIVE_SUBSAMPLE_CAP = 5000
 
 # cross_validate fits its candidates in lockstep up to this dimension and
-# one at a time above it: a lockstep step costs O(d * C) for C columns,
+# one at a time above it: a lockstep step costs O(d * C) for C candidates,
 # while C fast learners cost O(nnz(x)) each plus their per-call overhead
 # (measured with the 4 candidates of one fold)
 LOCKSTEP_MAX_DIM = 1000
+# a lockstep pass holds at most this many iterate entries, d x C. At
+# d = 1000, cross-validating spam over 4 repeats x 5 folds x 15 candidates
+# (one epoch, one BLAS thread, 2-core Xeon VM) took, on dense rows, 1.9 s
+# with one fold per pass, 1.25 s at this bound (4 folds) and 1.15 s with
+# 17; with 50 nonzeros per row 1.19 s, 0.69 s and 0.70 s, but 17 folds per
+# pass raised the peak resident set by 3 MB (spauc by 4 MB)
+LOCKSTEP_MAX_CELLS = 2**16
 
 
 def write_trace(path, trace: list[TracePoint]) -> None:
@@ -232,26 +240,32 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     its stream order, and so its spauc class sums, spam full-data moments
     and solam running prior and data radius; they differ only in scalars:
     the practical schedule's mu, the penalty weight and solam's radius. All
-    configs share one penalty kind. The iterates of every group are the
-    columns of one (d, C) array, and step s steps each group at the s-th
-    example of its own stream, read from `dataset` by row id; a group whose
-    stream has ended, or that has not seen both classes yet (spauc, solam),
-    keeps its columns.
+    configs share one penalty kind. The iterates are one (groups, k, d)
+    array, k the largest group's candidate count (a smaller group is padded
+    with copies of its last candidate, which are dropped), and step s steps
+    each group at the s-th example of its own stream, read from `dataset`
+    by row id; a group whose stream has ended, or that has not seen both
+    classes yet (spauc, solam), keeps its iterates.
 
     What depends on the data alone, the class counts, the prior, the step
-    count t, the label masks, solam's data radius kappa and the examples'
-    (column, nonzero) entries, is computed for a chunk of steps at once: as
-    many steps as hold at most SCORE_CHUNK / 4 entries with the longest row
-    of `dataset`, so memory does not grow with the epochs or the groups. Each
-    step then does the d-vector work once for every column: one gather of
-    the examples' entries, one bincount for w.x, one product with each
-    column's (2, d) vectors (class sums or moments), one scatter of
-    x * eta * c, and one column rescale (the l2 divisors, the ball
-    projections, or one soft-threshold with per-column thresholds). The
+    count t, the label masks, solam's data radius kappa and the examples,
+    is computed for a chunk of steps at once: each group's example of each
+    step as one dense d-vector, and the step sizes as a (steps, groups, k)
+    array, neither larger than a quarter of SCORE_CHUNK entries. Each group keeps its
+    example and its class sums or moments as one (3, d) block (solam: the
+    example alone), so a step does the d-vector work once for every
+    candidate, as products of each group's (k, d) iterates with its block:
+    one batched matmul for w.x and w against the sums or moments, the move
+    (for spauc one more matmul, c x + alpha S+ + beta S-; for spam and
+    solam c x, made on the example's nonzeros alone when rows hold at most
+    a quarter of d on average), and one rescale (the l2 divisors, the ball
+    projections, or one soft-threshold with per-candidate thresholds). The
     coefficients come from the learners' own formulas evaluated on arrays:
-    surrogate_moves and saddle_terms, with each column taking the branch of
-    its example's label, and the array forms above of step_size,
-    prox_divisor and clamped_auxiliaries.
+    surrogate_moves and saddle_terms, with each candidate taking the branch
+    of its example's label, and the array forms above of step_size,
+    prox_divisor and clamped_auxiliaries. The pass holds O(groups * k * d)
+    floats besides the chunk; cross_validate bounds that by
+    LOCKSTEP_MAX_CELLS.
     """
     configs = [c for _, cfgs in groups for c in cfgs]
     kinds = {c.regularizer.kind for c in configs}
@@ -259,35 +273,42 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
         raise ValueError(f"lockstep candidates must share one penalty kind, got {sorted(kinds)}")
     kind = kinds.pop()
     sizes = [len(cfgs) for _, cfgs in groups]
-    col_group = np.repeat(np.arange(len(groups)), sizes)
-    col_start = np.cumsum([0] + sizes[:-1])
-    n_cols, d = len(configs), dataset.dim
-    mu = np.array([c.schedule.mu for c in configs])
-    lam = np.array([c.regularizer.lam for c in configs])
-    radius = np.array([c.radius for c in configs])
+    n_groups, k, d = len(groups), max(sizes), dataset.dim
+    # every group padded to k candidates with copies of its last, not live
+    padded = [cfgs + cfgs[-1:] * (k - len(cfgs)) for _, cfgs in groups]
+    mu = np.array([[c.schedule.mu for c in cfgs] for cfgs in padded])
+    lam = np.array([[c.regularizer.lam for c in cfgs] for cfgs in padded])
+    radius = np.array([[c.radius for c in cfgs] for cfgs in padded])
+    live = np.arange(k) < np.array(sizes)[:, None]
     ends = [len(rows) * cfgs[0].epochs for rows, cfgs in groups]  # stream lengths
-    streams = [(-1, None)] * len(groups)  # each group's epoch and its rows in stream order
+    streams = [(-1, None)] * n_groups  # each group's epoch and its rows in stream order
     ptr, labels = dataset.indptr, dataset.labels
+    # spam's and solam's move is c x alone: on rows that hold at most a
+    # quarter of d on average, it is made on the example's nonzeros only
+    sparse = algo != "spauc" and 4 * int(ptr[-1]) <= len(dataset) * d
+    # each group's block: its example, then its class sums S+ and S-
+    # (spauc) or its full-data moments u and v (spam)
+    F = np.zeros((n_groups, 1 if algo == "solam" else 3, d))
     if algo == "spam":
         moments = [exact_snapshot(dataset, rows) for rows, _ in groups]
-        fixed = np.stack([(m.u, m.v) for m in moments], axis=2)[:, :, col_group]
-        prior = np.array([m.p for m in moments])[col_group]
-    elif algo == "spauc":
-        fixed = np.zeros((2, d, n_cols))  # each column's class sums S+ and S-
-    else:
+        F[:, 1:] = [(m.u, m.v) for m in moments]
+        prior = np.array([[m.p] for m in moments])
+    elif algo == "solam":
         norms = np.array([ex.norm() for ex in dataset])
-        aux = [np.zeros(n_cols) for _ in range(3)]  # a, b and alpha
+        aux = [np.zeros((n_groups, k)) for _ in range(3)]  # a, b and alpha
     # per group: examples and positives seen, steps taken, data radius
-    seen, pos_seen, taken = (np.zeros(len(groups), np.int64) for _ in range(3))
-    kappa = np.ones(len(groups))
-    W = np.zeros((d, n_cols))
-    live = np.ones(n_cols, dtype=bool)
-    # building a chunk's (column, nonzero) entries keeps three entry-sized
-    # arrays alive, so a chunk holds at most a quarter of SCORE_CHUNK
-    # entries, taking every row to be the longest one
-    span = max(1, data.SCORE_CHUNK // (4 * n_cols * max(1, int(np.diff(ptr).max(initial=0)))))
+    seen, pos_seen, taken = (np.zeros(n_groups, np.int64) for _ in range(3))
+    kappa = np.ones(n_groups)
+    W = np.zeros((n_groups, k, d))
+    # a chunk of steps is as long as neither its examples, one dense
+    # (groups, d) slice per step, nor its (steps, groups, k) step sizes
+    # hold more than a quarter of SCORE_CHUNK entries (or one step):
+    # building the examples keeps four such arrays alive. With all of
+    # SCORE_CHUNK, the tune-dense-d8 job's peak resident set was 0.8 MB
+    # higher, and no faster
+    span = max(1, data.SCORE_CHUNK // (4 * n_groups * max(d, k)))
     total = max(ends)
-    # a column that overflows leaves below, so numpy's warnings are noise
+    # an iterate that overflows leaves below, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s0 in range(0, total, span):
             s1 = min(s0 + span, total)
@@ -309,91 +330,100 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
             ready = active if algo == "spam" else active & (0 < n_pos) & (n_pos < n)
             t = taken + np.cumsum(ready, axis=0)
             taken = t[-1]
-            eta = _step_sizes(mu, t[:, col_group])
+            # (steps, groups, k) below; the group's scalars broadcast over k
+            eta = _step_sizes(mu, t[:, :, None])
             if algo != "solam" and kind != "none":  # the l2 divisors or l1 thresholds
-                shrink = _prox_divisors(eta, lam) if kind == "l2" else eta * lam
-            positive, stepping = pos[:, col_group], ready[:, col_group]
-            frozen = ~stepping.all(axis=1)
+                shrink = (_prox_divisors(eta, lam) if kind == "l2" else eta * lam)[..., None]
+            positive, frozen = pos[:, :, None], ~ready.all(axis=1)
             if algo == "spauc":
-                n_pos_c, n_neg_c = n_pos[:, col_group], (n - n_pos)[:, col_group]
+                n_pos_k, n_neg_k = n_pos[:, :, None], (n - n_pos)[:, :, None]
             if algo != "spam":
-                prior = (n_pos / n)[:, col_group]
+                prior = (n_pos / n)[:, :, None]
             if algo == "solam":
                 radii = np.maximum.accumulate(
                     np.vstack([kappa, np.where(active, norms[at], 1.0)]))[1:]
                 kappa = radii[-1]
-                bound = radii[:, col_group] * radius
-            # the entries of every active group's example, for each of its
-            # columns, row by row: step s holds entries bounds[s]:bounds[s+1],
-            # flat indices of W (of the class sums for spauc) and values
+                bound = radii[:, :, None] * radius
+            # X[s, g] is group g's example at step s, zero once its stream ended
             ev_step, ev_group = np.nonzero(active)
             ev_row = at[ev_step, ev_group]
             nnz = ptr[ev_row + 1] - ptr[ev_row]
-            width = nnz * np.take(sizes, ev_group)
-            # built in place, so that at most three entry-sized arrays are alive
-            offset = np.arange(width.sum())
-            offset -= np.repeat(np.cumsum(width) - width, width)
-            col = np.empty_like(offset)
-            np.divmod(offset, np.repeat(nnz, width), out=(col, offset))  # offset: in the row
-            col += np.repeat(col_start[ev_group], width)
-            offset += np.repeat(ptr[ev_row], width)
-            flat = dataset.indices[offset]
-            flat *= n_cols
-            flat += col
-            del col
-            x = dataset.values[offset]
-            del offset
-            if algo == "spauc":  # S- for a negative example
-                flat += np.repeat(np.where(labels[ev_row] == 1, 0, d * n_cols), width)
-            bounds = np.concatenate([[0], np.cumsum(width)])[
+            entry = np.arange(nnz.sum()) + np.repeat(ptr[ev_row] - (np.cumsum(nnz) - nnz), nnz)
+            # the entries' groups, columns and values, step s's at bounds[s]:bounds[s + 1]
+            e_group, e_col, e_value = np.repeat(ev_group, nnz), dataset.indices[entry], \
+                dataset.values[entry]
+            del entry
+            bounds = np.concatenate([[0], np.cumsum(nnz)])[
                 np.searchsorted(ev_step, np.arange(s1 - s0 + 1))].tolist()
+            X = np.zeros((s1 - s0, n_groups, d))
+            X[np.repeat(ev_step, nnz), e_group, e_col] = e_value
             for s in range(s1 - s0):
-                lo, hi = bounds[s], bounds[s + 1]
                 if frozen[s]:
-                    keep = ~stepping[s]
-                    kept = W[:, keep]
-                at_w = flat[lo:hi] % (d * n_cols) if algo == "spauc" else flat[lo:hi]
-                col = at_w % n_cols
-                old = W.take(at_w)
-                wx = np.bincount(col, old * x[lo:hi], minlength=n_cols)
+                    keep = ~ready[s]
+                    kept = W[keep]
+                F[:, 0] = X[s]
+                # per group, (k, d) @ (d, 1 or 3): w.x, and w against the
+                # class sums or moments
+                products = W @ F.transpose(0, 2, 1)
+                wx, *w_f = (products[:, :, i] for i in range(F.shape[1]))
                 if algo == "spauc":
-                    w_sp, w_sn = np.einsum("kij,ij->kj", fixed, W)
                     c, alpha, beta = _by_label(
-                        surrogate_moves, positive[s], wx, w_sp / n_pos_c[s], w_sn / n_neg_c[s],
-                        prior[s], n_pos_c[s], n_neg_c[s], eta[s])
+                        surrogate_moves, positive[s], wx, w_f[0] / n_pos_k[s],
+                        w_f[1] / n_neg_k[s], prior[s], n_pos_k[s], n_neg_k[s], eta[s])
+                    # c x, alpha S+ and beta S-, per group (k, 3) @ (3, d)
+                    W += np.stack([-eta[s] * c, alpha, beta], axis=2) @ F
                 elif algo == "spam":
-                    w_u, w_v = np.einsum("kij,ij->kj", fixed, W)
-                    c = _by_label(saddle_terms, positive[s], wx, w_u, w_v, w_v - w_u,
+                    c = _by_label(saddle_terms, positive[s], wx, *w_f, w_f[1] - w_f[0],
                                   p=prior)[0]
                 else:
                     c, ga, gb, galpha = _by_label(saddle_terms, positive[s], wx, *aux,
                                                   p=prior[s])
-                W.put(at_w, old - x[lo:hi] * (eta[s] * c)[col])
-                if algo == "spauc":
-                    W += fixed[0] * alpha + fixed[1] * beta
-                sq = np.einsum("ij,ij->j", W, W)
+                if sparse:
+                    lo, hi = bounds[s], bounds[s + 1]
+                    groups_e = e_group[lo:hi]
+                    W[groups_e, :, e_col[lo:hi]] -= e_value[lo:hi, None] * (eta[s] * c)[groups_e]
+                elif algo != "spauc":
+                    W -= (eta[s] * c)[:, :, None] * F[:, None, 0]
+                sq = np.einsum("gkd,gkd->gk", W, W)
                 if algo == "solam":
                     norm = np.sqrt(sq)
-                    W *= np.where(norm > radius, radius / norm, 1.0)
+                    W *= np.where(norm > radius, radius / norm, 1.0)[:, :, None]
                     moved = _clamped_auxiliaries(*aux, eta[s], ga, gb, galpha, bound[s])
-                    aux = [np.where(stepping[s], new, was) for new, was in zip(moved, aux)] \
-                        if frozen[s] else moved
+                    aux = [np.where(ready[s][:, None], new, was)
+                           for new, was in zip(moved, aux)] if frozen[s] else moved
                 elif kind == "l2":
                     W /= shrink[s]
                 elif kind == "l1":
                     W = soft_threshold(W, shrink[s])
                 if frozen[s]:
-                    W[:, keep] = kept
-                left = live & stepping[s] & ~(sq < FastSpaucTrainer.SAFE_LIMIT)  # NaN leaves too
+                    W[keep] = kept
+                left = live & ready[s][:, None] & ~(sq < FastSpaucTrainer.SAFE_LIMIT)  # NaN too
                 if left.any():
                     live &= ~left
                     if not live.any():
-                        return [[None] * k for k in sizes]
+                        return [[None] * size for size in sizes]
                 if algo == "spauc":  # ClassStats.update's sums
-                    fixed.put(flat[lo:hi], fixed.take(flat[lo:hi]) + x[lo:hi])
-            del x, flat  # before the next chunk's are built
-    models = [W[:, j].copy() if live[j] else None for j in range(n_cols)]
-    return [models[start:start + k] for start, k in zip(col_start, sizes)]
+                    F[:, 1] += np.where(pos[s][:, None], X[s], 0.0)
+                    F[:, 2] += np.where(pos[s][:, None], 0.0, X[s])
+            del X, e_group, e_col, e_value  # before the next chunk's are built
+    return [[W[g, j].copy() if live[g, j] else None for j in range(size)]
+            for g, size in enumerate(sizes)]
+
+
+def _passes(groups, dim):
+    """The groups in runs of consecutive groups whose iterates, dim x their
+    candidates, hold at most LOCKSTEP_MAX_CELLS entries; a group larger
+    than that is a run of its own."""
+    batch, cells = [], 0
+    for group in groups:
+        size = dim * len(group[1])
+        if batch and cells + size > LOCKSTEP_MAX_CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch.append(group)
+        cells += size
+    if batch:
+        yield batch
 
 
 def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], folds: int,
@@ -407,8 +437,9 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
     Every fold needs both classes, so each class of a problem must have at
     least `folds` examples.
 
-    Up to LOCKSTEP_MAX_DIM one lockstep pass fits every candidate of every
-    fold of every problem, reading the fold's rows of `dataset` in place; a
+    Up to LOCKSTEP_MAX_DIM lockstep passes fit every candidate of every
+    fold of every problem, reading the fold's rows of `dataset` in place,
+    with as many consecutive folds per pass as LOCKSTEP_MAX_CELLS allows; a
     candidate that leaves it, and every candidate above that dimension, is
     fitted alone by run_algorithm on its fold's rows. The lockstep returns
     last iterates, so every fold config asks for the last iterate and one
@@ -432,12 +463,15 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
                                   eval_every=max(1, len(fit_rows) * config.epochs))
             groups.append((fit_rows, [config_from_params(p, fold_config) for p in cands]))
             held_out.append(part[val])
-    models = lockstep(algo, dataset, groups) if dataset.dim <= LOCKSTEP_MAX_DIM \
-        else [[None] * len(cfgs) for _, cfgs in groups]
+    if dataset.dim > LOCKSTEP_MAX_DIM:
+        models = ([None] * len(cfgs) for _, cfgs in groups)
+    else:  # lazily, so that only one pass's models are alive
+        models = (m for run in _passes(groups, dataset.dim) for m in lockstep(algo, dataset, run))
     scores = [[[] for _ in cands] for cands in candidates]
-    for g, ((fit_rows, fold_configs), val_rows) in enumerate(zip(groups, held_out)):
+    for g, ((fit_rows, fold_configs), val_rows, fold_models) in enumerate(
+            zip(groups, held_out, models)):
         val, fit = dataset.subset(val_rows), None
-        for row, w, cfg in zip(scores[g // folds], models[g], fold_configs):
+        for row, w, cfg in zip(scores[g // folds], fold_models, fold_configs):
             if w is None:
                 fit = dataset.subset(fit_rows) if fit is None else fit
                 try:

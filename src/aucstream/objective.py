@@ -150,8 +150,7 @@ def saddle_coefficients(wx: float, a: float, b: float, alpha: float,
     """Scalar parts (c, ga, gb, galpha) of `saddle_grad` at an example with
     label `label` and score wx = w.x: the w-partial is c * x. Both the dense
     and the scaled-vector learners step through this one formula."""
-    if not 0.0 < p < 1.0:  # compared here: one call fewer on every step
-        _require_prior(p)
+    _require_prior(p)
     return saddle_terms(wx, a, b, alpha, label, p)
 
 

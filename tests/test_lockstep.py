@@ -3,8 +3,9 @@ equal fold AUCs, models within 1e-9 of run_algorithm's after 10^4 steps,
 diverging candidates refitted alone and scored 0.0, ties to the first-sampled candidate, and
 the per-candidate path above LOCKSTEP_MAX_DIM. Several problems, with every
 fold of each, in one pass: each problem's fold table as the loop's, models
-that do not depend on the chunk size, the same picks as the loop over
-repeats, and the array forms of scalar formulas bit for bit."""
+that do not depend on the chunk size, passes within the cell budget, sparse
+rows, the same picks as the loop over repeats, and the array forms of
+scalar formulas bit for bit."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -228,6 +229,54 @@ def test_models_do_not_depend_on_the_chunk_size(algo, reg_kind):
     with patch.object(data, "SCORE_CHUNK", 2**62):  # one chunk
         want = lockstep(algo, ds, groups)
     for chunk in (1, 700, 3000):
+        with patch.object(data, "SCORE_CHUNK", chunk):
+            got = lockstep(algo, ds, groups)
+        assert [[None if w is None else w.tobytes() for w in models] for models in got] \
+            == [[None if w is None else w.tobytes() for w in models] for models in want]
+
+
+@pytest.mark.parametrize("algo,reg_kind", [("spauc", "l2"), ("spam", "l1"), ("solam", "l2")],
+                         ids=["spauc-l2", "spam-l1", "solam-l2"])
+def test_passes_hold_at_most_the_cell_budget(monkeypatch, algo, reg_kind):
+    # d = 4 and 2, 3 or 4 candidates per fold, so a fold holds 8, 12 or 16
+    # cells; under a budget of 13 the 4-candidate folds exceed it alone
+    ds, rows, configs, cands = several_problems(algo, reg_kind)
+    want = cross_validate(ds, algo, cands, 3, configs, rows)
+    passes = []
+    real = bench.lockstep
+
+    def spy(algo, dataset, groups):
+        passes.append([len(configs) for _, configs in groups])
+        return real(algo, dataset, groups)
+    monkeypatch.setattr(bench, "lockstep", spy)
+    for cells, sizes in [(13, [[2], [2], [2], [3], [3], [3], [4], [4], [4]]),
+                         (36, [[2, 2, 2, 3], [3, 3], [4, 4], [4]])]:
+        passes.clear()
+        monkeypatch.setattr(bench, "LOCKSTEP_MAX_CELLS", cells)
+        assert cross_validate(ds, algo, cands, 3, configs, rows) == want
+        assert passes == sizes
+
+
+@pytest.mark.parametrize("algo,reg_kind", [("spam", "l2"), ("spam", "l1"), ("solam", "l2")],
+                         ids=["spam-l2", "spam-l1", "solam-l2"])
+def test_sparse_rows_give_the_per_candidate_tables(algo, reg_kind):
+    # a tenth of d nonzero per row, so spam's and solam's move is made on
+    # the example's nonzeros alone
+    rng = np.random.default_rng(31)
+    ds = random_dataset(rng, n=150, d=40, density=0.1)
+    assert 4 * ds.indptr[-1] <= len(ds) * ds.dim
+    rows = [rng.permutation(150)[:100], rng.permutation(150)[:91]]
+    configs = [practical_config(reg_kind, seed=seed, epochs=epochs)
+               for seed, epochs in [(1, 2), (6, 1)]]
+    cands = [candidates(algo, reg_kind, mus) for mus in ([10.0, 30.0, 100.0], [1.0, 300.0])]
+    got = cross_validate(ds, algo, cands, 3, configs, rows)
+    for part, config, problem_cands, table in zip(rows, configs, cands, got):
+        assert table == per_candidate_cv(ds.subset(part), algo, problem_cands, 3, config)
+    groups = [(part, [config_from_params(p, config) for p in problem_cands])
+              for part, config, problem_cands in zip(rows, configs, cands)]
+    with patch.object(data, "SCORE_CHUNK", 2**62):  # one chunk
+        want = lockstep(algo, ds, groups)
+    for chunk in (1, 500):
         with patch.object(data, "SCORE_CHUNK", chunk):
             got = lockstep(algo, ds, groups)
         assert [[None if w is None else w.tobytes() for w in models] for models in got] \
