@@ -5,11 +5,17 @@ Text given as one string, or as a file path, is parsed in blocks of whole
 lines (about 64 KiB). A block in the strict form ``label idx:val ...``
 (ASCII, single spaces, no comments, blank lines or trailing spaces, digit-only
 indices) is read with one np.fromstring and checked, vectorised, for
-everything the per-line parser checks. Any other block, or one that fails a
-check, is re-read by the per-line parser, which defines the accepted syntax
-and raises every ParseError with its absolute line number. Both paths append
-to the same flat buffers, and the strict path gives bit-identical arrays. An
-iterable of lines is read by the per-line parser alone.
+everything the per-line parser checks. When every field of such a block is a
+plain decimal (``[+-]digits[.digits]``, 1 to EXACT_DIGITS digits, no
+exponent), that np.fromstring reads int64s with the dots deleted, and each
+number is its integer over 10^k for its k fraction digits, which is exactly
+the double a float read gives. Any other strict block (exponents, or the
+17-digit repr values that save_libsvm writes) is read as floats. Any other
+block, or one that fails a check, is re-read by the per-line parser, which
+defines the accepted syntax and raises every ParseError with its absolute
+line number. All paths append to the same flat buffers, and the strict
+paths give bit-identical arrays. An iterable of lines is read by the
+per-line parser alone.
 
 A Dataset is stored once, in compressed sparse row (CSR) form: four flat
 arrays (indptr, indices, values, labels) and dim. Its rows, from indexing or
@@ -254,9 +260,16 @@ def _row_sums(indptr: np.ndarray, products: np.ndarray) -> np.ndarray:
 # larger blocks raised peak memory and parsed no faster
 BLOCK_SIZE = 1 << 16  # bytes read per block (characters for str input)
 
-_DIGITS = b"0123456789"
 _STRICT_MARKS = b"+-.eE: \n"  # the only non-digit bytes of a strict block
-_SPACE, _NEWLINE, _COLON = 32, 10, 58
+_SPACE, _NEWLINE, _COLON, _PLUS, _MINUS, _DOT = 32, 10, 58, 43, 45, 46
+
+# A decimal of at most 15 digits and no exponent is an integer M < 2^53 over
+# 10^k with k <= 15: both are exact doubles, so M / 10^k is the correctly
+# rounded value of the decimal, the double np.fromstring reads (Clinger,
+# "How to Read Floating Point Numbers Accurately", PLDI 1990).
+EXACT_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(EXACT_DIGITS + 1)])
+_AS_INTEGERS = bytes.maketrans(b":", b" ")  # with the dots deleted
 
 
 class _Rows:
@@ -346,8 +359,10 @@ def _parse_blocks(blocks: Iterable[str | bytes], rule: BinarizeRule | None) -> D
     rows = _Rows()
     line_no = 1
     for block in blocks:
-        if isinstance(block, bytes):  # line ends as Python's text mode reads them
-            raw, text = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), None
+        if isinstance(block, bytes):
+            raw, text = block, None
+            if b"\r" in raw:  # line ends as Python's text mode reads them
+                raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         else:
             raw, text = (block.encode("ascii") if block.isascii() else None), block
         if raw is not None and _parse_strict(raw, rule, rows):
@@ -417,24 +432,27 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
     """
     if not raw.endswith(b"\n"):
         raw += b"\n"
-    marks = raw.translate(None, _DIGITS)  # the non-digit bytes, in order
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    at = np.flatnonzero((byte < 48) | (byte > 57))  # the non-digit bytes ("0"-"9")
+    m = byte[at]
     # a block that starts blank is refused: np.fromstring reads one of only
     # whitespace as [-1.]
-    if raw.startswith((b" ", b"\n")) or marks.translate(None, _STRICT_MARKS):
+    if raw.startswith((b" ", b"\n")) or m.tobytes().translate(None, _STRICT_MARKS):
         return False
-    m = np.frombuffer(marks, dtype=np.uint8)
-    is_colon, is_newline = m == _COLON, m == _NEWLINE
+    is_colon, is_space, is_newline = m == _COLON, m == _SPACE, m == _NEWLINE
     # a colon exactly where the previous mark is a space: each feature token
     # holds one colon, the label none, index fields only digits, and no space
     # ends a line, so no field holds more than one number
-    if is_colon[0] or not np.array_equal(is_colon[1:], m[:-1] == _SPACE):
+    if is_colon[0] or not np.array_equal(is_colon[1:], is_space[:-1]):
         return False
-    try:
-        with warnings.catch_warnings():  # older numpy only warns on unread text
-            warnings.simplefilter("error", DeprecationWarning)
-            nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
-    except (ValueError, DeprecationWarning):
-        return False
+    nums = _exact_decimals(raw, byte, at, m, is_colon | is_space | is_newline)
+    if nums is None:  # exponents, long or irregular fields: read as floats
+        try:
+            with warnings.catch_warnings():  # older numpy only warns on unread text
+                warnings.simplefilter("error", DeprecationWarning)
+                nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return False
     ends = np.searchsorted(np.flatnonzero(is_colon), np.flatnonzero(is_newline))
     n, nnz = ends.size, int(ends[-1])
     # every label and both sides of every colon must be a field read as one
@@ -458,6 +476,41 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
     rows.values.frombytes(vals.tobytes())
     rows.labels.frombytes(labels.tobytes())
     return True
+
+
+def _exact_decimals(raw: bytes, byte: np.ndarray, at: np.ndarray, m: np.ndarray,
+                    is_sep: np.ndarray) -> np.ndarray | None:
+    """The fields of a strict block, as the floats np.fromstring reads, from
+    one int64 np.fromstring; None unless every field is ``[+-]digits[.digits]``
+    (either digit run may be empty) with 1 to EXACT_DIGITS digits and no
+    exponent. `byte` is the block, `at` the positions of its non-digit bytes,
+    `m` those bytes and `is_sep` which of them end a field (space, colon or
+    line end)."""
+    if b"e" in raw or b"E" in raw:
+        return None
+    seps = np.flatnonzero(is_sep)
+    digits_to = at[seps] - seps  # the block's digits up to each field's end
+    digits = np.diff(digits_to, prepend=0)
+    if digits.min() < 1 or digits.max() > EXACT_DIGITS:
+        return None
+    # a sign only where a field starts: after a colon or a line end (a space
+    # is always followed by an index and its colon), or at the block's start,
+    # where the index -1 reads the block's closing line end
+    signs = at[(m == _MINUS) | (m == _PLUS)]
+    before = byte[signs - 1]
+    if not ((before == _COLON) | (before == _NEWLINE)).all():
+        return None
+    dots = np.flatnonzero(m == _DOT)
+    if not is_sep[dots + 1].all():  # a dot is its field's last mark
+        return None
+    frac = np.zeros(m.size, dtype=np.intp)  # fraction digits, at each field's end
+    frac[dots + 1] = at[dots + 1] - at[dots] - 1
+    ints = np.fromstring(raw.translate(_AS_INTEGERS, b"."), dtype=np.int64, sep=" ")
+    nums = ints / _POW10[frac[seps]]
+    if not ints.all():  # -0 and -0.0 read as -0.0
+        minus = np.searchsorted(seps, np.flatnonzero(m == _MINUS))
+        nums[minus[ints[minus] == 0]] = -0.0
+    return nums
 
 
 def _binarize_block(raw_labels: np.ndarray, rule: BinarizeRule) -> np.ndarray | None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass
 
@@ -738,13 +737,14 @@ def save_model(path: str, w: np.ndarray, config_echo: dict | None = None) -> Non
     json.dumps, whose C encoder is several times faster than json.dump's
     pure-Python one.
     """
-    weights = np.asarray(w, dtype=np.float64).tolist()
-    head = json.dumps({"format_version": MODEL_FORMAT_VERSION, "d": len(weights),
+    w = np.asarray(w, dtype=np.float64)
+    head = json.dumps({"format_version": MODEL_FORMAT_VERSION, "d": len(w),
                        "weights": []})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-2])  # up to and with the weights' "["
-        for start in range(0, len(weights), SAVE_BLOCK):
-            block = json.dumps(weights[start:start + SAVE_BLOCK])[1:-1]
+        for start in range(0, len(w), SAVE_BLOCK):
+            # one block of Python floats at a time, not all d of them
+            block = json.dumps(w[start:start + SAVE_BLOCK].tolist())[1:-1]
             fh.write(", " + block if start else block)
         fh.write('], "config": ' + json.dumps(config_echo or {}) + "}\n")
 
@@ -764,13 +764,19 @@ def load_model(path: str) -> tuple[np.ndarray, dict]:
     d, weights = doc.get("d"), doc.get("weights")
     if type(d) is not int or d < 1:
         raise ValueError(f"model dimension d must be an integer >= 1, got {d!r}")
-    # bool is an int subclass and None would load as NaN: accept numbers only;
-    # the bound rejects NaN, infinities and integers beyond float range
-    if not isinstance(weights, list) or any(
-            type(x) not in (int, float) or not abs(x) <= sys.float_info.max
-            for x in weights):
-        raise ValueError("model weights must be a list of finite numbers")
-    w = np.asarray(weights, dtype=np.float64)
+    # bool is an int subclass and None would load as NaN: accept numbers only
+    # (the set of types is built at C speed, with no per-weight Python code);
+    # NaN, infinities and integers beyond float range are refused after the
+    # conversion
+    refusal = "model weights must be a list of finite numbers"
+    if not isinstance(weights, list) or not set(map(type, weights)) <= {int, float}:
+        raise ValueError(refusal)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(refusal) from None
+    if not np.isfinite(w).all():
+        raise ValueError(refusal)
     if len(w) != d:
         raise ValueError("model document is inconsistent: d != len(weights)")
     return w, doc.get("config", {})

@@ -207,6 +207,7 @@ class TestEval:
         '{"format_version": 1, "d": 1, "weights": [true]}',
         '{"format_version": 1, "d": 1, "weights": [NaN]}',
         '{"format_version": 1, "d": 1, "weights": [-Infinity]}',
+        '{"format_version": 1, "d": 1, "weights": [[1.0]]}',
         '{"format_version": 1, "d": 0, "weights": []}',
         '{"format_version": 1, "d": 1.0, "weights": [1.0]}',
     ])

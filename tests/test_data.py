@@ -1,6 +1,9 @@
+import importlib.util
 import io
 import os
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +118,21 @@ def fallbacks(monkeypatch):
     return firsts
 
 
+def parsed(text: str, rule=None, parse=parse_libsvm):
+    """The Dataset `parse` reads from `text`, or its ParseError's message."""
+    try:
+        return parse(text, rule)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(a, b) -> None:
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+    else:
+        assert_same_csr(a, b)
+
+
 class TestBlocks:
     """Block boundaries of parse_libsvm/load_libsvm at a 32-byte BLOCK_SIZE.
     Every line of ROWS is 15 bytes, so a block holds two lines."""
@@ -219,6 +237,66 @@ class TestBlocks:
         got = parse_libsvm(text)
         assert fallbacks == [3, 8, 9]  # only the blocks of lines 4, 8 and 10
         assert_same_csr(got, parse_per_line(text))
+
+    @pytest.mark.parametrize("line", [
+        "+1 1:2.5e-3 4:1\n",  # an exponent
+        "+1 1:25E3 4:1\n",  # an exponent without a dot
+        "+1 1:0.1000000000000001\n",  # 16 digits
+        "1234567890123456 1:1\n",  # 16 digits in the label
+        "+1 1:1.2.3 4:1\n",  # two dots
+        "+1 1:- 4:1\n",  # a lone sign
+        "+1 1:. 4:1\n",  # a lone dot
+        "+1 1:1-2 4:1\n",  # a sign inside a field
+        "+1 1:+-2 4:1\n",  # two signs
+        "+1 1:2.- 4:1\n",  # a sign after a dot
+    ])
+    def test_fields_outside_the_integer_form_read_as_floats(self, monkeypatch, line):
+        """Only the block holding a field the integer read cannot take exactly
+        is read as floats, with the arrays, or the ParseError and its line,
+        that the float read and the per-line parser give."""
+        monkeypatch.setattr(data, "BLOCK_SIZE", 32)
+        text = self.ROWS[:30] + line + self.ROWS[30:]
+        exact, as_integers = [], data._exact_decimals
+
+        def spy(*args):
+            nums = as_integers(*args)
+            exact.append(nums is not None)
+            return nums
+
+        monkeypatch.setattr(data, "_exact_decimals", spy)
+        got = parsed(text)
+        assert exact[:2] == [True, False]  # the second block holds the line
+        assert all(exact[2:])
+        monkeypatch.setattr(data, "_exact_decimals", lambda *args: None)
+        assert_same_outcome(got, parsed(text))
+        assert_same_outcome(got, parsed(text, parse=parse_per_line))
+
+    def test_generated_benchmark_text_is_read_as_integers(self, monkeypatch, tmp_path):
+        """Text shaped like the benchmark's (perfbench/gen.py) never reaches
+        the float np.fromstring."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclass
+        spec.loader.exec_module(gen)
+        dtypes, fromstring = [], np.fromstring
+
+        def spy(text, dtype=float, **kwargs):
+            dtypes.append(np.dtype(dtype))
+            return fromstring(text, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", spy)
+        for rows in (gen.dense(1, n=300, dim=8, pos_frac=0.35, spread=0.05, shift=0.075),
+                     gen.planted_sparse(1, n=300, dim=10_000, nnz=100, n_informative=200,
+                                        informative_per_row=8, purity=0.75)):
+            path = tmp_path / "gen.libsvm"
+            size = rows.write(str(path))
+            before = len(dtypes)
+            got = load_libsvm(str(path))
+            assert len(dtypes) - before >= size // data.BLOCK_SIZE
+            np.testing.assert_array_equal(got.values, rows.values)
+            np.testing.assert_array_equal(got.indices, rows.indices)
+        assert set(dtypes) == {np.dtype(np.int64)}
 
     def test_non_utf8_byte_names_its_line(self, fallbacks, tmp_path):
         path = tmp_path / "latin1.libsvm"

@@ -188,6 +188,60 @@ def test_an_extra_field_and_an_empty_field_parse_as_the_per_line_parser_does(ds,
                                          draw.draw(SIZES))
 
 
+# -- the integer read of strict blocks ------------------------------------
+
+SPECIAL_DECIMALS = ["-0", "-0.0", "+0", "0.", "-0.", ".5", "5.", "-.5", "+.5", "007",
+                    "-00.000", "999999999999999", "-99999999999999.9",
+                    ".000000000000001", "1.00000000000000"]
+
+
+@st.composite
+def decimals(draw):
+    """A field ``[+-]digits[.digits]`` of 1 to 15 digits, the dot anywhere
+    or absent, leading and trailing zeros common."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(SPECIAL_DECIMALS))
+    digits = draw(st.text("0123456789", min_size=1, max_size=data.EXACT_DIGITS))
+    dot = draw(st.integers(0, len(digits) + 1))
+    if dot <= len(digits):
+        digits = digits[:dot] + "." + digits[dot:]
+    return draw(st.sampled_from(["", "+", "-"])) + digits
+
+
+@st.composite
+def decimal_blocks(draw):
+    """Strict LIBSVM text whose labels and values are random decimals and
+    whose indices are increasing, some with leading zeros."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        indices = sorted(draw(st.sets(st.integers(1, 10**6), max_size=6)))
+        feats = [f"{draw(st.sampled_from(['', '0', '00']))}{i}:{draw(decimals())}"
+                 for i in indices]
+        lines.append(" ".join([draw(decimals()), *feats]) + "\n")
+    return "".join(lines)
+
+
+@settings(deadline=None)
+@given(decimal_blocks(), SIZES)
+def test_decimal_fields_read_as_integers_are_the_float_read(text, size):
+    rule = BinarizeRule.threshold(0)  # takes any label
+    exact, as_integers = [], data._exact_decimals
+
+    def spy(*args):
+        nums = as_integers(*args)
+        exact.append(nums is not None)
+        return nums
+
+    with block_size(size, per_line_forbidden=True):
+        with patch.object(data, "_exact_decimals", side_effect=spy):
+            got = parse_libsvm(text, rule)
+        with patch.object(data, "_exact_decimals", return_value=None):
+            as_floats = parse_libsvm(text, rule)
+    assert exact and all(exact)
+    assert_same_csr(got, as_floats)
+    assert_same_csr(got, parse_per_line(text, rule))
+
+
 # -- chunked passes -------------------------------------------------------
 
 def one_pass_scores(ds: Dataset, w: np.ndarray) -> np.ndarray:

@@ -25,8 +25,10 @@ def run_tool(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_step_cost_prints_one_row_of_positive_cells():
     proc = run_tool("step_cost.py", "--dims", "1000")
     assert proc.returncode == 0, proc.stderr
-    header, rule, *rows = proc.stdout.splitlines()
+    header, rule, *rows, host = proc.stdout.splitlines()
     assert header.startswith("| d |") and rule.startswith("|---")
+    assert host.startswith("host scale ")
+    assert float(host.split()[2].rstrip(":")) > 0
     assert len(rows) == 1
     d, *cells = [c.strip() for c in rows[0].strip("|").split("|")]
     assert d == "1,000"

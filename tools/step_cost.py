@@ -7,7 +7,10 @@ values, labels +1/-1 with prior 1/2) and steps a fresh learner over them once,
 in row order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
 the last iterate. A cell is the best of 3 such passes: the seconds of the
 step loop alone (rows are built and learners constructed before the clock
-starts) divided by the 400 rows, warm-up rows included. Learners:
+starts) divided by the 400 rows, warm-up rows included, and scaled to the
+nominal host of perfbench/run.py: perfbench/hostref.py is timed in a fresh
+process before and after the table, and every cell is multiplied by 0.5 s
+over the mean of those two times, the factor printed under the table. Learners:
 
     spam l2      FastSpamTrainer      (O(nnz) per step)
     spam l1      SpamTrainer          (dense, O(d))
@@ -21,7 +24,10 @@ hundred MB at d = 10^6. It is not part of the test suite.
 
 import argparse
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 # one BLAS thread, as in perfbench/run.py, unless the caller chose otherwise;
 # set before numpy loads BLAS
@@ -40,6 +46,15 @@ from aucstream.trainer import (FastSpaucTrainer, L1SpaucTrainer,  # noqa: E402
                                TrainConfig)
 
 ROWS, NNZ, REPEATS, MU, LAM = 400, 50, 3, 0.01, 1e-4
+HOSTREF = Path(__file__).resolve().parent.parent / "perfbench" / "hostref.py"
+HOSTREF_NOMINAL_S = 0.5  # perfbench/run.py's nominal host
+
+
+def host_reference() -> float:
+    """Wall time of one run of perfbench/hostref.py in a fresh process."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(HOSTREF)], check=True)
+    return time.perf_counter() - start
 
 
 def random_rows(d: int, seed: int = 0) -> Dataset:
@@ -82,17 +97,24 @@ def main() -> None:
                         help="comma-separated dimensions")
     args = parser.parse_args()
     dims = [int(d) for d in args.dims.split(",")]
-    header = None
+    host_reference()  # untimed, so the timed runs start warm, as in perfbench
+    before = host_reference()
+    table = []
     for d in dims:
         ds = random_rows(d)
         rows = list(ds)
-        cells = {name: us_per_step(make, rows) for name, make in learners(ds).items()}
-        if header is None:
-            header = list(cells)
-            print("| d | " + " | ".join(header) + " |")
-            print("|---" * (len(header) + 1) + "|")
-        print(f"| {d:,} | " + " | ".join(f"{cells[n]:,.1f}" for n in header) + " |",
-              flush=True)
+        table.append((d, {name: us_per_step(make, rows)
+                          for name, make in learners(ds).items()}))
+    after = host_reference()
+    scale = HOSTREF_NOMINAL_S / ((before + after) / 2)
+    header = list(table[0][1])
+    print("| d | " + " | ".join(header) + " |")
+    print("|---" * (len(header) + 1) + "|")
+    for d, cells in table:
+        print(f"| {d:,} | " + " | ".join(f"{cells[n] * scale:,.1f}" for n in header)
+              + " |")
+    print(f"host scale {scale:.4f}: hostref.py took {before:.3f} s before the "
+          f"table and {after:.3f} s after it, nominal {HOSTREF_NOMINAL_S} s")
 
 
 if __name__ == "__main__":
