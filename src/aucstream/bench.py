@@ -37,7 +37,7 @@ import numpy as np
 
 from . import data
 from .baselines import ALGORITHMS, run_baseline, unknown_algorithm_message
-from .data import Dataset, split, split_rows, stream_order
+from .data import Dataset, gather_rows, split, split_rows, stream_order
 from .objective import saddle_terms, surrogate_moves
 from .regularizers import soft_threshold
 from .schedules import PracticalSchedule
@@ -347,14 +347,13 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
             # X[s, g] is group g's example at step s, zero once its stream ended
             ev_step, ev_group = np.nonzero(active)
             ev_row = at[ev_step, ev_group]
-            nnz = ptr[ev_row + 1] - ptr[ev_row]
-            entry = np.arange(nnz.sum()) + np.repeat(ptr[ev_row] - (np.cumsum(nnz) - nnz), nnz)
+            row_bounds, entry = gather_rows(ptr, ev_row)
+            nnz = row_bounds[1:] - row_bounds[:-1]
             # the entries' groups, columns and values, step s's at bounds[s]:bounds[s + 1]
             e_group, e_col, e_value = np.repeat(ev_group, nnz), dataset.indices[entry], \
                 dataset.values[entry]
             del entry
-            bounds = np.concatenate([[0], np.cumsum(nnz)])[
-                np.searchsorted(ev_step, np.arange(s1 - s0 + 1))].tolist()
+            bounds = row_bounds[np.searchsorted(ev_step, np.arange(s1 - s0 + 1))].tolist()
             X = np.zeros((s1 - s0, n_groups, d))
             X[np.repeat(ev_step, nnz), e_group, e_col] = e_value
             for s in range(s1 - s0):
@@ -441,45 +440,50 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
     fold of every problem, reading the fold's rows of `dataset` in place,
     with as many consecutive folds per pass as LOCKSTEP_MAX_CELLS allows; a
     candidate that leaves it, and every candidate above that dimension, is
-    fitted alone by run_algorithm on its fold's rows. The lockstep returns
+    fitted alone by run_algorithm on its fold's rows. A pass's folds, their
+    fit and held-out rows, are built when it runs. The lockstep returns
     last iterates, so every fold config asks for the last iterate and one
-    trace point, whatever the config's average and trace interval.
+    trace point, whatever the config's average and trace interval; a
+    problem's candidates share these configs across its folds.
     """
     from .metrics import auc
 
-    groups, held_out = [], []  # per fold of each problem
+    problems = []  # each problem's rows and its candidates' configs, shared by its folds
     for cands, config, part in zip(candidates, configs, rows or [None] * len(configs)):
         part = np.arange(len(dataset)) if part is None else part
-        labels = dataset.labels[part]
-        n_pos = int(np.count_nonzero(labels == 1))
-        if n_pos < folds or labels.size - n_pos < folds:
+        n_pos = int(np.count_nonzero(dataset.labels[part] == 1))
+        if n_pos < folds or len(part) - n_pos < folds:
             raise ValueError(
                 f"{folds}-fold cross-validation needs at least {folds} examples of "
-                f"each class, got {n_pos} positive and {labels.size - n_pos} negative")
-        all_idx = np.arange(len(part))
-        for val in _fold_indices(labels, folds, config.seed):
-            fit_rows = part[np.setdiff1d(all_idx, val)]
-            fold_config = replace(config, average="last",
-                                  eval_every=max(1, len(fit_rows) * config.epochs))
-            groups.append((fit_rows, [config_from_params(p, fold_config) for p in cands]))
-            held_out.append(part[val])
-    if dataset.dim > LOCKSTEP_MAX_DIM:
-        models = ([None] * len(cfgs) for _, cfgs in groups)
-    else:  # lazily, so that only one pass's models are alive
-        models = (m for run in _passes(groups, dataset.dim) for m in lockstep(algo, dataset, run))
+                f"each class, got {n_pos} positive and {len(part) - n_pos} negative")
+        # no fold fits more than len(part) rows, so each records one trace point
+        fold_config = replace(config, average="last",
+                              eval_every=max(1, len(part) * config.epochs))
+        problems.append((part, config.seed, [config_from_params(p, fold_config)
+                                             for p in cands]))
+
+    # per fold: its fit rows, configs, held-out rows and problem, built as
+    # the passes reach it
+    fold_groups = ((part[np.setdiff1d(np.arange(len(part)), val)], fold_configs, part[val], i)
+                   for i, (part, seed, fold_configs) in enumerate(problems)
+                   for val in _fold_indices(dataset.labels[part], folds, seed))
     scores = [[[] for _ in cands] for cands in candidates]
-    for g, ((fit_rows, fold_configs), val_rows, fold_models) in enumerate(
-            zip(groups, held_out, models)):
-        val, fit = dataset.subset(val_rows), None
-        for row, w, cfg in zip(scores[g // folds], fold_models, fold_configs):
-            if w is None:
-                fit = dataset.subset(fit_rows) if fit is None else fit
-                try:
-                    w = run_algorithm(algo, fit, cfg)[0]
-                except DivergenceError:
-                    row.append(0.0)
-                    continue
-            row.append(auc(val.scores(w), val.labels))
+    for run in _passes(fold_groups, dataset.dim):
+        if dataset.dim > LOCKSTEP_MAX_DIM:
+            models = [[None] * len(group[1]) for group in run]
+        else:
+            models = lockstep(algo, dataset, [group[:2] for group in run])
+        for (fit_rows, fold_configs, val_rows, i), fold_models in zip(run, models):
+            val, fit = dataset.subset(val_rows), None
+            for row, w, cfg in zip(scores[i], fold_models, fold_configs):
+                if w is None:
+                    fit = dataset.subset(fit_rows) if fit is None else fit
+                    try:
+                        w = run_algorithm(algo, fit, cfg)[0]
+                    except DivergenceError:
+                        row.append(0.0)
+                        continue
+                row.append(auc(val.scores(w), val.labels))
     return scores
 
 

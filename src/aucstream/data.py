@@ -1,10 +1,11 @@
 """Sparse dataset handling: LIBSVM/SVMlight text parsing, label binarization,
 train/test splitting and deterministic streaming order.
 
-Text given as one string, or as a file path, is parsed in blocks of whole
-lines (about 64 KiB). A block in the strict form ``label idx:val ...``
-(ASCII, single spaces, no comments, blank lines or trailing spaces, digit-only
-indices) is read with one np.fromstring and checked, vectorised, for
+Text given as a file path, or as one string, which is read as its UTF-8
+text, is cut by one block reader into blocks of whole lines (about 64 KiB);
+line ends may be \\n, \\r\\n or \\r. A block in the strict form
+``label idx:val ...`` (ASCII, single spaces, no comments, blank lines or
+trailing spaces, digit-only indices) is read with one np.fromstring and checked, vectorised, for
 everything the per-line parser checks. When every field of such a block is a
 plain decimal (``[+-]digits[.digits]``, 1 to EXACT_DIGITS digits, no
 exponent), that np.fromstring reads int64s with the dots deleted, and each
@@ -28,7 +29,8 @@ A pass over every row, such as Dataset.scores (and stats.exact_snapshot),
 walks the rows in runs of whole rows of at most SCORE_CHUNK nonzeros each
 (Dataset.chunks), so its temporaries stay O(SCORE_CHUNK) beside the data.
 Each row's terms are still added in order, so the result does not depend
-on the chunk size.
+on the chunk size. gather_rows gives the entry positions of a list of rows,
+for Dataset.subset and for the passes that read such a list in place.
 """
 
 from __future__ import annotations
@@ -222,12 +224,21 @@ class Dataset:
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset over the given rows, in that order, keeping this
         dataset's dim."""
-        starts = self.indptr[:-1][rows]
-        lengths = self.indptr[1:][rows] - starts
-        indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
-        gather = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return Dataset(indptr, self.indices[gather], self.values[gather],
+        indptr, at = gather_rows(self.indptr, rows)
+        return Dataset(indptr, self.indices[at], self.values[at],
                        self.labels[rows], self.dim)
+
+
+def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR gather of the rows `rows`, in that order, of the rows whose
+    bounds are indptr: the listed rows' bounds, counted from 0, and the
+    positions of their entries, row by row."""
+    starts = indptr[:-1][rows]
+    lengths = indptr[1:][rows] - starts
+    bounds = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    at = np.repeat(starts - bounds[:-1], lengths)
+    at += np.arange(bounds[-1])
+    return bounds, at
 
 
 def chunk_bounds(indptr: np.ndarray) -> list[int]:
@@ -294,14 +305,16 @@ def parse_libsvm(lines: Iterable[str] | str, rule: BinarizeRule | None = None) -
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices. Blank lines and ``#`` comments are tolerated. Labels
     are normalized to {+1, -1} through `rule` (identity by default). `lines`
-    is one string, parsed in blocks, or an iterable of lines, such as a text
-    file, parsed line by line.
+    is one string, read as its UTF-8 text exactly as load_libsvm reads a
+    file, or an iterable of lines, such as a text file, parsed line by line.
 
     Raises ParseError with the offending line number on malformed input or
     when no examples are found.
     """
-    if isinstance(lines, str):
-        return _parse_blocks(_text_blocks(lines), rule)
+    if isinstance(lines, str):  # encoded a block at a time, never as a whole
+        return _parse_blocks(_file_blocks(
+            lines[start:start + BLOCK_SIZE].encode("utf-8", "surrogatepass")
+            for start in range(0, len(lines), BLOCK_SIZE)), rule)
     rows = _Rows()  # other iterables are read line by line
     _parse_lines(lines, 1, rule or BinarizeRule.identity(), rows)
     return rows.dataset()
@@ -311,31 +324,20 @@ def load_libsvm(path: str, rule: BinarizeRule | None = None) -> Dataset:
     """parse_libsvm on a UTF-8 file, read in binary blocks; line ends may be
     \\n, \\r\\n or \\r, as in Python's text mode."""
     with open(path, "rb") as fh:
-        return _parse_blocks(_file_blocks(fh), rule)
+        return _parse_blocks(_file_blocks(iter(lambda: fh.read(BLOCK_SIZE), b"")), rule)
 
 
-def _text_blocks(text: str) -> Iterator[str]:
-    """Slices of whole lines, about BLOCK_SIZE characters each."""
-    start = 0
-    while start < len(text):
-        stop = text.rfind("\n", start, start + BLOCK_SIZE) + 1
-        if not stop:  # a line longer than one block
-            stop = text.find("\n", start + BLOCK_SIZE) + 1 or len(text)
-        yield text[start:stop]
-        start = stop
-
-
-def _file_blocks(fh) -> Iterator[bytes]:
-    """Reads of BLOCK_SIZE bytes, cut after their last line end."""
+def _file_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of `chunks`, cut after the last line end of each chunk."""
     pending = []
-    while chunk := fh.read(BLOCK_SIZE):
+    for chunk in chunks:
         # after the last \n, else after the last \r (\r line ends) unless it
-        # ends the read, where it may be the first half of a \r\n
+        # ends the chunk, where it may be the first half of a \r\n
         cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
         if cut:
             yield b"".join(pending + [chunk[:cut]])
             pending = [chunk[cut:]]
-        else:  # no line ends in this read
+        else:  # no line ends in this chunk
             pending.append(chunk)
     tail = b"".join(pending)
     if tail:
@@ -353,26 +355,18 @@ def _decode(raw: bytes, first_line: int) -> str:
                          f"({exc.reason})", line_no) from None
 
 
-def _parse_blocks(blocks: Iterable[str | bytes], rule: BinarizeRule | None) -> Dataset:
+def _parse_blocks(blocks: Iterable[bytes], rule: BinarizeRule | None) -> Dataset:
     if rule is None:
         rule = BinarizeRule.identity()
     rows = _Rows()
     line_no = 1
-    for block in blocks:
-        if isinstance(block, bytes):
-            raw, text = block, None
-            if b"\r" in raw:  # line ends as Python's text mode reads them
-                raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        else:
-            raw, text = (block.encode("ascii") if block.isascii() else None), block
-        if raw is not None and _parse_strict(raw, rule, rows):
-            line_no += raw.count(b"\n")
-            continue
-        if text is None:
-            text = _decode(raw, line_no)
-        lines = text.split("\n")
-        _parse_lines(lines, line_no, rule, rows)
-        line_no += len(lines) - 1
+    for raw in blocks:
+        if b"\r" in raw:  # line ends as Python's text mode reads them
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not _parse_strict(raw, rule, rows):
+            lines = _decode(raw, line_no).split("\n")
+            _parse_lines(lines, line_no, rule, rows)
+        line_no += raw.count(b"\n")
     return rows.dataset()
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Example, chunk_bounds
+from .data import Dataset, Example, chunk_bounds, gather_rows
 
 
 class NotReadyError(ValueError):
@@ -77,7 +77,8 @@ def exact_snapshot(dataset: Dataset, rows: np.ndarray | None = None) -> StatsSna
     """Full-data moments (p, u, v) over the rows `rows` of a dataset, in
     that order (every row when None), which must hold both classes. The
     rows are read in place, in runs of chunk_bounds, so the result is that
-    of dataset.subset(rows) without the copy."""
+    of dataset.subset(rows) without the copy: only the listed rows' entry
+    positions (gather_rows) are built."""
     labels = dataset.labels if rows is None else dataset.labels[rows]
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = labels.size - n_pos
@@ -88,20 +89,17 @@ def exact_snapshot(dataset: Dataset, rows: np.ndarray | None = None) -> StatsSna
         )
     # the positive sums then the negative ones, in one flat array; entries
     # are added in row order, the same additions ClassStats.update makes
-    d, indptr = dataset.dim, dataset.indptr
-    starts = indptr[:-1] if rows is None else indptr[rows]
-    lengths = (indptr[1:] if rows is None else indptr[rows + 1]) - starts
-    ends = np.concatenate([[0], np.cumsum(lengths)])  # the rows' bounds, read in order
+    d, ends = dataset.dim, dataset.indptr  # the rows' bounds, read in order
+    if rows is not None:
+        ends, entries = gather_rows(ends, rows)
     sums = np.zeros(2 * d)
     bounds = chunk_bounds(ends)
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        run = lengths[start:stop]
-        if rows is None:  # the rows' entries are one slice: views, no copy
-            at = slice(ends.item(start), ends.item(stop))
-        else:
-            at = np.repeat(starts[start:stop] - ends[start:stop], run)
-            at += np.arange(ends.item(start), ends.item(stop))
-        offsets = np.repeat(np.where(labels[start:stop] == 1, 0, d), run)
+        at = slice(ends.item(start), ends.item(stop))  # every row: views, no copy
+        if rows is not None:
+            at = entries[at]
+        offsets = np.repeat(np.where(labels[start:stop] == 1, 0, d),
+                            ends[start + 1:stop + 1] - ends[start:stop])
         offsets += dataset.indices[at]
         np.add.at(sums, offsets, dataset.values[at])
     return StatsSnapshot(n_pos / labels.size, sums[:d] / n_pos, sums[d:] / n_neg, True)

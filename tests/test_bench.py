@@ -224,7 +224,7 @@ class TestBenchmark:
         seen = [config.radius for _, _, config, _ in fits]
         assert len(seen) == 5  # 2 candidates x 2 folds, then the reported run
         assert set(seen) == {5.0}
-        self.check_one_config(fits, config, repeats=1)
+        self.check_one_config(fits, config, repeats=1, part=96)  # 120 rows less a fifth
 
     def test_every_repeat_runs_the_config_at_seed_plus_r(self, fits):
         ds = gaussian_task(13, n=150, d=4)
@@ -235,13 +235,14 @@ class TestBenchmark:
         benchmark(ds, "toy", ["spauc", "solam"], repeats=2, config=config,
                   tune_grid=grid)
         assert len(fits) == 2 * 2 * (2 * 3 + 1)
-        self.check_one_config(fits, config, repeats=2)
+        self.check_one_config(fits, config, repeats=2, part=120)  # 150 rows less a fifth
 
     @staticmethod
-    def check_one_config(fits, config, repeats):
+    def check_one_config(fits, config, repeats, part):
         """Every fit of repeat r has the config's epochs and radius and seed
-        + r; a CV fit is of the last iterate with one trace point, a
-        reported run has the config's average and trace interval. A
+        + r; a CV fit is of the last iterate with one trace point (its trace
+        interval is the steps of the repeat's `part` training rows, more
+        than any fold fits), a reported run has the config's average and trace interval. A
         lockstep call's groups are the folds of each repeat in turn, and
         the reported runs come repeat by repeat."""
         runs = [c for kind, _, c, _ in fits if kind == "run"]
@@ -254,7 +255,8 @@ class TestBenchmark:
                 g, n_groups = where
                 assert (c.epochs, c.radius, c.seed) == (config.epochs, config.radius,
                                                         config.seed + g * repeats // n_groups)
-                assert (c.average, c.eval_every) == ("last", size * config.epochs)
+                assert (c.average, c.eval_every) == ("last", part * config.epochs)
+                assert size < part
 
 
 def test_config_from_params():

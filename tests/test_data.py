@@ -94,6 +94,15 @@ class TestParse:
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.values, b.values)
 
+    def test_lone_cr_ends_a_line_as_in_a_file(self):
+        got = parse_libsvm("+1 1:0.5\r-1 2:0.25\r")
+        assert_same_csr(got, parse_libsvm("+1 1:0.5\n-1 2:0.25\n"))
+
+    def test_lone_surrogate_is_not_utf8_text(self):
+        # even inside a comment, as the same bytes in a file are
+        with pytest.raises(ParseError, match="^line 2: not UTF-8 text: byte 0xed"):
+            parse_libsvm("+1 1:0.5\n-1 2:0.25  # \ud800\n")
+
     def test_diabetes_file_if_available(self):
         path = os.environ.get("AUCSTREAM_DIABETES", "data/diabetes.libsvm")
         if not os.path.exists(path):
@@ -202,15 +211,18 @@ class TestBlocks:
             assert_same_csr(got, expected)
 
     def test_block_of_one_blank_line(self, fallbacks):
+        head = "+1 " + " ".join(f"{i}:1" for i in range(1, 7)) + " 17:1\n"
+        assert len(head) == 32  # the blank line opens the second block
         long = "-1 " + " ".join(f"{i}:1" for i in range(1, 12)) + "\n"
-        text = long + "\n" + long  # np.fromstring reads "\n" as [-1.]
+        text = head + "\n" + long  # np.fromstring reads "\n" as [-1.]
         got = parse_libsvm(text)
         assert fallbacks == [2]
         assert_same_csr(got, parse_per_line(text))
 
     def test_cr_file_is_cut_at_its_line_ends(self, fallbacks):
         raw = self.ROWS.replace("\n", "\r").encode()
-        blocks = list(data._file_blocks(io.BytesIO(raw)))
+        reads = io.BytesIO(raw)
+        blocks = list(data._file_blocks(iter(lambda: reads.read(32), b"")))
         assert b"".join(blocks) == raw
         assert len(blocks) > 1
         assert all(b.endswith(b"\r") and len(b) <= 32 for b in blocks)
@@ -235,7 +247,7 @@ class TestBlocks:
         lines[9] = "\n"
         text = "".join(lines)
         got = parse_libsvm(text)
-        assert fallbacks == [3, 8, 9]  # only the blocks of lines 4, 8 and 10
+        assert fallbacks == [3, 8]  # only the blocks of line 4 and of lines 8 and 10
         assert_same_csr(got, parse_per_line(text))
 
     @pytest.mark.parametrize("line", [

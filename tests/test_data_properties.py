@@ -188,6 +188,57 @@ def test_an_extra_field_and_an_empty_field_parse_as_the_per_line_parser_does(ds,
                                          draw.draw(SIZES))
 
 
+@contextmanager
+def per_line_blocks():
+    """The first line of every block the per-line parser reads."""
+    firsts, per_line = [], data._parse_lines
+
+    def spy(lines, first_line, rule, rows):
+        firsts.append(first_line)
+        return per_line(lines, first_line, rule, rows)
+
+    with patch.object(data, "_parse_lines", spy):
+        yield firsts
+
+
+@settings(deadline=None)
+@given(csr_datasets(values=st.floats(-1e3, 1e3)), st.data())
+def test_a_string_parses_as_a_file_of_its_text(ds, draw):
+    """parse_libsvm(text) and load_libsvm on a file of the same bytes give
+    the same arrays or ParseError, and re-read the same blocks line by line,
+    whatever the line ends (\\n, \\r\\n, \\r or mixed), with comments, blank
+    lines and defects. The text is ASCII, so the string's slices of
+    BLOCK_SIZE characters are the file's reads of BLOCK_SIZE bytes."""
+    lines = written_lines(ds)
+    for _ in range(draw.draw(st.integers(0, 3))):
+        lines.insert(draw.draw(st.integers(0, len(lines))),
+                     draw.draw(st.sampled_from(["", " ", "# a comment"])))
+    for _ in range(draw.draw(st.integers(0, 2))):
+        i = draw.draw(st.integers(0, len(lines) - 1))
+        lines[i] = mutate(lines[i], draw.draw(st.sampled_from(MUTATIONS)),
+                          draw.draw(st.integers(0, 5)))
+    ends = draw.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    rule = draw.draw(RULES)
+    with block_size(draw.draw(st.sampled_from([8, 32, 64, 1 << 16]))), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "text.libsvm")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with per_line_blocks() as from_string:
+            got = outcome(parse_libsvm, text, rule)
+        with per_line_blocks() as from_file:
+            want = outcome(load_libsvm, path, rule)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_csr(got, want)
+    assert from_string == from_file
+
+
 # -- the integer read of strict blocks ------------------------------------
 
 SPECIAL_DECIMALS = ["-0", "-0.0", "+0", "0.", "-0.", ".5", "5.", "-.5", "+.5", "007",

@@ -23,7 +23,17 @@ def run_tool(name: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_step_cost_prints_one_row_of_positive_cells():
-    proc = run_tool("step_cost.py", "--dims", "1000")
+    check_one_step_cost_row(run_tool("step_cost.py", "--dims", "1000"))
+
+
+def test_step_cost_times_the_lazy_average():
+    check_one_step_cost_row(run_tool("step_cost.py", "--dims", "1000", "--average", "avg2"))
+    proc = run_tool("step_cost.py", "--dims", "1000", "--average", "avg3")
+    assert proc.returncode == 2 and "invalid choice: 'avg3'" in proc.stderr
+
+
+def check_one_step_cost_row(proc: subprocess.CompletedProcess) -> None:
+    """One table row at d = 1000 of five positive cells, and the host scale."""
     assert proc.returncode == 0, proc.stderr
     header, rule, *rows, host = proc.stdout.splitlines()
     assert header.startswith("| d |") and rule.startswith("|---")

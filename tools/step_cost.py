@@ -1,11 +1,13 @@
 """Microseconds per learner step at growing dimension, one table.
 
     PYTHONPATH=src python3 tools/step_cost.py [--dims 1000,10000,100000,1000000]
+                                              [--average last|avg1|avg2]
 
 For each d it draws 400 seeded rows of 50 nonzeros (distinct indices, normal
 values, labels +1/-1 with prior 1/2) and steps a fresh learner over them once,
 in row order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
-the last iterate. A cell is the best of 3 such passes: the seconds of the
+the iterate average of --average (default: the last iterate; avg1 and avg2
+add the lazy average's cost, its folds' settles included). A cell is the best of 3 such passes: the seconds of the
 step loop alone (rows are built and learners constructed before the clock
 starts) divided by the 400 rows, warm-up rows included, and scaled to the
 nominal host of perfbench/run.py: perfbench/hostref.py is timed in a fresh
@@ -42,8 +44,8 @@ from aucstream.data import Dataset  # noqa: E402
 from aucstream.regularizers import l1, l2, none_reg  # noqa: E402
 from aucstream.schedules import PracticalSchedule  # noqa: E402
 from aucstream.stats import exact_snapshot  # noqa: E402
-from aucstream.trainer import (FastSpaucTrainer, L1SpaucTrainer,  # noqa: E402
-                               TrainConfig)
+from aucstream.trainer import (AVERAGES, FastSpaucTrainer,  # noqa: E402
+                               L1SpaucTrainer, TrainConfig)
 
 ROWS, NNZ, REPEATS, MU, LAM = 400, 50, 3, 0.01, 1e-4
 HOSTREF = Path(__file__).resolve().parent.parent / "perfbench" / "hostref.py"
@@ -66,10 +68,10 @@ def random_rows(d: int, seed: int = 0) -> Dataset:
     return Dataset(np.arange(0, ROWS * NNZ + 1, NNZ), indices, values, labels, dim=d)
 
 
-def learners(ds: Dataset) -> dict:
+def learners(ds: Dataset, average: str) -> dict:
     """Column name -> a function building a fresh learner for ds."""
     def config(reg):
-        return TrainConfig(regularizer=reg, schedule=PracticalSchedule(MU))
+        return TrainConfig(regularizer=reg, schedule=PracticalSchedule(MU), average=average)
     moments = exact_snapshot(ds)
     return {
         "spam l2": lambda: FastSpamTrainer(ds.dim, config(l2(LAM)), moments),
@@ -95,6 +97,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dims", default="1000,10000,100000,1000000",
                         help="comma-separated dimensions")
+    parser.add_argument("--average", default="last", choices=AVERAGES,
+                        help="the learners' iterate average")
     args = parser.parse_args()
     dims = [int(d) for d in args.dims.split(",")]
     host_reference()  # untimed, so the timed runs start warm, as in perfbench
@@ -104,7 +108,7 @@ def main() -> None:
         ds = random_rows(d)
         rows = list(ds)
         table.append((d, {name: us_per_step(make, rows)
-                          for name, make in learners(ds).items()}))
+                          for name, make in learners(ds, args.average).items()}))
     after = host_reference()
     scale = HOSTREF_NOMINAL_S / ((before + after) / 2)
     header = list(table[0][1])
