@@ -345,8 +345,8 @@ def _file_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
 
 
 def _decode(raw: bytes, first_line: int) -> str:
-    """UTF-8 text of a file block; a byte that is not UTF-8 is a ParseError
-    naming its line."""
+    """UTF-8 text of a block; a byte that is not UTF-8 (a string's lone
+    surrogate included) is a ParseError naming its line."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
