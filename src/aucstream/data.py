@@ -5,18 +5,18 @@ Text given as a file path, or as one string, which is read as its UTF-8
 text, is cut by one block reader into blocks of whole lines (about 64 KiB);
 line ends may be \\n, \\r\\n or \\r. A block in the strict form
 ``label idx:val ...`` (ASCII, single spaces, no comments, blank lines or
-trailing spaces, digit-only indices) is read with one np.fromstring and checked, vectorised, for
-everything the per-line parser checks. When every field of such a block is a
-plain decimal (``[+-]digits[.digits]``, 1 to EXACT_DIGITS digits, no
-exponent), that np.fromstring reads int64s with the dots deleted, and each
-number is its integer over 10^k for its k fraction digits, which is exactly
-the double a float read gives. Any other strict block (exponents, or the
-17-digit repr values that save_libsvm writes) is read as floats. Any other
-block, or one that fails a check, is re-read by the per-line parser, which
-defines the accepted syntax and raises every ParseError with its absolute
-line number. All paths append to the same flat buffers, and the strict
-paths give bit-identical arrays. An iterable of lines is read by the
-per-line parser alone.
+trailing spaces, digit-only indices) is read with one np.fromstring and
+checked, vectorised, for everything the per-line parser checks. When every
+field of such a block is a plain decimal (``[+-]digits[.digits]``, 1 to
+EXACT_DIGITS digits, no exponent), that np.fromstring reads int64s with the
+dots deleted, and each number is its integer over 10^k for its k fraction
+digits, which is exactly the double a float read gives. Any other strict
+block (exponents, or the 17-digit repr values that save_libsvm writes) is
+read as floats. Any other block, or one that fails a check, is re-read by
+the per-line parser, which defines the accepted syntax and raises every
+ParseError with its absolute line number. All paths append to the same flat
+buffers, and the strict paths give bit-identical arrays. An iterable of
+lines is read by the per-line parser alone.
 
 A Dataset is stored once, in compressed sparse row (CSR) form: four flat
 arrays (indptr, indices, values, labels) and dim. Its rows, from indexing or

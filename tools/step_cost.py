@@ -6,13 +6,14 @@
 For each d it draws 400 seeded rows of 50 nonzeros (distinct indices, normal
 values, labels +1/-1 with prior 1/2) and steps a fresh learner over them once,
 in row order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
-the iterate average of --average (default: the last iterate; avg1 and avg2
-add the lazy average's cost, its folds' settles included). A cell is the best of 3 such passes: the seconds of the
-step loop alone (rows are built and learners constructed before the clock
-starts) divided by the 400 rows, warm-up rows included, and scaled to the
-nominal host of perfbench/run.py: perfbench/hostref.py is timed in a fresh
-process before and after the table, and every cell is multiplied by 0.5 s
-over the mean of those two times, the factor printed under the table. Learners:
+the iterate average of --average (default: the last iterate; avg1 and avg2 add
+the lazy average's cost, its folds' settles included). A cell is the best of 3
+such passes: the seconds of the step loop alone (rows are built and learners
+constructed before the clock starts) divided by the 400 rows, warm-up rows
+included, and scaled to the nominal host of perfbench/run.py:
+perfbench/hostref.py is timed in a fresh process before and after the table,
+and every cell is multiplied by 0.5 s over the mean of those two times, the
+factor printed under the table. Learners:
 
     spam l2      FastSpamTrainer      (O(nnz) per step)
     spam l1      SpamTrainer          (dense, O(d))
