@@ -20,10 +20,11 @@ data (d = 8; 4 repeats x 3 folds x 4 candidates, so 48 per algorithm) that
 is one pass, and under the CLI's default protocol (20 repeats x 5 folds x
 15 candidates) one pass at d = 8 and four folds per pass at d = 1000.
 A lockstep step costs O(d * C), so it is taken only up to LOCKSTEP_MAX_DIM;
-above it each candidate is fitted alone by run_algorithm. A candidate
-whose step goes non-finite, or whose squared norm reaches
-FastSpaucTrainer.SAFE_LIMIT, leaves the lockstep and is refitted alone
-too, so whether it diverges, and scores 0, is decided as for a single run.
+above it each candidate is fitted alone by run_algorithm. A fold in warm-up
+or past its stream's end takes a step of size 0, which changes no bit of
+it. A candidate whose squared norm after any step is NaN or reaches
+FastSpaucTrainer.SAFE_LIMIT leaves the lockstep and is refitted alone too,
+so whether it diverges, and scores 0, is decided as for a single run.
 """
 
 from __future__ import annotations
@@ -231,9 +232,9 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
              ) -> list[list[np.ndarray | None]]:
     """Fit every candidate of every group in one pass and return, per group,
     each candidate's last iterate, or None for a candidate that left the
-    lockstep: one whose step, before its rescale, went non-finite or
-    reached a squared norm of FastSpaucTrainer.SAFE_LIMIT. cross_validate
-    refits those alone.
+    lockstep: one whose squared norm after any step, before its rescale, was
+    NaN or reached FastSpaucTrainer.SAFE_LIMIT, whether its group stepped or
+    not. cross_validate refits those alone.
 
     A group is a fit set, given as row ids of `dataset` in fit order, and
     its candidates' configs. These share the group's epochs and seed, hence
@@ -244,8 +245,12 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     array, k the largest group's candidate count (a smaller group is padded
     with copies of its last candidate, which are dropped), and step s steps
     each group at the s-th example of its own stream, read from `dataset`
-    by row id; a group whose stream has ended, or that has not seen both
-    classes yet (spauc, solam), keeps its iterates.
+    by row id. A group whose stream has ended, or that has not seen both
+    classes yet (spauc, solam), takes a step of size 0 with class counts of
+    at least 1, prior 0.5 and, for solam, an infinite ball: its move is +-0
+    times finite numbers, its l2 divisor 1 and its l1 threshold 0, and
+    solam's auxiliaries move by 0 into bounds they already meet, so no bit
+    of it changes.
 
     What depends on the data alone, the class counts, the prior, the step
     count t, the label masks, solam's data radius kappa and the examples,
@@ -330,20 +335,22 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
             ready = active if algo == "spam" else active & (0 < n_pos) & (n_pos < n)
             t = taken + np.cumsum(ready, axis=0)
             taken = t[-1]
-            # (steps, groups, k) below; the group's scalars broadcast over k
-            eta = _step_sizes(mu, t[:, :, None])
+            # (steps, groups, k) below; the group's scalars broadcast over k,
+            # and a group that does not step takes a step of size 0
+            eta = np.where(ready[:, :, None], _step_sizes(mu, t[:, :, None]), 0.0)
             if algo != "solam" and kind != "none":  # the l2 divisors or l1 thresholds
                 shrink = (_prox_divisors(eta, lam) if kind == "l2" else eta * lam)[..., None]
-            positive, frozen = pos[:, :, None], ~ready.all(axis=1)
+            positive = pos[:, :, None]
             if algo == "spauc":
-                n_pos_k, n_neg_k = n_pos[:, :, None], (n - n_pos)[:, :, None]
+                n_pos_k, n_neg_k = (np.maximum(m, 1)[:, :, None] for m in (n_pos, n - n_pos))
             if algo != "spam":
-                prior = (n_pos / n)[:, :, None]
+                prior = np.where(ready, n_pos / n, 0.5)[:, :, None]
             if algo == "solam":
                 radii = np.maximum.accumulate(
                     np.vstack([kappa, np.where(active, norms[at], 1.0)]))[1:]
                 kappa = radii[-1]
                 bound = radii[:, :, None] * radius
+                ball = np.where(ready[:, :, None], radius, np.inf)
             # X[s, g] is group g's example at step s, zero once its stream ended
             ev_step, ev_group = np.nonzero(active)
             ev_row = at[ev_step, ev_group]
@@ -357,9 +364,6 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
             X = np.zeros((s1 - s0, n_groups, d))
             X[np.repeat(ev_step, nnz), e_group, e_col] = e_value
             for s in range(s1 - s0):
-                if frozen[s]:
-                    keep = ~ready[s]
-                    kept = W[keep]
                 F[:, 0] = X[s]
                 # per group, (k, d) @ (d, 1 or 3): w.x, and w against the
                 # class sums or moments
@@ -386,21 +390,15 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 sq = np.einsum("gkd,gkd->gk", W, W)
                 if algo == "solam":
                     norm = np.sqrt(sq)
-                    W *= np.where(norm > radius, radius / norm, 1.0)[:, :, None]
-                    moved = _clamped_auxiliaries(*aux, eta[s], ga, gb, galpha, bound[s])
-                    aux = [np.where(ready[s][:, None], new, was)
-                           for new, was in zip(moved, aux)] if frozen[s] else moved
+                    W *= np.where(norm > ball[s], ball[s] / norm, 1.0)[:, :, None]
+                    aux = _clamped_auxiliaries(*aux, eta[s], ga, gb, galpha, bound[s])
                 elif kind == "l2":
                     W /= shrink[s]
                 elif kind == "l1":
                     W = soft_threshold(W, shrink[s])
-                if frozen[s]:
-                    W[keep] = kept
-                left = live & ready[s][:, None] & ~(sq < FastSpaucTrainer.SAFE_LIMIT)  # NaN too
-                if left.any():
-                    live &= ~left
-                    if not live.any():
-                        return [[None] * size for size in sizes]
+                live &= sq < FastSpaucTrainer.SAFE_LIMIT  # a NaN leaves too
+                if not live.any():
+                    return [[None] * size for size in sizes]
                 if algo == "spauc":  # ClassStats.update's sums
                     F[:, 1] += np.where(pos[s][:, None], X[s], 0.0)
                     F[:, 2] += np.where(pos[s][:, None], 0.0, X[s])

@@ -153,10 +153,11 @@ class Dataset:
 
     Row i has the features indices[indptr[i]:indptr[i+1]] (0-based) with
     values values[indptr[i]:indptr[i+1]] and the label labels[i] in {+1, -1}.
-    dim is at least 1 + the largest feature index and at most MAX_DIM. The
-    class counts and the positive/negative row indices are computed in the
-    constructor; nothing is filled in later, and the arrays must not be
-    modified after construction.
+    dim is at least 1 + the largest feature index and at most MAX_DIM, and
+    arrays not of this form are refused with ValueError. The class counts
+    and the positive/negative row indices are computed in the constructor;
+    nothing is filled in later, and the arrays must not be modified after
+    construction.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
@@ -165,7 +166,16 @@ class Dataset:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
+        if len(self.indptr) != len(self.labels) + 1:
+            raise ValueError(f"{len(self.labels)} labels for {len(self.indptr) - 1} rows")
+        if len(self.values) != len(self.indices):
+            raise ValueError(f"{len(self.values)} values for {len(self.indices)} indices")
+        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices) \
+                or (self.indptr[1:] < self.indptr[:-1]).any():
+            raise ValueError(f"indptr must rise from 0 to {len(self.indices)}")
         max_idx = int(self.indices.max()) if self.indices.size else -1
+        if self.indices.size and self.indices.min() < 0:
+            raise ValueError(f"negative feature index {self.indices.min()}")
         if dim is None:
             dim = max_idx + 1
         elif dim < max_idx + 1:
@@ -176,7 +186,10 @@ class Dataset:
         self.pos_indices = np.flatnonzero(self.labels == 1)
         self.neg_indices = np.flatnonzero(self.labels == -1)
         self.n_pos = len(self.pos_indices)
-        self.n_neg = len(self.labels) - self.n_pos
+        self.n_neg = len(self.neg_indices)
+        if self.n_pos + self.n_neg != len(self.labels):
+            bad = np.setdiff1d(self.labels, [1, -1])[0]
+            raise ValueError(f"labels must be +1 or -1, got {bad}")
 
     @classmethod
     def from_examples(cls, examples: list[Example], dim: int | None = None) -> "Dataset":

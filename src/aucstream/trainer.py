@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"average must be one of {AVERAGES}, got {self.average!r}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        if self.t1 is not None and not 0 <= self.t1 < math.inf:
+            raise ValueError(f"t1 must be finite and >= 0, got {self.t1}")
 
     def resolved_t1(self) -> float:
         if self.t1 is not None:
@@ -707,18 +709,9 @@ def train(dataset: Dataset, config: TrainConfig,
 
 def describe_config(config: TrainConfig) -> dict:
     """JSON-friendly echo of a training configuration."""
-    sched = config.schedule
-    kind = next(name for name, cls in SCHEDULES.items() if type(sched) is cls)
-    return {
-        "regularizer": dataclasses.asdict(config.regularizer),
-        "schedule": {"kind": kind, **dataclasses.asdict(sched)},
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "average": config.average,
-        "eval_every": config.eval_every,
-        "t1": config.t1,
-        "radius": config.radius,
-    }
+    kind = next(name for name, cls in SCHEDULES.items() if type(config.schedule) is cls)
+    return {**dataclasses.asdict(config),
+            "schedule": {"kind": kind, **dataclasses.asdict(config.schedule)}}
 
 
 MODEL_FORMAT_VERSION = 1

@@ -433,3 +433,36 @@ def test_subset_keeps_dim_and_counts():
     sub = ds.subset(np.array([0, 3, 5]))
     assert sub.dim == ds.dim
     assert sub.n_pos + sub.n_neg == 3
+
+
+class TestCSR:
+    """Dataset refuses arrays that are not one CSR row per label, each
+    label +1 or -1: a 0/1 label counted as negative had no negative row
+    index, and a negative index read w[-1]."""
+
+    def test_valid_arrays_build(self):
+        ds = Dataset([0, 2, 2, 3], [0, 4, 1], [1.0, 2.0, 3.0], [1, -1, -1])
+        assert (ds.dim, ds.n_pos, ds.n_neg) == (5, 1, 2)
+        assert len(Dataset([0], [], [], [])) == 0
+
+    def test_label_outside_plus_minus_one(self):
+        with pytest.raises(ValueError, match="labels must be \\+1 or -1, got 0"):
+            Dataset([0, 1, 1], [0], [1.0], [1, 0])
+
+    def test_negative_feature_index(self):
+        with pytest.raises(ValueError, match="negative feature index -1"):
+            Dataset([0, 1], [-1], [2.0], [1], dim=2)
+
+    @pytest.mark.parametrize("indptr", [[1, 2], [0, 1], [0, 3], [0, 2, 1, 2]])
+    def test_indptr_not_rising_from_zero_to_the_entry_count(self, indptr):
+        with pytest.raises(ValueError, match="indptr must rise from 0 to 2"):
+            Dataset(indptr, [0, 1], [1.0, 2.0], [1] * (len(indptr) - 1))
+
+    def test_values_and_indices_of_different_lengths(self):
+        with pytest.raises(ValueError, match="1 values for 2 indices"):
+            Dataset([0, 2], [0, 1], [1.0], [1])
+
+    @pytest.mark.parametrize("labels", [[], [1, -1]])
+    def test_not_one_label_per_row(self, labels):
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 1 rows"):
+            Dataset([0, 1], [0], [1.0], labels)

@@ -94,7 +94,7 @@ def test_written_text_takes_the_strict_path_bit_exactly(ds, size):
 
 MUTATIONS = ("drop colon", "double colon", "empty value", "index 1e3", "index +5",
              "nan", "inf", "reorder", "comment", "blank line", "double space",
-             "crlf", "tab", "trailing space", "trailing digits")
+             "crlf", "lone cr", "tab", "trailing space", "trailing digits")
 
 
 def mutate(line: str, kind: str, k: int) -> str:
@@ -102,6 +102,7 @@ def mutate(line: str, kind: str, k: int) -> str:
     label, *feats = line.split(" ")
     whole = {"comment": line + " # note", "blank line": "\n" + line,
              "double space": line.replace(" ", "  ", 1), "crlf": line + "\r",
+             "lone cr": line.replace(" ", "\r", 1),
              "tab": line.replace(" ", "\t", 1), "trailing space": line + " ",
              "trailing digits": line + " 1"}  # a valid label under each rule
     if kind in whole:
@@ -140,22 +141,24 @@ def written_lines(ds: Dataset) -> list[str]:
 def assert_parses_as_the_per_line_parser(text: str, rule: BinarizeRule, size: int):
     """parse_libsvm on `text` as a string and as a list of lines, and
     load_libsvm on it as a file, each at blocks of `size`, give the per-line
-    parser's arrays or its ParseError text."""
-    expected = outcome(parse_per_line, text, rule)
-    # a file also ends lines at a lone \r, as Python's text mode does
+    parser's arrays or its ParseError text: on the lines of the list as
+    given, and on the string's and the file's as a file cuts them."""
+    by_line = outcome(parse_per_line, text, rule)
+    # a file also ends lines at a lone \r, as Python's text mode does, and a
+    # string is read as a file
     in_file = outcome(parse_per_line,
                       text.replace("\r\n", "\n").replace("\r", "\n"), rule)
     with block_size(size), tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutated.libsvm")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        for got, expected in ((outcome(parse_libsvm, text, rule), expected),
-                              (outcome(parse_libsvm, list(io.StringIO(text)), rule), expected),
-                              (outcome(load_libsvm, path, rule), in_file)):
-            if isinstance(expected, str) or isinstance(got, str):
-                assert got == expected
+        for got, want in ((outcome(parse_libsvm, text, rule), in_file),
+                          (outcome(parse_libsvm, list(io.StringIO(text)), rule), by_line),
+                          (outcome(load_libsvm, path, rule), in_file)):
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
             else:
-                assert_same_csr(got, expected)
+                assert_same_csr(got, want)
 
 
 SIZES = st.sampled_from([8, 64, 1 << 16])

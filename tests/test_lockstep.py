@@ -4,8 +4,9 @@ diverging candidates refitted alone and scored 0.0, ties to the first-sampled ca
 the per-candidate path above LOCKSTEP_MAX_DIM. Several problems, with every
 fold of each, in one pass: each problem's fold table as the loop's, models
 that do not depend on the chunk size, passes within the cell budget, sparse
-rows, the same picks as the loop over repeats, and the array forms of
-scalar formulas bit for bit."""
+rows, the same picks as the loop over repeats, models of a group that do
+not depend on the other groups of its pass, and the array forms of scalar
+formulas bit for bit."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -221,18 +222,61 @@ def test_several_problems_give_the_per_candidate_tables(monkeypatch, fits, algo,
         assert table == per_candidate_cv(ds.subset(part), algo, problem_cands, 3, config)
 
 
+def fold_groups(rows, configs, cands):
+    """lockstep's groups: each problem's rows with its candidates' configs."""
+    return [(part, [config_from_params(p, config) for p in problem_cands])
+            for part, config, problem_cands in zip(rows, configs, cands)]
+
+
+def as_bytes(models):
+    """lockstep's models, per group, as bytes, or None for a leaver."""
+    return [[None if w is None else w.tobytes() for w in group] for group in models]
+
+
 @pytest.mark.parametrize("algo,reg_kind", CASES, ids=IDS)
 def test_models_do_not_depend_on_the_chunk_size(algo, reg_kind):
-    ds, rows, configs, cands = several_problems(algo, reg_kind)
-    groups = [(part, [config_from_params(p, config) for p in problem_cands])
-              for part, config, problem_cands in zip(rows, configs, cands)]
+    ds, *problems = several_problems(algo, reg_kind)
+    groups = fold_groups(*problems)
     with patch.object(data, "SCORE_CHUNK", 2**62):  # one chunk
         want = lockstep(algo, ds, groups)
     for chunk in (1, 700, 3000):
         with patch.object(data, "SCORE_CHUNK", chunk):
             got = lockstep(algo, ds, groups)
-        assert [[None if w is None else w.tobytes() for w in models] for models in got] \
-            == [[None if w is None else w.tobytes() for w in models] for models in want]
+        assert as_bytes(got) == as_bytes(want)
+
+
+def sparse_problems(algo, reg_kind):
+    """Three problems on 150 rows with a tenth of d = 40 nonzero, so that
+    spam's and solam's move is made on the nonzeros alone. They differ in
+    rows, seed, epochs and candidates, as several_problems' do."""
+    rng = np.random.default_rng(32)
+    ds = random_dataset(rng, n=150, d=40, density=0.1)
+    rows = [rng.permutation(150)[:100], rng.permutation(150)[:41], rng.permutation(150)[:77]]
+    configs = [practical_config(reg_kind, seed=seed, epochs=epochs)
+               for seed, epochs in [(1, 2), (6, 1), (8, 3)]]
+    cands = [candidates(algo, reg_kind, mus) for mus in
+             ([10.0, 30.0], [1.0, 300.0, 1e8], [0.01, 3.0, 30.0, 1e4])]
+    return ds, rows, configs, cands
+
+
+@pytest.mark.parametrize("problems", [several_problems, sparse_problems],
+                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("algo,reg_kind", CASES, ids=IDS)
+def test_a_groups_models_do_not_depend_on_the_other_groups(algo, reg_kind, problems):
+    # every group's stream has its own length, so in the pass of all three
+    # the shorter streams end while the others step; spauc's and solam's
+    # groups each wait for both classes at their own steps. Alone, a group
+    # is padded to the pass's candidate count with copies of its last
+    # config, as the pass pads it: a BLAS matmul may round the rows of a
+    # (k, d) block differently for another k (OpenBLAS did at d = 40, k = 2
+    # against k = 4), which is no other group's doing
+    ds, rows, configs, cands = problems(algo, reg_kind)
+    assert len({len(part) * config.epochs for part, config in zip(rows, configs)}) == 3
+    groups = fold_groups(rows, configs, cands)
+    k = max(len(cfgs) for _, cfgs in groups)
+    alone = [as_bytes(lockstep(algo, ds, [(part, cfgs + cfgs[-1:] * (k - len(cfgs)))]))[0]
+             [:len(cfgs)] for part, cfgs in groups]
+    assert as_bytes(lockstep(algo, ds, groups)) == alone
 
 
 @pytest.mark.parametrize("algo,reg_kind", [("spauc", "l2"), ("spam", "l1"), ("solam", "l2")],
@@ -272,15 +316,13 @@ def test_sparse_rows_give_the_per_candidate_tables(algo, reg_kind):
     got = cross_validate(ds, algo, cands, 3, configs, rows)
     for part, config, problem_cands, table in zip(rows, configs, cands, got):
         assert table == per_candidate_cv(ds.subset(part), algo, problem_cands, 3, config)
-    groups = [(part, [config_from_params(p, config) for p in problem_cands])
-              for part, config, problem_cands in zip(rows, configs, cands)]
+    groups = fold_groups(rows, configs, cands)
     with patch.object(data, "SCORE_CHUNK", 2**62):  # one chunk
         want = lockstep(algo, ds, groups)
     for chunk in (1, 500):
         with patch.object(data, "SCORE_CHUNK", chunk):
             got = lockstep(algo, ds, groups)
-        assert [[None if w is None else w.tobytes() for w in models] for models in got] \
-            == [[None if w is None else w.tobytes() for w in models] for models in want]
+        assert as_bytes(got) == as_bytes(want)
 
 
 def test_one_penalty_kind_per_pass():

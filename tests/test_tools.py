@@ -46,6 +46,20 @@ def check_one_step_cost_row(proc: subprocess.CompletedProcess) -> None:
     assert all(float(c.replace(",", "")) > 0 for c in cells)
 
 
+def test_cv_cost_times_one_tiny_cell():
+    proc = run_tool("cv_cost.py", "--algo", "spam", "--dims", "30", "--nnz", "5",
+                    "--pairs", "2", "--rows", "40", "--folds", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, rule, row, host = proc.stdout.splitlines()
+    assert header.startswith("| algo | d |") and rule.startswith("|---")
+    algo, d, nnz, k, *cells = [c.strip() for c in row.strip("|").split("|")]
+    assert (algo, d, nnz, k) == ("spam l2", "30", "5", "2")
+    assert len(cells) == 3 and all(float(c) > 0 for c in cells)
+    assert host.startswith("host scale ")
+    proc = run_tool("cv_cost.py", "--algo", "spauc,svm")
+    assert proc.returncode == 2 and "--algo takes" in proc.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="peak_rss.py reads /proc/self/status (Linux only)")
 def test_peak_rss_reports_the_phases_of_a_train(tmp_path):

@@ -10,11 +10,12 @@ from aucstream.data import Dataset, split
 from aucstream.metrics import auc
 from aucstream.objective import surrogate_grad
 from aucstream.regularizers import l2, none_reg
-from aucstream.schedules import FastRateSchedule, PolySchedule, PracticalSchedule
+from aucstream.schedules import (FastRateSchedule, LogDampedSchedule, PolySchedule,
+                                 PracticalSchedule)
 from aucstream.stats import ClassStats
 from aucstream.trainer import (MODEL_FORMAT_VERSION, SAVE_BLOCK, DivergenceError,
-                               Learner, SpaucTrainer, TrainConfig, load_model,
-                               save_model, stream_run, train)
+                               Learner, SpaucTrainer, TrainConfig, describe_config,
+                               load_model, save_model, stream_run, train)
 
 from conftest import (dense_example, gaussian_task, pairwise_quadratic,
                       random_dataset, sparse_example)
@@ -332,3 +333,30 @@ def test_config_validation():
 def test_config_refuses_radius(radius):
     with pytest.raises(ValueError, match="radius must be positive"):
         config(radius=radius)
+
+
+@pytest.mark.parametrize("t1", [float("nan"), float("inf"), -3.0])
+def test_config_refuses_t1(t1):
+    # a non-finite offset made every avg2 weight NaN, and a negative one
+    # gave the first iterates negative weights
+    with pytest.raises(ValueError, match="t1 must be finite and >= 0"):
+        config(average="avg2", t1=t1)
+
+
+@pytest.mark.parametrize("t1", [None, 0.0, 6.25])
+def test_config_takes_t1(t1):
+    assert config(average="avg2", t1=t1).t1 == t1
+
+
+@pytest.mark.parametrize("kind,schedule", [
+    ("poly", PolySchedule(0.5, 0.75)), ("logdamped", LogDampedSchedule(0.5, 2.5)),
+    ("fastrate", FastRateSchedule(0.5, 0.25, 6.25)), ("practical", PracticalSchedule(30.0))])
+def test_config_echo_is_every_field_in_order(kind, schedule):
+    # the saved model's `config` echo, written out field by field
+    cfg = TrainConfig(l2(0.01), schedule, epochs=2, seed=3, average="avg2", eval_every=50,
+                      t1=1.5, radius=7.0)
+    want = {"regularizer": {"kind": "l2", "lam": 0.01},
+            "schedule": {"kind": kind, **vars(schedule)},
+            "epochs": 2, "seed": 3, "average": "avg2", "eval_every": 50, "t1": 1.5,
+            "radius": 7.0}
+    assert json.dumps(describe_config(cfg)) == json.dumps(want)
