@@ -10,8 +10,9 @@ values scaled to a unit norm on average and labels +1/-1 with prior 1/2, and
 times bench.tune on them under the tuning protocol's grid
 (protocol_grid(--reg, K, --folds), solam's radius tuned as under `tune`),
 one epoch, seed 1. It runs the call twice: with bench.LOCKSTEP_MAX_DIM set
-to d, so that one lockstep pass fits every candidate of every fold, and to
-d - 1, so that run_algorithm fits each candidate of each fold alone. A cell
+to d, so that lockstep passes fit the candidates (as many folds per pass as
+LOCKSTEP_MAX_CELLS allows), and to d - 1, so that run_algorithm fits each
+candidate of each fold alone. A cell
 is the best of 3 such calls, in seconds, scaled to the nominal host of
 perfbench/run.py as tools/step_cost.py scales its cells: perfbench/hostref.py
 is timed in a fresh process before and after the table, and every cell is
@@ -19,7 +20,8 @@ multiplied by 0.5 s over the mean of those two times, the factor printed
 under the table. The last column is lockstep over per-candidate, unscaled, so
 above 1 the lockstep is the slower path. The size rule itself reads d alone
 (LOCKSTEP_MAX_DIM); this tool measures shapes no benchmark workload covers.
-It is not part of the test suite.
+The default table takes about half a minute per algorithm on a 2-core
+machine; it is not part of the test suite.
 """
 
 import argparse
