@@ -47,8 +47,7 @@ def check_one_step_cost_row(proc: subprocess.CompletedProcess) -> None:
 
 
 def test_cv_cost_times_one_tiny_cell():
-    proc = run_tool("cv_cost.py", "--algo", "spam", "--dims", "30", "--nnz", "5",
-                    "--pairs", "2", "--rows", "40", "--folds", "2")
+    proc = run_tool("cv_cost.py", "--algo", "spam", "--dims", "30", "--nnz", "5", "--pairs", "2")
     assert proc.returncode == 0, proc.stderr
     header, rule, row, host = proc.stdout.splitlines()
     assert header.startswith("| algo | d |") and rule.startswith("|---")
