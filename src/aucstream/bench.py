@@ -13,7 +13,10 @@ of many folds in one lockstep pass (see lockstep). A fold's candidates
 share its rows and stream order and differ only in scalars; the folds read
 their own rows, in their own stream order, from the one dataset by row id,
 so no fold's fit rows are copied. The iterates are one (folds, K, d)
-array, and each step does the d-vector work once for all of them. A pass
+array, and each step does the d-vector work once for all of them; its
+scalars come from array forms of the learners' formulas, which pick each
+candidate's inputs by its example's label and then compute once, bit for
+bit as the scalar formula would for that label. A pass
 holds O(folds * K * d) floats, so cross_validate packs consecutive folds
 into passes of at most LOCKSTEP_MAX_CELLS iterate entries. On the tune-dense-d8
 data (d = 8; 4 repeats x 3 folds x 4 candidates, so 48 per algorithm) that
@@ -39,7 +42,6 @@ import numpy as np
 from . import data
 from .baselines import ALGORITHMS, run_baseline, unknown_algorithm_message
 from .data import Dataset, gather_rows, split, split_rows, stream_order
-from .objective import saddle_terms, surrogate_moves
 from .regularizers import soft_threshold
 from .schedules import PracticalSchedule
 from .stats import exact_snapshot
@@ -196,7 +198,10 @@ def _fold_indices(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]
 
 
 # Array forms of scalar formulas, equal to their sources bit for bit on
-# every input, infinities and NaN included (tests/test_lockstep.py).
+# every input, infinities and NaN included (tests/test_lockstep.py). A
+# formula that branches on the label takes a mask `positive`, picks each
+# entry's label-dependent inputs with np.where and computes once, in the
+# source's order of operations.
 
 def _step_sizes(mu, t):
     """PracticalSchedule(mu).step_size(t)."""
@@ -211,7 +216,8 @@ def _prox_divisors(eta, lam):
 def _clamp(x, bound):
     """min(max(x, -bound), bound): the builtin max(x, lo) is lo only if
     lo > x, and min(x, hi) is hi only if hi < x."""
-    x = np.where(-bound > x, -bound, x)
+    lo = -bound
+    x = np.where(lo > x, lo, x)
     return np.where(bound < x, bound, x)
 
 
@@ -221,11 +227,36 @@ def _clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bound):
             _clamp(alpha + eta * galpha, 2 * bound))
 
 
-def _by_label(formula, positive, *args, **kwargs):
-    """formula(*args, label=..., **kwargs) on arrays, each entry taking the
-    branch of its own label: +1 where `positive`, -1 elsewhere."""
-    return [np.where(positive, x, y) for x, y in zip(formula(*args, label=1, **kwargs),
-                                                     formula(*args, label=-1, **kwargs))]
+def _label_terms(positive, p):
+    """What surrogate_moves and saddle_terms compute from the label and the
+    prior p alone, each entry taking the branch of its own label, +1 where
+    `positive`, -1 elsewhere: 2(1 - p) or 2p, 2p(1 - p), and saddle_terms'
+    sign term, -(1 - p) or p."""
+    rest = 1.0 - p
+    return 2.0 * np.where(positive, rest, p), 2.0 * p * rest, np.where(positive, -rest, p)
+
+
+def _surrogate_moves(positive, wx, wu, wv, p, n_pos, n_neg, eta, terms=None):
+    """surrogate_moves, each entry taking the branch of its own label;
+    `terms`, when given, is _label_terms(positive, p)."""
+    two_q, two_pq, _ = _label_terms(positive, p) if terms is None else terms
+    k = two_pq * (1.0 + (wv - wu))
+    c = two_q * (wx - np.where(positive, wu, wv))
+    return (c, eta * np.where(positive, k + c, k) / n_pos,
+            -(eta * np.where(positive, k, k - c) / n_neg))
+
+
+def _saddle_terms(positive, wx, a, b, alpha, p, terms=None, only_c=False):
+    """saddle_terms, each entry taking the branch of its own label, or its
+    c alone; `terms` as for _surrogate_moves."""
+    two_q, two_pq, sign_term = _label_terms(positive, p) if terms is None else terms
+    diff = wx - np.where(positive, a, b)
+    c = two_q * diff + 2.0 * (1.0 + alpha) * sign_term
+    if only_c:
+        return c
+    g = -two_q * diff
+    return (c, np.where(positive, g, 0.0), np.where(positive, 0.0, g),
+            2.0 * wx * sign_term - two_pq * alpha)
 
 
 def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[TrainConfig]]]
@@ -265,10 +296,12 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     solam c x, made on the example's nonzeros alone when rows hold at most
     a quarter of d on average), and one rescale (the l2 divisors, the ball
     projections, or one soft-threshold with per-candidate thresholds). The
-    coefficients come from the learners' own formulas evaluated on arrays:
-    surrogate_moves and saddle_terms, with each candidate taking the branch
-    of its example's label, and the array forms above of step_size,
-    prox_divisor and clamped_auxiliaries. The pass holds O(groups * k * d)
+    coefficients come from the array forms above of the learners' own
+    formulas: surrogate_moves and saddle_terms (spam's step takes c alone),
+    each candidate's inputs picked by its example's label, and step_size,
+    prox_divisor and clamped_auxiliaries. What they compute from the label
+    and the prior alone, _label_terms, is built for the chunk's steps at
+    once. The pass holds O(groups * k * d)
     floats besides the chunk; cross_validate bounds that by
     LOCKSTEP_MAX_CELLS.
     """
@@ -299,19 +332,22 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
         F[:, 1:] = [(m.u, m.v) for m in moments]
         prior = np.array([[m.p] for m in moments])
     elif algo == "solam":
-        norms = np.array([ex.norm() for ex in dataset])
+        cuts = ptr.tolist()  # Example.norm of each row, read by its row bounds
+        norms = np.array([math.sqrt(v.dot(v)) for v in (dataset.values[lo:hi]
+                                                         for lo, hi in zip(cuts, cuts[1:]))])
         aux = [np.zeros((n_groups, k)) for _ in range(3)]  # a, b and alpha
     # per group: examples and positives seen, steps taken, data radius
     seen, pos_seen, taken = (np.zeros(n_groups, np.int64) for _ in range(3))
     kappa = np.ones(n_groups)
     W = np.zeros((n_groups, k, d))
+    F_T = F.transpose(0, 2, 1)  # a view, so it follows F
     # a chunk of steps is as long as neither its examples, one dense
-    # (groups, d) slice per step, nor its (steps, groups, k) step sizes
-    # hold more than a quarter of SCORE_CHUNK entries (or one step):
-    # building the examples keeps four such arrays alive. With all of
-    # SCORE_CHUNK, the tune-dense-d8 job's peak resident set was 0.8 MB
-    # higher, and no faster
-    span = max(1, data.SCORE_CHUNK // (4 * n_groups * max(d, k)))
+    # (groups, d) slice per step, nor its (steps, groups, k) step sizes,
+    # nor its (steps, 3, groups, 1) label terms hold more than a quarter of
+    # SCORE_CHUNK entries (or one step): building the examples keeps four
+    # such arrays alive. With all of SCORE_CHUNK, the tune-dense-d8 job's
+    # peak resident set was 0.8 MB higher, and no faster
+    span = max(1, data.SCORE_CHUNK // (4 * n_groups * max(d, k, 3)))
     total = max(ends)
     # an iterate that overflows leaves below, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -343,8 +379,11 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
             positive = pos[:, :, None]
             if algo == "spauc":
                 n_pos_k, n_neg_k = (np.maximum(m, 1)[:, :, None] for m in (n_pos, n - n_pos))
+                sides = np.stack([positive, ~positive], axis=2)  # which class sum takes x
             if algo != "spam":
                 prior = np.where(ready, n_pos / n, 0.5)[:, :, None]
+            # step s's _label_terms are terms[s]
+            terms = np.stack(np.broadcast_arrays(*_label_terms(positive, prior)), axis=1)
             if algo == "solam":
                 radii = np.maximum.accumulate(
                     np.vstack([kappa, np.where(active, norms[at], 1.0)]))[1:]
@@ -367,20 +406,19 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 F[:, 0] = X[s]
                 # per group, (k, d) @ (d, 1 or 3): w.x, and w against the
                 # class sums or moments
-                products = W @ F.transpose(0, 2, 1)
-                wx, *w_f = (products[:, :, i] for i in range(F.shape[1]))
+                wx, *w_f = (W @ F_T).transpose(2, 0, 1)
                 if algo == "spauc":
-                    c, alpha, beta = _by_label(
-                        surrogate_moves, positive[s], wx, w_f[0] / n_pos_k[s],
-                        w_f[1] / n_neg_k[s], prior[s], n_pos_k[s], n_neg_k[s], eta[s])
+                    c, alpha, beta = _surrogate_moves(
+                        positive[s], wx, w_f[0] / n_pos_k[s], w_f[1] / n_neg_k[s], prior[s],
+                        n_pos_k[s], n_neg_k[s], eta[s], terms=terms[s])
                     # c x, alpha S+ and beta S-, per group (k, 3) @ (3, d)
                     W += np.stack([-eta[s] * c, alpha, beta], axis=2) @ F
                 elif algo == "spam":
-                    c = _by_label(saddle_terms, positive[s], wx, *w_f, w_f[1] - w_f[0],
-                                  p=prior)[0]
+                    c = _saddle_terms(positive[s], wx, *w_f, w_f[1] - w_f[0], prior,
+                                      terms=terms[s], only_c=True)
                 else:
-                    c, ga, gb, galpha = _by_label(saddle_terms, positive[s], wx, *aux,
-                                                  p=prior[s])
+                    c, ga, gb, galpha = _saddle_terms(positive[s], wx, *aux, prior[s],
+                                                    terms=terms[s])
                 if sparse:
                     lo, hi = bounds[s], bounds[s + 1]
                     groups_e = e_group[lo:hi]
@@ -400,8 +438,7 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 if not live.any():
                     return [[None] * size for size in sizes]
                 if algo == "spauc":  # ClassStats.update's sums
-                    F[:, 1] += np.where(pos[s][:, None], X[s], 0.0)
-                    F[:, 2] += np.where(pos[s][:, None], 0.0, X[s])
+                    F[:, 1:] += np.where(sides[s], X[s][:, None], 0.0)
             del X, e_group, e_col, e_value  # before the next chunk's are built
     return [[W[g, j].copy() if live[g, j] else None for j in range(size)]
             for g, size in enumerate(sizes)]
@@ -461,8 +498,9 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
                                              for p in cands]))
 
     # per fold: its fit rows, configs, held-out rows and problem, built as
-    # the passes reach it
-    fold_groups = ((part[np.setdiff1d(np.arange(len(part)), val)], fold_configs, part[val], i)
+    # the passes reach it (np.delete, not np.setdiff1d, whose np.unique
+    # imports numpy.ma, about 10 ms of a job)
+    fold_groups = ((np.delete(part, val), fold_configs, part[val], i)
                    for i, (part, seed, fold_configs) in enumerate(problems)
                    for val in _fold_indices(dataset.labels[part], folds, seed))
     scores = [[[] for _ in cands] for cands in candidates]

@@ -155,9 +155,9 @@ def saddle_coefficients(wx: float, a: float, b: float, alpha: float,
 
 
 def saddle_terms(wx, a, b, alpha, label: int, p) -> tuple:
-    """saddle_coefficients without its check of p, so that it also runs
-    elementwise on arrays of wx, a, b, alpha and p, as bench.lockstep
-    evaluates it for many iterates at once."""
+    """saddle_coefficients without its check of p, so that it takes any p:
+    the scalar source that bench._saddle_terms, its form on arrays, is held
+    equal to bit for bit."""
     if label == 1:
         sign_term = -(1.0 - p)
         c = 2.0 * (1.0 - p) * (wx - a) + 2.0 * (1.0 + alpha) * sign_term

@@ -677,14 +677,18 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
         last_traced = learner.t
 
     config = learner.config
+    # each step's Example is the view dataset[i] gives, read from these lists
+    cuts, labels = dataset.indptr.tolist(), dataset.labels.tolist()
+    indices, values = dataset.indices, dataset.values
     elapsed = time_offset
     tick = time.perf_counter()
     # a step that overflows is caught by the learner's finiteness check and
     # reported as a DivergenceError, so numpy's warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for i in stream_order(dataset, epoch, config.seed):
-                learner.step(dataset[i])
+            for i in stream_order(dataset, epoch, config.seed).tolist():
+                lo, hi = cuts[i], cuts[i + 1]
+                learner.step(Example(indices[lo:hi], values[lo:hi], labels[i]))
                 if learner.t > 0 and learner.t % config.eval_every == 0 \
                         and learner.t != last_traced:
                     elapsed += time.perf_counter() - tick

@@ -364,6 +364,54 @@ def test_benchmark_picks_as_the_loop_over_repeats(monkeypatch):
     assert reported == want
 
 
+def by_label(formula, positive, *args, **kwargs):
+    """How the lockstep once evaluated a scalar formula on arrays:
+    formula(*args, label=..., **kwargs) for each label, each entry keeping
+    the branch of its own label, +1 where `positive`."""
+    return [np.where(positive, x, y) for x, y in zip(formula(*args, label=1, **kwargs),
+                                                     formula(*args, label=-1, **kwargs))]
+
+
+def surrogate_moves_by_label(positive, *args, terms=None):
+    return by_label(surrogate_moves, positive, *args)
+
+
+def saddle_terms_by_label(positive, wx, a, b, alpha, p, terms=None, only_c=False):
+    out = by_label(saddle_terms, positive, wx, a, b, alpha, p=p)
+    return out[0] if only_c else out
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "l1"])
+@pytest.mark.parametrize("algo", ["spauc", "spam", "solam"])
+def test_tune_is_as_with_the_formulas_taken_by_label(monkeypatch, fits, algo, reg_kind):
+    # two problems of different lengths, so one's stream ends while the
+    # other steps, and large steps (mu = 1) that drive solam's auxiliaries
+    # into their clamps
+    ds = gaussian_task(33, n=160, d=6)
+    rows = [np.arange(0, 160, 2), np.arange(100)]
+    configs = [practical_config(reg_kind, seed=seed, epochs=epochs)
+               for seed, epochs in [(1, 2), (4, 1)]]
+    params = {"mu": [1.0, 10.0, 100.0, 300.0], "lambda": [1e-3, 0.1]}
+    if algo == "solam":
+        params["radius"] = [0.3, 10.0]
+    grid = TuneGrid(params, pair_sample_size=5, folds=3)
+    models = []
+    real = bench.lockstep
+
+    def spy(algo, dataset, groups):
+        out = real(algo, dataset, groups)
+        models.append(as_bytes(out))
+        return out
+    monkeypatch.setattr(bench, "lockstep", spy)
+    got = tune(ds, algo, grid, configs, rows)
+    assert fits == []  # every candidate stayed in the lockstep
+    monkeypatch.setattr(bench, "_surrogate_moves", surrogate_moves_by_label)
+    monkeypatch.setattr(bench, "_saddle_terms", saddle_terms_by_label)
+    want = tune(ds, algo, grid, configs, rows)
+    assert len(models) == 2 and models[0] == models[1]
+    assert repr(got) == repr(want)
+
+
 SPECIAL = [0.0, -0.0, 5e-324, -1e308, 1e308, np.inf, -np.inf, np.nan]
 
 
@@ -406,11 +454,14 @@ def test_array_forms_are_their_scalar_sources_bit_for_bit():
             (bench._clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bound),
              [clamped_auxiliaries(*args) for args in zip(
                  a, b, alpha, eta, ga, gb, galpha, bound)]),
-            (bench._by_label(surrogate_moves, positive, wx, wu, wv, p, n_pos, n_neg, eta),
+            (bench._surrogate_moves(positive, wx, wu, wv, p, n_pos, n_neg, eta),
              [surrogate_moves(*args, label=y) for *args, y in zip(
                  wx, wu, wv, p, n_pos.tolist(), n_neg.tolist(), eta, label.tolist())]),
-            (bench._by_label(saddle_terms, positive, wx, a, b, alpha, p=p),
+            (bench._saddle_terms(positive, wx, a, b, alpha, p),
              [saddle_terms(*args, label=y, p=q) for *args, y, q in zip(
+                 wx, a, b, alpha, label.tolist(), p)]),
+            ([bench._saddle_terms(positive, wx, a, b, alpha, p, only_c=True)],
+             [saddle_terms(*args, label=y, p=q)[:1] for *args, y, q in zip(
                  wx, a, b, alpha, label.tolist(), p)]),
         ]
     for got, want in checks:
