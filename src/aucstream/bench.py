@@ -16,9 +16,9 @@ so no fold's fit rows are copied. The iterates are one (folds, K, d)
 array, and each step does the d-vector work once for all of them; its
 scalars come from array forms of the learners' formulas, which pick each
 candidate's inputs by its example's label and then compute once, bit for
-bit as the scalar formula would for that label. A pass
-holds O(folds * K * d) floats, so cross_validate packs consecutive folds
-into passes of at most LOCKSTEP_MAX_CELLS iterate entries. On the tune-dense-d8
+bit as the scalar formula would for that label. A pass holds
+O(folds * K * d) floats, so cross_validate packs consecutive folds into
+passes of at most LOCKSTEP_MAX_CELLS iterate entries. On the tune-dense-d8
 data (d = 8; 4 repeats x 3 folds x 4 candidates, so 48 per algorithm) that
 is one pass, and under the CLI's default protocol (20 repeats x 5 folds x
 15 candidates) one pass at d = 8 and four folds per pass at d = 1000.
@@ -236,20 +236,20 @@ def _label_terms(positive, p):
     return 2.0 * np.where(positive, rest, p), 2.0 * p * rest, np.where(positive, -rest, p)
 
 
-def _surrogate_moves(positive, wx, wu, wv, p, n_pos, n_neg, eta, terms=None):
-    """surrogate_moves, each entry taking the branch of its own label;
-    `terms`, when given, is _label_terms(positive, p)."""
-    two_q, two_pq, _ = _label_terms(positive, p) if terms is None else terms
+def _surrogate_moves(positive, wx, wu, wv, terms, n_pos, n_neg, eta):
+    """surrogate_moves, each entry taking the branch of its own label, with
+    terms = _label_terms(positive, p) in place of p."""
+    two_q, two_pq, _ = terms
     k = two_pq * (1.0 + (wv - wu))
     c = two_q * (wx - np.where(positive, wu, wv))
     return (c, eta * np.where(positive, k + c, k) / n_pos,
             -(eta * np.where(positive, k, k - c) / n_neg))
 
 
-def _saddle_terms(positive, wx, a, b, alpha, p, terms=None, only_c=False):
-    """saddle_terms, each entry taking the branch of its own label, or its
-    c alone; `terms` as for _surrogate_moves."""
-    two_q, two_pq, sign_term = _label_terms(positive, p) if terms is None else terms
+def _saddle_terms(positive, wx, a, b, alpha, terms, only_c=False):
+    """saddle_terms, each entry taking the branch of its own label, with
+    terms = _label_terms(positive, p) in place of p; or its c alone."""
+    two_q, two_pq, sign_term = terms
     diff = wx - np.where(positive, a, b)
     c = two_q * diff + 2.0 * (1.0 + alpha) * sign_term
     if only_c:
@@ -301,9 +301,8 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     each candidate's inputs picked by its example's label, and step_size,
     prox_divisor and clamped_auxiliaries. What they compute from the label
     and the prior alone, _label_terms, is built for the chunk's steps at
-    once. The pass holds O(groups * k * d)
-    floats besides the chunk; cross_validate bounds that by
-    LOCKSTEP_MAX_CELLS.
+    once. The pass holds O(groups * k * d) floats besides the chunk;
+    cross_validate bounds that by LOCKSTEP_MAX_CELLS.
     """
     configs = [c for _, cfgs in groups for c in cfgs]
     kinds = {c.regularizer.kind for c in configs}
@@ -409,16 +408,15 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 wx, *w_f = (W @ F_T).transpose(2, 0, 1)
                 if algo == "spauc":
                     c, alpha, beta = _surrogate_moves(
-                        positive[s], wx, w_f[0] / n_pos_k[s], w_f[1] / n_neg_k[s], prior[s],
-                        n_pos_k[s], n_neg_k[s], eta[s], terms=terms[s])
+                        positive[s], wx, w_f[0] / n_pos_k[s], w_f[1] / n_neg_k[s], terms[s],
+                        n_pos_k[s], n_neg_k[s], eta[s])
                     # c x, alpha S+ and beta S-, per group (k, 3) @ (3, d)
                     W += np.stack([-eta[s] * c, alpha, beta], axis=2) @ F
                 elif algo == "spam":
-                    c = _saddle_terms(positive[s], wx, *w_f, w_f[1] - w_f[0], prior,
-                                      terms=terms[s], only_c=True)
+                    c = _saddle_terms(positive[s], wx, *w_f, w_f[1] - w_f[0], terms[s],
+                                      only_c=True)
                 else:
-                    c, ga, gb, galpha = _saddle_terms(positive[s], wx, *aux, prior[s],
-                                                    terms=terms[s])
+                    c, ga, gb, galpha = _saddle_terms(positive[s], wx, *aux, terms[s])
                 if sparse:
                     lo, hi = bounds[s], bounds[s + 1]
                     groups_e = e_group[lo:hi]

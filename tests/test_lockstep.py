@@ -5,8 +5,9 @@ the per-candidate path above LOCKSTEP_MAX_DIM. Several problems, with every
 fold of each, in one pass: each problem's fold table as the loop's, models
 that do not depend on the chunk size, passes within the cell budget, sparse
 rows, the same picks as the loop over repeats, models of a group that do
-not depend on the other groups of its pass, and the array forms of scalar
-formulas bit for bit."""
+not depend on the other groups of its pass, the array forms of scalar
+formulas bit for bit, and tune tables and models as with each formula
+evaluated once per label."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -372,12 +373,13 @@ def by_label(formula, positive, *args, **kwargs):
                                                      formula(*args, label=-1, **kwargs))]
 
 
-def surrogate_moves_by_label(positive, *args, terms=None):
-    return by_label(surrogate_moves, positive, *args)
+# the forms as by_label's, each reading the prior p as its only label term
+def surrogate_moves_by_label(positive, wx, wu, wv, terms, *args):
+    return by_label(surrogate_moves, positive, wx, wu, wv, terms[0], *args)
 
 
-def saddle_terms_by_label(positive, wx, a, b, alpha, p, terms=None, only_c=False):
-    out = by_label(saddle_terms, positive, wx, a, b, alpha, p=p)
+def saddle_terms_by_label(positive, wx, a, b, alpha, terms, only_c=False):
+    out = by_label(saddle_terms, positive, wx, a, b, alpha, p=terms[0])
     return out[0] if only_c else out
 
 
@@ -385,7 +387,7 @@ def saddle_terms_by_label(positive, wx, a, b, alpha, p, terms=None, only_c=False
 @pytest.mark.parametrize("algo", ["spauc", "spam", "solam"])
 def test_tune_is_as_with_the_formulas_taken_by_label(monkeypatch, fits, algo, reg_kind):
     # two problems of different lengths, so one's stream ends while the
-    # other steps, and large steps (mu = 1) that drive solam's auxiliaries
+    # other steps; solam's large steps (mu = 0.01) drive its auxiliaries
     # into their clamps
     ds = gaussian_task(33, n=160, d=6)
     rows = [np.arange(0, 160, 2), np.arange(100)]
@@ -393,7 +395,7 @@ def test_tune_is_as_with_the_formulas_taken_by_label(monkeypatch, fits, algo, re
                for seed, epochs in [(1, 2), (4, 1)]]
     params = {"mu": [1.0, 10.0, 100.0, 300.0], "lambda": [1e-3, 0.1]}
     if algo == "solam":
-        params["radius"] = [0.3, 10.0]
+        params.update(mu=[0.01, 0.1, 30.0, 300.0], radius=[0.3, 10.0])
     grid = TuneGrid(params, pair_sample_size=5, folds=3)
     models = []
     real = bench.lockstep
@@ -405,6 +407,8 @@ def test_tune_is_as_with_the_formulas_taken_by_label(monkeypatch, fits, algo, re
     monkeypatch.setattr(bench, "lockstep", spy)
     got = tune(ds, algo, grid, configs, rows)
     assert fits == []  # every candidate stayed in the lockstep
+    # p, at the label mask's shape, is the one label term
+    monkeypatch.setattr(bench, "_label_terms", lambda positive, p: (np.where(positive, p, p),))
     monkeypatch.setattr(bench, "_surrogate_moves", surrogate_moves_by_label)
     monkeypatch.setattr(bench, "_saddle_terms", saddle_terms_by_label)
     want = tune(ds, algo, grid, configs, rows)
@@ -444,6 +448,7 @@ def test_array_forms_are_their_scalar_sources_bit_for_bit():
     positive = rng.random(n) < 0.5
     label = np.where(positive, 1, -1)
     with np.errstate(all="ignore"):
+        terms = bench._label_terms(positive, p)
         checks = [
             ([bench._step_sizes(mu, t)],
              [[PracticalSchedule.step_size(SimpleNamespace(mu=m), int(k))]
@@ -454,13 +459,13 @@ def test_array_forms_are_their_scalar_sources_bit_for_bit():
             (bench._clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bound),
              [clamped_auxiliaries(*args) for args in zip(
                  a, b, alpha, eta, ga, gb, galpha, bound)]),
-            (bench._surrogate_moves(positive, wx, wu, wv, p, n_pos, n_neg, eta),
+            (bench._surrogate_moves(positive, wx, wu, wv, terms, n_pos, n_neg, eta),
              [surrogate_moves(*args, label=y) for *args, y in zip(
                  wx, wu, wv, p, n_pos.tolist(), n_neg.tolist(), eta, label.tolist())]),
-            (bench._saddle_terms(positive, wx, a, b, alpha, p),
+            (bench._saddle_terms(positive, wx, a, b, alpha, terms),
              [saddle_terms(*args, label=y, p=q) for *args, y, q in zip(
                  wx, a, b, alpha, label.tolist(), p)]),
-            ([bench._saddle_terms(positive, wx, a, b, alpha, p, only_c=True)],
+            ([bench._saddle_terms(positive, wx, a, b, alpha, terms, only_c=True)],
              [saddle_terms(*args, label=y, p=q)[:1] for *args, y, q in zip(
                  wx, a, b, alpha, label.tolist(), p)]),
         ]
