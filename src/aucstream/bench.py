@@ -331,7 +331,7 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
         F[:, 1:] = [(m.u, m.v) for m in moments]
         prior = np.array([[m.p] for m in moments])
     elif algo == "solam":
-        cuts = ptr.tolist()  # Example.norm of each row, read by its row bounds
+        cuts = memoryview(ptr)  # Example.norm of each row, read by its row bounds
         norms = np.array([math.sqrt(v.dot(v)) for v in (dataset.values[lo:hi]
                                                          for lo, hi in zip(cuts, cuts[1:]))])
         aux = [np.zeros((n_groups, k)) for _ in range(3)]  # a, b and alpha

@@ -677,8 +677,10 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
         last_traced = learner.t
 
     config = learner.config
-    # each step's Example is the view dataset[i] gives, read from these lists
-    cuts, labels = dataset.indptr.tolist(), dataset.labels.tolist()
+    # each step's Example is the view dataset[i] gives, its bounds and label
+    # read through memoryviews, which yield Python ints as lists of them
+    # would, without holding n of them
+    cuts, labels = memoryview(dataset.indptr), memoryview(dataset.labels)
     indices, values = dataset.indices, dataset.values
     elapsed = time_offset
     tick = time.perf_counter()
@@ -686,7 +688,7 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
     # reported as a DivergenceError, so numpy's warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for i in stream_order(dataset, epoch, config.seed).tolist():
+            for i in memoryview(stream_order(dataset, epoch, config.seed)):
                 lo, hi = cuts[i], cuts[i + 1]
                 learner.step(Example(indices[lo:hi], values[lo:hi], labels[i]))
                 if learner.t > 0 and learner.t % config.eval_every == 0 \
