@@ -7,7 +7,7 @@ and a benchmark/tuning harness.
 """
 
 from .baselines import (ALGORITHMS, FastSolamTrainer, FastSpamTrainer,
-                        SolamTrainer, SpamTrainer, run_baseline,
+                        SolamTrainer, SpamTrainer, run_algorithm,
                         unknown_algorithm_message)
 from .data import (BinarizeRule, Dataset, Example, ParseError, binarize,
                    load_libsvm, parse_libsvm, save_libsvm, split,
@@ -24,6 +24,6 @@ from .schedules import (FastRateSchedule, LogDampedSchedule, PolySchedule,
 from .stats import ClassStats, NotReadyError, StatsSnapshot, exact_snapshot
 from .trainer import (DivergenceError, SpaucTrainer, TracePoint,
                       TrainConfig, describe_config, load_model, save_model,
-                      stream_run, train)
+                      stream_run)
 
 __version__ = "0.1.0"

@@ -11,13 +11,12 @@ iterate projected onto the l2 ball of radius R = TrainConfig.radius and the
 auxiliary variables clamped to the ranges they can take at feasible w.
 
 Both move w along x only, by a multiple of x, then rescale it (l2 prox,
-projection). run_baseline runs spam with no penalty or l2, and every solam
-run, on FastSpamTrainer/FastSolamTrainer, which store w = sigma * r and step
-in O(nnz(x)). spam with l1 runs on the dense SpamTrainer, since the
-soft-threshold is not a rescaling. Each fast class subclasses the dense one
-it is tested against (relative error at most 1e-9 after 10^5 steps, for the
-last iterate and both averages, and divergence at the same iteration) and
-takes the dense step wherever its own declines (see trainer.ScaledLearner).
+projection). FastSpamTrainer (no penalty or l2) and FastSolamTrainer store
+w = sigma * r and step in O(nnz(x)). Each subclasses the dense learner it is
+tested against (relative error at most 1e-9 after 10^5 steps, for the last
+iterate and both averages, and divergence at the same iteration) and takes
+the dense step wherever its own declines (see trainer.ScaledLearner).
+run_algorithm builds and runs every single fit, spauc's included.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ import numpy as np
 from .data import Dataset, Example
 from .objective import saddle_coefficients, saddle_grad
 from .stats import StatsSnapshot, exact_snapshot
-from .trainer import Learner, ScaledLearner, TrainConfig, stream_run
+from .trainer import (FastSpaucTrainer, L1SpaucTrainer, Learner, ScaledLearner,
+                      TracePoint, TrainConfig, stream_run)
 
 ALGORITHMS = ("spauc", "spam", "solam")
 UNIMPLEMENTED = ("opauc", "oam", "fsauc")
@@ -176,25 +176,36 @@ class FastSolamTrainer(ScaledLearner, SolamTrainer):
         return True
 
 
-def run_baseline(algo: str, dataset: Dataset, config: TrainConfig,
-                 test_data: Dataset | None = None,
-                 objective_data: Dataset | None = None):
-    """Train a baseline over the dataset; same contract and trace schema as
-    `trainer.train`. SPAM's elapsed time includes its full-data moment pass.
-    Spam with no penalty or l2, and every solam run, take the O(nnz) step;
-    spam with l1 takes the dense one."""
-    if algo == "spam":
+def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
+                  test_data: Dataset | None = None, objective_data: Dataset | None = None
+                  ) -> tuple[np.ndarray, list[TracePoint]]:
+    """Run one algorithm over a dataset; returns the configured iterate and
+    the evaluation trace, whose schema every algorithm shares.
+    Deterministic given config.seed.
+
+    With no penalty or l2, every algorithm takes the O(nnz(x)) step of its
+    scaled learner: FastSpaucTrainer, FastSpamTrainer, FastSolamTrainer.
+    With l1, whose soft-threshold is not a rescaling, spauc takes
+    L1SpaucTrainer's O(d) step from the class sums and spam the dense
+    SpamTrainer's; solam never reads the penalty and stays on
+    FastSolamTrainer. Spam's elapsed time includes its full-data moment
+    pass. A name that is not an algorithm raises ValueError.
+    """
+    l1 = config.regularizer.kind == "l1"
+    moment_seconds = 0.0
+    if algo == "spauc":
+        learner = (L1SpaucTrainer if l1 else FastSpaucTrainer)(dataset.dim, config)
+    elif algo == "spam":
         tick = time.perf_counter()
         moments = exact_snapshot(dataset)
         moment_seconds = time.perf_counter() - tick
-        cls = SpamTrainer if config.regularizer.kind == "l1" else FastSpamTrainer
-        learner = cls(dataset.dim, config, moments)
-        return stream_run(learner, dataset, test_data, objective_data,
-                          time_offset=moment_seconds)
-    if algo == "solam":
+        learner = (SpamTrainer if l1 else FastSpamTrainer)(dataset.dim, config, moments)
+    elif algo == "solam":
         learner = FastSolamTrainer(dataset.dim, config)
-        return stream_run(learner, dataset, test_data, objective_data)
-    raise ValueError(unknown_algorithm_message(algo))
+    else:
+        raise ValueError(unknown_algorithm_message(algo))
+    return stream_run(learner, dataset, test_data, objective_data,
+                      time_offset=moment_seconds)
 
 
 def unknown_algorithm_message(algo: str) -> str:

@@ -40,13 +40,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data
-from .baselines import ALGORITHMS, run_baseline, unknown_algorithm_message
+from .baselines import ALGORITHMS, run_algorithm, unknown_algorithm_message
 from .data import Dataset, gather_rows, split, split_rows, stream_order
 from .regularizers import soft_threshold
 from .schedules import PracticalSchedule
 from .stats import exact_snapshot
-from .trainer import (DivergenceError, FastSpaucTrainer, TracePoint, TrainConfig,
-                      train)
+from .trainer import DivergenceError, FastSpaucTrainer, TracePoint, TrainConfig
 
 TRACE_HEADER = ["iter", "elapsed_sec", "test_auc", "objective"]
 REPORT_HEADER = ["algo", "dataset", "auc_mean", "auc_std",
@@ -125,16 +124,6 @@ def config_from_params(params: dict, config: TrainConfig) -> TrainConfig:
         reg = replace(reg, lam=params["lambda"])
     return replace(config, regularizer=reg, schedule=PracticalSchedule(mu=params["mu"]),
                    radius=params.get("radius", config.radius))
-
-
-def run_algorithm(algo: str, train_data: Dataset, config: TrainConfig,
-                  test_data: Dataset | None = None,
-                  objective_data: Dataset | None = None):
-    """Dispatch one training run; identical trace schema for every algorithm.
-    run_baseline rejects a name that is not an algorithm."""
-    if algo == "spauc":
-        return train(train_data, config, test_data, objective_data)
-    return run_baseline(algo, train_data, config, test_data, objective_data)
 
 
 @dataclass(frozen=True)

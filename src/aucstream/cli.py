@@ -16,6 +16,8 @@ import sys
 
 from . import bench
 from .baselines import ALGORITHMS, unknown_algorithm_message
+# the benchmark probe times the train verb's fit under the name cli.train
+from .baselines import run_algorithm as train
 from .data import BINARIZE_RULES, BinarizeRule, ParseError, load_libsvm
 from .metrics import auc
 from .objective import dataset_kappa
@@ -23,7 +25,7 @@ from .regularizers import PENALTIES, Regularizer
 from .schedules import (SCHEDULES, FastRateSchedule, PracticalSchedule,
                         clamp_for_theory, fast_rate_t1, theory_cap)
 from .trainer import (AVERAGES, DivergenceError, TrainConfig, describe_config,
-                      load_model, save_model, train)
+                      load_model, save_model)
 
 EXIT_DATA = 1
 EXIT_USAGE = 2
@@ -246,7 +248,8 @@ def cmd_train(args, parser) -> int:
     config = dataclasses.replace(config, schedule=_schedule_from_args(args, parser, reg, data))
     objective_data = bench.objective_subsample(data, args.seed) \
         if args.trace_objective else None
-    w, trace = train(data, config, test_data=test_data, objective_data=objective_data)
+    w, trace = train("spauc", data, config, test_data=test_data,
+                     objective_data=objective_data)
     if args.out:
         save_model(args.out, w, describe_config(config))
     if args.trace:

@@ -4,11 +4,11 @@ pairwise loss.
 The per-sample surrogate replaces the class prior and conditional means by a
 statistics snapshot, turning the pairwise objective into a pointwise one whose
 stochastic gradient costs O(d + nnz(x)). That dense gradient defines the
-step of trainer.SpaucTrainer. The learners train() runs take the same step
-through surrogate_moves, its scalar form over the class sums: with no
-penalty or l2, trainer.FastSpaucTrainer in O(nnz(x)), keeping the iterate
-as sigma * r + A * S+ + B * S-; with l1, trainer.L1SpaucTrainer in O(d)
-without d-sized temporaries. The same formula evaluated with full-data
+step of trainer.SpaucTrainer. The learners that run spauc's fits take the
+same step through surrogate_moves, its scalar form over the class sums:
+with no penalty or l2, trainer.FastSpaucTrainer in O(nnz(x)), keeping the
+iterate as sigma * r + A * S+ + B * S-; with l1, trainer.L1SpaucTrainer in
+O(d) without d-sized temporaries. The same formula evaluated with full-data
 moments is an exactly unbiased estimate of the empirical pairwise
 objective, which is also provided here in both a brute-force (all-pairs
 oracle) and a fast moment-based form.

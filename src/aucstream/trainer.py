@@ -14,11 +14,11 @@ which the fast-rate schedule has its guarantee).
 SpaucTrainer's step costs O(d + nnz(x)); it defines the update and is the
 reference the other two learners are tested against (relative error at
 most 1e-9 after 10^5 steps, and divergence at the same iteration). Both
-subclass it and take its step wherever their own step declines. train()
-runs FastSpaucTrainer for no penalty and l2, whose step costs O(nnz(x))
-whatever the dimension, and L1SpaucTrainer for l1, whose step still costs
-O(d) (the soft-threshold touches every weight) but is taken from the class
-sums in reused buffers, with no d-sized allocation.
+subclass it and take its step wherever their own step declines.
+FastSpaucTrainer (no penalty or l2) steps in O(nnz(x)) whatever the
+dimension; L1SpaucTrainer (l1) still steps in O(d), as the soft-threshold
+touches every weight, but from the class sums in reused buffers, with no
+d-sized allocation. baselines.run_algorithm picks the learner of a run.
 """
 
 from __future__ import annotations
@@ -700,17 +700,6 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
         if learner.t != last_traced:
             record(elapsed)
     return learner.model(), trace
-
-
-def train(dataset: Dataset, config: TrainConfig,
-          test_data: Dataset | None = None,
-          objective_data: Dataset | None = None) -> tuple[np.ndarray, list[TracePoint]]:
-    """Run the proximal learner over a dataset; returns the configured iterate
-    and the evaluation trace. Deterministic given config.seed. No penalty
-    and l2 take the O(nnz) step, l1 the O(d) step from the class sums."""
-    cls = L1SpaucTrainer if config.regularizer.kind == "l1" else FastSpaucTrainer
-    learner = cls(dataset.dim, config)
-    return stream_run(learner, dataset, test_data, objective_data)
 
 
 def describe_config(config: TrainConfig) -> dict:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import aucstream.baselines as baselines_mod
+from aucstream.baselines import run_algorithm
 from aucstream.bench import TuneGrid, benchmark
 from aucstream.data import BinarizeRule, load_libsvm, split
 from aucstream.metrics import auc, auc_bruteforce
@@ -24,7 +25,7 @@ from aucstream.regularizers import l1, l2, none_reg
 from aucstream.schedules import (FastRateSchedule, PolySchedule,
                                  PracticalSchedule, theory_cap)
 from aucstream.stats import exact_snapshot
-from aucstream.trainer import (SpaucTrainer, TrainConfig, stream_run, train)
+from aucstream.trainer import SpaucTrainer, TrainConfig, stream_run
 
 from conftest import (central_diff, central_diff_scalar, dense_example,
                       gaussian_task, pairwise_minimum, pairwise_quadratic,
@@ -160,7 +161,7 @@ def test_criterion_07_convergence_at_desk_scale():
         def run(data, mu, epochs, **kw):
             cfg = TrainConfig(none_reg(), PracticalSchedule(mu), epochs=epochs,
                               seed=0, eval_every=kw.pop("eval_every", 10**9))
-            return train(data, cfg, **kw)
+            return run_algorithm("spauc", data, cfg, **kw)
 
         # the grid is matched to this task's feature scale (kappa ~ 8);
         # selection uses a validation carve-out, never the test part
@@ -198,7 +199,7 @@ def test_criterion_08_rate_ordering():
                                         (poly, "avg1", gaps_poly)):
                 cfg = TrainConfig(none_reg(), sched, epochs=4, seed=seed,
                                   average=average, eval_every=10**9)
-                w, _ = train(ds, cfg)  # 4 passes over 10000 = 40000 steps
+                w, _ = run_algorithm("spauc", ds, cfg)  # 4 passes over 10000 = 40000 steps
                 out.append(pairwise_objective_fast(w, ds) - f_min)
         assert float(np.mean(gaps_fast)) <= float(np.mean(gaps_poly))
         assert time.perf_counter() - start < 300.0
@@ -292,5 +293,5 @@ def test_criterion_11_cost_scaling_and_timing_accounting(monkeypatch):
 
         monkeypatch.setattr(baselines_mod, "exact_snapshot", slow_snapshot)
         cfg = TrainConfig(none_reg(), PracticalSchedule(50.0), eval_every=10)
-        _, trace = baselines_mod.run_baseline("spam", ds, cfg)
+        _, trace = run_algorithm("spam", ds, cfg)
         assert trace[0].elapsed_sec >= 0.1

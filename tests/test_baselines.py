@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import aucstream.baselines as baselines
-from aucstream.baselines import (SolamTrainer, SpamTrainer, run_baseline,
+from aucstream.baselines import (SolamTrainer, SpamTrainer, run_algorithm,
                                  unknown_algorithm_message)
 from aucstream.data import split
 from aucstream.objective import saddle_grad, saddle_value
 from aucstream.regularizers import l2, none_reg
 from aucstream.schedules import PracticalSchedule
 from aucstream.stats import ClassStats, exact_snapshot
-from aucstream.trainer import TrainConfig, TracePoint, train
+from aucstream.trainer import TrainConfig, TracePoint
 
 from conftest import (central_diff, gaussian_task, random_dataset,
                       sparse_example)
@@ -65,8 +65,8 @@ class TestSpam:
         tr, te = split(ds, 0.2, seed=2)
         cfg = config(schedule=PracticalSchedule(30.0), regularizer=l2(1e-4),
                      epochs=3, seed=2, eval_every=10**9)
-        _, spauc_trace = train(tr, cfg, test_data=te)
-        _, spam_trace = run_baseline("spam", tr, cfg, test_data=te)
+        _, spauc_trace = run_algorithm("spauc", tr, cfg, test_data=te)
+        _, spam_trace = run_algorithm("spam", tr, cfg, test_data=te)
         assert abs(spauc_trace[-1].test_auc - spam_trace[-1].test_auc) <= 0.02
 
 
@@ -164,7 +164,7 @@ class TestSolam:
         tr, te = split(ds, 0.2, seed=6)
         cfg = config(schedule=PracticalSchedule(30.0), epochs=5, seed=6,
                      eval_every=10**9)
-        _, trace = run_baseline("solam", tr, cfg, test_data=te)
+        _, trace = run_algorithm("solam", tr, cfg, test_data=te)
         assert trace[-1].test_auc >= 0.93
 
 
@@ -174,8 +174,8 @@ class TestRunBaseline:
         ds = random_dataset(rng, n=50, d=4)
         cfg = config(epochs=2, seed=11, eval_every=25)
         for algo in ("spam", "solam"):
-            w1, t1 = run_baseline(algo, ds, cfg)
-            w2, t2 = run_baseline(algo, ds, cfg)
+            w1, t1 = run_algorithm(algo, ds, cfg)
+            w2, t2 = run_algorithm(algo, ds, cfg)
             assert np.array_equal(w1, w2)
             assert [p.step for p in t1] == [p.step for p in t2]
 
@@ -189,14 +189,14 @@ class TestRunBaseline:
             return real(dataset)
 
         monkeypatch.setattr(baselines, "exact_snapshot", slow_snapshot)
-        _, trace = run_baseline("spam", ds, config(eval_every=10))
+        _, trace = run_algorithm("spam", ds, config(eval_every=10))
         assert trace[0].elapsed_sec >= 0.05
 
     def test_trace_schema_shared_with_trainer(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, n=30, d=4)
         cfg = config(eval_every=10)
-        _, trace = run_baseline("spam", ds, cfg, test_data=ds, objective_data=ds)
+        _, trace = run_algorithm("spam", ds, cfg, test_data=ds, objective_data=ds)
         assert all(isinstance(p, TracePoint) for p in trace)
         assert all(p.test_auc is not None and p.objective is not None for p in trace)
 
@@ -204,7 +204,7 @@ class TestRunBaseline:
         rng = np.random.default_rng(10)
         ds = random_dataset(rng, n=10, d=3)
         with pytest.raises(ValueError) as exc:
-            run_baseline("fsauc", ds, config())
+            run_algorithm("fsauc", ds, config())
         msg = str(exc.value)
         for name in ("spauc", "spam", "solam", "opauc", "oam", "fsauc"):
             assert name in msg
@@ -214,7 +214,7 @@ class TestRunBaseline:
         from conftest import dense_example
         ds = Dataset.from_examples([dense_example([1.0], 1)] * 3)
         with pytest.raises(ValueError):
-            run_baseline("spam", ds, config())
+            run_algorithm("spam", ds, config())
 
 
 def test_unknown_algorithm_message_names_unimplemented():

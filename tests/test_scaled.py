@@ -1,6 +1,7 @@
 """The O(nnz) scaled-vector learners (w = sigma * r) against the dense
 SpamTrainer and SolamTrainer they stand in for: drift over long streams,
-the fold of sigma back into r, and divergence at the same iteration."""
+the fold of sigma back into r, and divergence at the same iteration; and
+the learner run_algorithm picks for each algorithm and penalty."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 
 import aucstream.baselines as baselines
 from aucstream.baselines import (FastSolamTrainer, FastSpamTrainer,
-                                 SolamTrainer, SpamTrainer, run_baseline)
+                                 SolamTrainer, SpamTrainer, run_algorithm)
 from aucstream.data import Dataset
 from aucstream.objective import saddle_grad
 from aucstream.regularizers import l1, l2, none_reg
@@ -299,12 +300,17 @@ class TestWarmUp:
         assert rel_err(learner.w, dense.w) <= 1e-12
 
 
+ROUTES = {("spauc", "none"): FastSpaucTrainer, ("spauc", "l2"): FastSpaucTrainer,
+          ("spauc", "l1"): L1SpaucTrainer, ("spam", "none"): FastSpamTrainer,
+          ("spam", "l2"): FastSpamTrainer, ("spam", "l1"): SpamTrainer,
+          ("solam", "none"): FastSolamTrainer, ("solam", "l2"): FastSolamTrainer,
+          ("solam", "l1"): FastSolamTrainer}
+PENALTIES = {"none": none_reg(), "l2": l2(0.1), "l1": l1(0.1)}
+
+
 class TestRouting:
-    @pytest.mark.parametrize("algo,reg,cls", [
-        ("spam", none_reg(), FastSpamTrainer), ("spam", l2(0.1), FastSpamTrainer),
-        ("spam", l1(0.1), SpamTrainer), ("solam", none_reg(), FastSolamTrainer),
-        ("solam", l1(0.1), FastSolamTrainer)])
-    def test_run_baseline_picks_learner(self, monkeypatch, algo, reg, cls):
+    @pytest.mark.parametrize("algo,kind", ROUTES, ids=[f"{a}-{k}" for a, k in ROUTES])
+    def test_run_algorithm_picks_learner(self, monkeypatch, algo, kind):
         seen = []
         real = baselines.stream_run
 
@@ -314,8 +320,8 @@ class TestRouting:
 
         monkeypatch.setattr(baselines, "stream_run", spy)
         rng = np.random.default_rng(50)
-        run_baseline(algo, random_dataset(rng, n=30, d=4), config(reg))
-        assert seen == [cls]
+        run_algorithm(algo, random_dataset(rng, n=30, d=4), config(PENALTIES[kind]))
+        assert seen == [ROUTES[algo, kind]]
 
     def test_scaled_spam_rejects_l1(self):
         rng = np.random.default_rng(51)

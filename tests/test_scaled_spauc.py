@@ -10,13 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import aucstream.trainer as trainer
 from aucstream.data import Dataset
 from aucstream.regularizers import l1, l2, none_reg
 from aucstream.schedules import PolySchedule, PracticalSchedule
 from aucstream.trainer import (AVERAGES, DivergenceError, FastSpaucTrainer,
                                L1SpaucTrainer, SpaucTrainer, TrainConfig,
-                               stream_run, train)
+                               stream_run)
 
 from conftest import dense_example, random_dataset, sparse_example
 
@@ -41,7 +40,7 @@ def recording(learner, name):
 
 
 def sums_learner(reg):
-    """The class train() runs for the penalty."""
+    """The class run_algorithm picks for spauc under the penalty."""
     return L1SpaucTrainer if reg.kind == "l1" else FastSpaucTrainer
 
 
@@ -242,9 +241,9 @@ class TestDivergence:
         # weights, class means and examples of random scales up to the
         # largest floats, where the dense step's numbers overflow (a tiny
         # example next to huge class means overflows the dense gradient
-        # while the fast step's own numbers stay finite): the learner train()
-        # runs for the penalty raises exactly when the dense one does, and
-        # otherwise lands on the same iterate
+        # while the fast step's own numbers stay finite): the learner
+        # run_algorithm picks for the penalty raises exactly when the dense
+        # one does, and otherwise lands on the same iterate
         outcomes = set()
         for _ in range(1000):
             reg = draw_penalty(rng)
@@ -268,22 +267,6 @@ class TestDivergence:
 
 
 class TestRouting:
-    @pytest.mark.parametrize("reg,cls", [(none_reg(), FastSpaucTrainer),
-                                         (l2(0.1), FastSpaucTrainer),
-                                         (l1(0.1), L1SpaucTrainer)],
-                             ids=["none", "l2", "l1"])
-    def test_train_picks_learner(self, monkeypatch, reg, cls):
-        seen = []
-        real = trainer.stream_run
-
-        def spy(learner, *args, **kwargs):
-            seen.append(type(learner))
-            return real(learner, *args, **kwargs)
-
-        monkeypatch.setattr(trainer, "stream_run", spy)
-        train(random_dataset(np.random.default_rng(90), n=30, d=4), config(reg))
-        assert seen == [cls]
-
     def test_fast_learner_rejects_l1(self):
         with pytest.raises(ValueError, match="l1"):
             FastSpaucTrainer(3, config(l1(0.1)))

@@ -1,5 +1,6 @@
 """Each checked-in tool under tools/ run once on tiny inputs, so that a change
-to the library calls a tool makes cannot break it unseen."""
+to the library calls a tool makes cannot break it unseen; and the benchmark
+probe (perfbench/probe.py), which must see every fit exactly once."""
 
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from aucstream.data import save_libsvm
+from aucstream.baselines import ALGORITHMS
+from aucstream.bench import read_trace
+from aucstream.data import Dataset, save_libsvm
 
 from conftest import gaussian_task
 
@@ -17,8 +20,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_tool(name: str, *args: str) -> subprocess.CompletedProcess:
+    return run_script(ROOT / "tools" / name, *args)
+
+
+def run_script(path: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "tools" / name), *args],
+    return subprocess.run([sys.executable, str(path), *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -71,6 +78,48 @@ def test_peak_rss_reports_the_phases_of_a_train(tmp_path):
     assert phases[0] == "imports"
     assert {"load", "fit"} <= set(phases)
     assert proc.stdout.startswith("test AUC: ")
+
+
+def test_probe_sees_each_fit_once(tmp_path):
+    """A traced probe run of train and of benchmark --tune names every
+    reported fit once in its finals, and its step count is the sum of the
+    fits' trace CSVs: each fit passes through exactly one of the probe's fit
+    targets (cli.train, bench.run_algorithm)."""
+    data = tmp_path / "train.libsvm"
+    ds = gaussian_task(1, n=120, d=4)
+    # features scaled down so that no sampled candidate diverges
+    save_libsvm(Dataset(ds.indptr, ds.indices, 0.2 * ds.values, ds.labels, ds.dim),
+                str(data))
+    common = ["--data", str(data), "--epochs", "1", "--eval-every", "20"]
+    trace = tmp_path / "train.csv"
+    doc = run_probe(tmp_path / "train.json", "train", *common, "--test", str(data),
+                    "--mu", "30", "--trace", str(trace))
+    check_fits(doc, ["spauc"], [trace])
+
+    outdir = tmp_path / "bench"
+    outdir.mkdir()
+    doc = run_probe(tmp_path / "bench.json", "benchmark", *common, "--tune",
+                    "--repeats", "2", "--pairs", "3", "--folds", "2", "--outdir", str(outdir))
+    # at d = 4 the lockstep fits every CV candidate, so only the reported
+    # runs pass through run_algorithm
+    assert doc["counts"]["bench.cv_fits"] == 0
+    check_fits(doc, list(ALGORITHMS) * 2,
+               [outdir / f"{algo}_rep{r}.csv" for r in range(2) for algo in ALGORITHMS])
+
+
+def run_probe(out: Path, *cli_args: str) -> dict:
+    proc = run_script(ROOT / "perfbench" / "probe.py", str(out), "1", "--", *cli_args)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def check_fits(doc: dict, algos: list[str], traces: list[Path]) -> None:
+    """One fit per trace CSV, in order, each seen once by the probe."""
+    assert doc["exit"] == 0 and doc["missing"] == []
+    finals = [read_trace(str(path))[-1] for path in traces]
+    assert doc["finals"] == [[algo, point.test_auc] for algo, point in zip(algos, finals)]
+    assert doc["agg"]["fit"][0] == doc["agg"]["trainer.stream_run"][0] == len(traces)
+    assert doc["counts"]["steps"] == sum(point.step for point in finals)
 
 
 def result_json(path: Path, workload: str, seed: int, wall_s: float) -> str:

@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aucstream.baselines import SolamTrainer
-from aucstream.bench import run_algorithm
+from aucstream.baselines import SolamTrainer, run_algorithm
 from aucstream.data import Dataset, split
 from aucstream.metrics import auc
 from aucstream.objective import surrogate_grad
@@ -15,7 +14,7 @@ from aucstream.schedules import (FastRateSchedule, LogDampedSchedule, PolySchedu
 from aucstream.stats import ClassStats
 from aucstream.trainer import (MODEL_FORMAT_VERSION, SAVE_BLOCK, DivergenceError,
                                Learner, SpaucTrainer, TrainConfig, describe_config,
-                               load_model, save_model, stream_run, train)
+                               load_model, save_model, stream_run)
 
 from conftest import (dense_example, gaussian_task, pairwise_quadratic,
                       random_dataset, sparse_example)
@@ -189,7 +188,7 @@ class TestTrain:
         x = [1.0, -2.0, 0.5]
         examples = [dense_example(x, 1 if i % 2 else -1) for i in range(40)]
         ds = Dataset.from_examples(examples)
-        w, _ = train(ds, config(epochs=3, seed=1))
+        w, _ = run_algorithm("spauc", ds, config(epochs=3, seed=1))
         assert auc(ds.scores(w), ds.labels) == 0.5
 
     def test_gaussian_task_reaches_high_auc(self):
@@ -197,15 +196,15 @@ class TestTrain:
         tr, te = split(ds, 0.2, seed=5)
         cfg = config(schedule=PracticalSchedule(30.0), epochs=3, seed=5,
                      eval_every=2000)
-        w, trace = train(tr, cfg, test_data=te)
+        w, trace = run_algorithm("spauc", tr, cfg, test_data=te)
         assert trace[-1].test_auc >= 0.95
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, n=60, d=5)
         cfg = config(epochs=2, seed=9, eval_every=20)
-        w1, trace1 = train(ds, cfg, objective_data=ds)
-        w2, trace2 = train(ds, cfg, objective_data=ds)
+        w1, trace1 = run_algorithm("spauc", ds, cfg, objective_data=ds)
+        w2, trace2 = run_algorithm("spauc", ds, cfg, objective_data=ds)
         assert np.array_equal(w1, w2)
         assert [p.step for p in trace1] == [p.step for p in trace2]
         assert [p.objective for p in trace1] == [p.objective for p in trace2]
@@ -213,7 +212,7 @@ class TestTrain:
     def test_single_class_rejected_before_looping(self):
         ds = Dataset.from_examples([dense_example([1.0], 1)] * 4)
         with pytest.raises(ValueError):
-            train(ds, config())
+            run_algorithm("spauc", ds, config())
 
     @pytest.mark.parametrize("algo", ["spauc", "spam"])
     def test_divergence_raises_structured_error(self, algo):
@@ -232,7 +231,7 @@ class TestTrain:
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n=25, d=4)
         cfg = config(epochs=1, eval_every=10, seed=0)
-        _, trace = train(ds, cfg)
+        _, trace = run_algorithm("spauc", ds, cfg)
         steps = [p.step for p in trace]
         assert steps[:2] == [10, 20]
         assert steps[-1] == trace[-1].step and steps[-1] > 20
@@ -246,7 +245,7 @@ class TestTrain:
         t1 = 4.0 * 16.0 * dataset_kappa(ds) ** 2 / sigma_phi
         cfg = config(schedule=FastRateSchedule(sigma_phi, sigma_phi, t1),
                      epochs=2, seed=3, eval_every=200)
-        _, trace = train(ds, cfg, objective_data=ds)
+        _, trace = run_algorithm("spauc", ds, cfg, objective_data=ds)
         objs = [p.objective for p in trace]
         k = max(1, len(objs) // 10)
         assert np.median(objs[-k:]) < np.median(objs[:k])

@@ -13,7 +13,9 @@ constructed before the clock starts) divided by the 400 rows, warm-up rows
 included, and scaled to the nominal host of perfbench/run.py:
 perfbench/hostref.py is timed in a fresh process before and after the table,
 and every cell is multiplied by 0.5 s over the mean of those two times, the
-factor printed under the table. Learners:
+factor printed under the table. Learners, each the class that
+baselines.run_algorithm, where the routing rule lives, picks for the
+algorithm and penalty:
 
     spam l2      FastSpamTrainer      (O(nnz) per step)
     spam l1      SpamTrainer          (dense, O(d))
