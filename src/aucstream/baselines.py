@@ -29,8 +29,9 @@ import numpy as np
 from .data import Dataset, Example
 from .objective import saddle_coefficients, saddle_grad
 from .stats import StatsSnapshot, exact_snapshot
-from .trainer import (FastSpaucTrainer, L1SpaucTrainer, Learner, ScaledLearner,
-                      TracePoint, TrainConfig, stream_run)
+from .trainer import (DivergenceError, FastSpaucTrainer, L1SpaucTrainer, Learner,
+                      ScaledLearner, TracePoint, TrainConfig, check_run_data,
+                      stream_run)
 
 ALGORITHMS = ("spauc", "spam", "solam")
 UNIMPLEMENTED = ("opauc", "oam", "fsauc")
@@ -183,29 +184,75 @@ def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
     the evaluation trace, whose schema every algorithm shares.
     Deterministic given config.seed.
 
-    With no penalty or l2, every algorithm takes the O(nnz(x)) step of its
-    scaled learner: FastSpaucTrainer, FastSpamTrainer, FastSolamTrainer.
-    With l1, whose soft-threshold is not a rescaling, spauc takes
-    L1SpaucTrainer's O(d) step from the class sums and spam the dense
-    SpamTrainer's; solam never reads the penalty and stays on
-    FastSolamTrainer. Spam's elapsed time includes its full-data moment
-    pass. A name that is not an algorithm raises ValueError.
+    Routing: with no penalty or l2, every algorithm takes the O(nnz(x))
+    step of its scaled learner: FastSpaucTrainer, FastSpamTrainer,
+    FastSolamTrainer. With l1, whose soft-threshold is not a rescaling,
+    spauc takes L1SpaucTrainer's O(d) step from the class sums and spam the
+    dense SpamTrainer's; solam never reads the penalty and stays on
+    FastSolamTrainer. A name that is not an algorithm raises ValueError.
+
+    Compaction: every learner starts at w = 0 and moves w only along the
+    example, the class sums or the moments, all 0 outside the columns the
+    training rows hold, and its rescales, projections and soft-thresholds
+    keep a 0 weight at 0. So when some of the d columns never occur in the
+    training rows, the learner runs on the d_eff that do (compact): on the
+    training rows renumbered 0..d_eff-1, and on the test and objective
+    data narrowed through the same map, which drops their entries in other
+    columns, whose weight is 0. So an l1 step costs O(d_eff), not O(d). The
+    model, and a DivergenceError's last_weight, are scattered back into d
+    entries, +0.0 outside the training columns: the full-d learner's
+    model, up to the order in which its d-long sums add the same terms.
+    When every column occurs, the fit runs at d unchanged.
+
+    The trace's elapsed time includes the compaction of the training rows
+    and spam's full-data moment pass.
     """
     l1 = config.regularizer.kind == "l1"
-    moment_seconds = 0.0
     if algo == "spauc":
-        learner = (L1SpaucTrainer if l1 else FastSpaucTrainer)(dataset.dim, config)
+        make = L1SpaucTrainer if l1 else FastSpaucTrainer
     elif algo == "spam":
-        tick = time.perf_counter()
-        moments = exact_snapshot(dataset)
-        moment_seconds = time.perf_counter() - tick
-        learner = (SpamTrainer if l1 else FastSpamTrainer)(dataset.dim, config, moments)
+        make = SpamTrainer if l1 else FastSpamTrainer
     elif algo == "solam":
-        learner = FastSolamTrainer(dataset.dim, config)
+        make = FastSolamTrainer
     else:
         raise ValueError(unknown_algorithm_message(algo))
-    return stream_run(learner, dataset, test_data, objective_data,
-                      time_offset=moment_seconds)
+    tick = time.perf_counter()
+    fit, cols = compact(dataset)
+    moments = (exact_snapshot(fit),) if algo == "spam" else ()
+    setup_seconds = time.perf_counter() - tick
+    learner = make(fit.dim, config, *moments)
+
+    def widen(w: np.ndarray) -> np.ndarray:
+        if cols is None:
+            return w
+        full = np.zeros(dataset.dim)
+        full[cols] = w
+        return full
+
+    if cols is not None:  # refused as stream_run would refuse the data at d
+        check_run_data(dataset, test_data, objective_data)
+        test_data, objective_data = (
+            fit if data is dataset else None if data is None else data.on_columns(cols)
+            for data in (test_data, objective_data))
+    try:
+        w, trace = stream_run(learner, fit, test_data, objective_data,
+                              time_offset=setup_seconds)
+    except DivergenceError as exc:
+        exc.last_weight = widen(exc.last_weight)
+        raise
+    return widen(w), trace
+
+
+def compact(dataset: Dataset) -> tuple[Dataset, np.ndarray | None]:
+    """The training rows on their own columns: (dataset.on_columns(cols),
+    cols) with cols the columns that hold an entry, or (dataset, None) when
+    every column does. The check costs O(nnz) and a d-byte mask."""
+    used = np.zeros(dataset.dim, dtype=bool)
+    used[dataset.indices] = True
+    if used.all():
+        return dataset, None
+    cols = np.flatnonzero(used)
+    return dataset.on_columns(cols), cols
 
 
 def unknown_algorithm_message(algo: str) -> str:

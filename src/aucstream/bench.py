@@ -202,18 +202,24 @@ def _prox_divisors(eta, lam):
     return 1.0 + 2.0 * eta * lam
 
 
-def _clamp(x, bound):
-    """min(max(x, -bound), bound): the builtin max(x, lo) is lo only if
-    lo > x, and min(x, hi) is hi only if hi < x."""
-    lo = -bound
+def _clamp(x, lo, hi):
+    """min(max(x, lo), hi): the builtin max(x, lo) is lo only if lo > x,
+    and min(x, hi) is hi only if hi < x."""
     x = np.where(lo > x, lo, x)
-    return np.where(bound < x, bound, x)
+    return np.where(hi < x, hi, x)
 
 
-def _clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bound):
-    """baselines.clamped_auxiliaries."""
-    return (_clamp(a - eta * ga, bound), _clamp(b - eta * gb, bound),
-            _clamp(alpha + eta * galpha, 2 * bound))
+def _clamp_bounds(bound):
+    """The ranges of baselines.clamped_auxiliaries with bound `bound`, as
+    one array: -bound and bound (a, b), -2 bound and 2 bound (alpha)."""
+    return np.stack([-bound, bound, -2 * bound, 2 * bound])
+
+
+def _clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bounds):
+    """baselines.clamped_auxiliaries, with bounds = _clamp_bounds(bound)."""
+    lo, hi, lo2, hi2 = bounds
+    return (_clamp(a - eta * ga, lo, hi), _clamp(b - eta * gb, lo, hi),
+            _clamp(alpha + eta * galpha, lo2, hi2))
 
 
 def _label_terms(positive, p):
@@ -328,6 +334,7 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     seen, pos_seen, taken = (np.zeros(n_groups, np.int64) for _ in range(3))
     kappa = np.ones(n_groups)
     W = np.zeros((n_groups, k, d))
+    moves = np.empty((n_groups, k, 3))  # spauc's coefficient block of a step
     F_T = F.transpose(0, 2, 1)  # a view, so it follows F
     # a chunk of steps is as long as neither its examples, one dense
     # (groups, d) slice per step, nor its (steps, groups, k) step sizes,
@@ -366,6 +373,7 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 shrink = (_prox_divisors(eta, lam) if kind == "l2" else eta * lam)[..., None]
             positive = pos[:, :, None]
             if algo == "spauc":
+                neg_eta = -eta
                 n_pos_k, n_neg_k = (np.maximum(m, 1)[:, :, None] for m in (n_pos, n - n_pos))
                 sides = np.stack([positive, ~positive], axis=2)  # which class sum takes x
             if algo != "spam":
@@ -376,7 +384,8 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 radii = np.maximum.accumulate(
                     np.vstack([kappa, np.where(active, norms[at], 1.0)]))[1:]
                 kappa = radii[-1]
-                bound = radii[:, :, None] * radius
+                # step s's clamp bounds are clamps[:, s]
+                clamps = _clamp_bounds(radii[:, :, None] * radius)
                 ball = np.where(ready[:, :, None], radius, np.inf)
             # X[s, g] is group g's example at step s, zero once its stream ended
             ev_step, ev_group = np.nonzero(active)
@@ -400,7 +409,10 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                         positive[s], wx, w_f[0] / n_pos_k[s], w_f[1] / n_neg_k[s], terms[s],
                         n_pos_k[s], n_neg_k[s], eta[s])
                     # c x, alpha S+ and beta S-, per group (k, 3) @ (3, d)
-                    W += np.stack([-eta[s] * c, alpha, beta], axis=2) @ F
+                    np.multiply(neg_eta[s], c, out=moves[:, :, 0])
+                    moves[:, :, 1] = alpha
+                    moves[:, :, 2] = beta
+                    W += moves @ F
                 elif algo == "spam":
                     c = _saddle_terms(positive[s], wx, *w_f, w_f[1] - w_f[0], terms[s],
                                       only_c=True)
@@ -416,7 +428,7 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
                 if algo == "solam":
                     norm = np.sqrt(sq)
                     W *= np.where(norm > ball[s], ball[s] / norm, 1.0)[:, :, None]
-                    aux = _clamped_auxiliaries(*aux, eta[s], ga, gb, galpha, bound[s])
+                    aux = _clamped_auxiliaries(*aux, eta[s], ga, gb, galpha, clamps[:, s])
                 elif kind == "l2":
                     W /= shrink[s]
                 elif kind == "l1":

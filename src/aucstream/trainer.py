@@ -18,7 +18,8 @@ subclass it and take its step wherever their own step declines.
 FastSpaucTrainer (no penalty or l2) steps in O(nnz(x)) whatever the
 dimension; L1SpaucTrainer (l1) still steps in O(d), as the soft-threshold
 touches every weight, but from the class sums in reused buffers, with no
-d-sized allocation. baselines.run_algorithm picks the learner of a run.
+d-sized allocation. baselines.run_algorithm picks the learner of a run
+and runs it on the columns the training rows hold.
 """
 
 from __future__ import annotations
@@ -656,12 +657,7 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
     elapsed_sec measures training work only (plus any preprocessing passed in
     as time_offset). A final trace point is always recorded.
     """
-    if dataset.n_pos < 1 or dataset.n_neg < 1:
-        raise ValueError("training data must contain both classes")
-    for name, data in (("test", test_data), ("objective", objective_data)):
-        if data is not None and data.dim > dataset.dim:
-            raise ValueError(f"{name} data dimension {data.dim} exceeds "
-                             f"training dimension {dataset.dim}")
+    check_run_data(dataset, test_data, objective_data)
     trace: list[TracePoint] = []
     last_traced = -1
 
@@ -700,6 +696,18 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
         if learner.t != last_traced:
             record(elapsed)
     return learner.model(), trace
+
+
+def check_run_data(dataset: Dataset, test_data: Dataset | None = None,
+                   objective_data: Dataset | None = None) -> None:
+    """Refuse, with ValueError, training data without both classes and
+    evaluation data wider than the training data."""
+    if dataset.n_pos < 1 or dataset.n_neg < 1:
+        raise ValueError("training data must contain both classes")
+    for name, data in (("test", test_data), ("objective", objective_data)):
+        if data is not None and data.dim > dataset.dim:
+            raise ValueError(f"{name} data dimension {data.dim} exceeds "
+                             f"training dimension {dataset.dim}")
 
 
 def describe_config(config: TrainConfig) -> dict:

@@ -435,6 +435,35 @@ def test_subset_keeps_dim_and_counts():
     assert sub.n_pos + sub.n_neg == 3
 
 
+
+class TestOnColumns:
+    """Dataset.on_columns: the rows renumbered over a sorted set of columns."""
+
+    def test_renumbers_in_order_and_drops_other_columns(self):
+        ds = Dataset([0, 3, 3, 5], [1, 4, 6, 0, 4], [1.0, -2.0, 3.0, 4.0, -0.0],
+                     [1, -1, 1], dim=8)
+        got = ds.on_columns(np.array([0, 4, 6]))
+        assert_same_csr(got, Dataset([0, 2, 2, 4], [1, 2, 0, 1], [-2.0, 3.0, 4.0, -0.0],
+                                     [1, -1, 1], dim=3))
+        assert (got.n_pos, got.n_neg) == (2, 1)
+
+    def test_every_entry_kept_shares_all_but_the_indices(self):
+        rng = np.random.default_rng(13)
+        ds = random_dataset(rng, n=20, d=9)
+        cols = np.unique(ds.indices)
+        got = ds.on_columns(cols)
+        assert got.dim == cols.size
+        assert got.indptr is ds.indptr and got.values is ds.values \
+            and got.labels is ds.labels
+        np.testing.assert_array_equal(cols[got.indices], ds.indices)
+
+    def test_columns_beyond_the_dimension_and_none(self):
+        ds = Dataset([0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], [1, -1], dim=3)
+        got = ds.on_columns(np.array([2, 5, 7]))
+        assert_same_csr(got, Dataset([0, 1, 1], [0], [2.0], [1, -1], dim=3))
+        assert_same_csr(ds.on_columns(np.zeros(0, np.int64)),
+                        Dataset([0, 0, 0], [], [], [1, -1], dim=0))
+
 class TestCSR:
     """Dataset refuses arrays that are not one CSR row per label, each
     label +1 or -1: a 0/1 label counted as negative had no negative row

@@ -456,7 +456,8 @@ def test_array_forms_are_their_scalar_sources_bit_for_bit():
             ([bench._prox_divisors(eta, lam)],
              [[Regularizer.prox_divisor(SimpleNamespace(kind="l2", lam=l), e)]
               for e, l in zip(eta, lam)]),
-            (bench._clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha, bound),
+            (bench._clamped_auxiliaries(a, b, alpha, eta, ga, gb, galpha,
+                                        bench._clamp_bounds(bound)),
              [clamped_auxiliaries(*args) for args in zip(
                  a, b, alpha, eta, ga, gb, galpha, bound)]),
             (bench._surrogate_moves(positive, wx, wu, wv, terms, n_pos, n_neg, eta),

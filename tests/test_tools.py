@@ -40,15 +40,16 @@ def test_step_cost_times_the_lazy_average():
 
 
 def check_one_step_cost_row(proc: subprocess.CompletedProcess) -> None:
-    """One table row at d = 1000 of five positive cells, and the host scale."""
+    """One table row at d = 1000, where the 400 rows hold every column, of
+    five positive cells, and the host scale."""
     assert proc.returncode == 0, proc.stderr
     header, rule, *rows, host = proc.stdout.splitlines()
-    assert header.startswith("| d |") and rule.startswith("|---")
+    assert header.startswith("| d | d_eff |") and rule.startswith("|---")
     assert host.startswith("host scale ")
     assert float(host.split()[2].rstrip(":")) > 0
     assert len(rows) == 1
-    d, *cells = [c.strip() for c in rows[0].strip("|").split("|")]
-    assert d == "1,000"
+    d, d_eff, *cells = [c.strip() for c in rows[0].strip("|").split("|")]
+    assert d == d_eff == "1,000"
     assert len(cells) == 5
     assert all(float(c.replace(",", "")) > 0 for c in cells)
 

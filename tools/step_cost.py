@@ -4,8 +4,10 @@
                                               [--average last|avg1|avg2]
 
 For each d it draws 400 seeded rows of 50 nonzeros (distinct indices, normal
-values, labels +1/-1 with prior 1/2) and steps a fresh learner over them once,
-in row order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
+values, labels +1/-1 with prior 1/2), keeps them on the columns they hold, as
+baselines.run_algorithm trains (baselines.compact; the table prints that
+count, d_eff, beside d), and steps a fresh learner over them once, in row
+order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
 the iterate average of --average (default: the last iterate; avg1 and avg2 add
 the lazy average's cost, its folds' settles included). A cell is the best of 3
 such passes: the seconds of the step loop alone (rows are built and learners
@@ -15,11 +17,11 @@ perfbench/hostref.py is timed in a fresh process before and after the table,
 and every cell is multiplied by 0.5 s over the mean of those two times, the
 factor printed under the table. Learners, each the class that
 baselines.run_algorithm, where the routing rule lives, picks for the
-algorithm and penalty:
+algorithm and penalty, at d_eff:
 
     spam l2      FastSpamTrainer      (O(nnz) per step)
-    spam l1      SpamTrainer          (dense, O(d))
-    spauc l1     L1SpaucTrainer       (class sums, O(d))
+    spam l1      SpamTrainer          (dense, O(d_eff))
+    spauc l1     L1SpaucTrainer       (class sums, O(d_eff))
     spauc l2     FastSpaucTrainer     (O(nnz))
     solam        FastSolamTrainer     (O(nnz), radius TrainConfig.radius)
 
@@ -42,7 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from aucstream.baselines import (FastSolamTrainer, FastSpamTrainer,  # noqa: E402
-                                 SpamTrainer)
+                                 SpamTrainer, compact)
 from aucstream.data import Dataset  # noqa: E402
 from aucstream.regularizers import l1, l2, none_reg  # noqa: E402
 from aucstream.schedules import PracticalSchedule  # noqa: E402
@@ -108,18 +110,18 @@ def main() -> None:
     before = host_reference()
     table = []
     for d in dims:
-        ds = random_rows(d)
+        ds, _ = compact(random_rows(d))
         rows = list(ds)
-        table.append((d, {name: us_per_step(make, rows)
-                          for name, make in learners(ds, args.average).items()}))
+        table.append((d, ds.dim, {name: us_per_step(make, rows)
+                                  for name, make in learners(ds, args.average).items()}))
     after = host_reference()
     scale = HOSTREF_NOMINAL_S / ((before + after) / 2)
-    header = list(table[0][1])
-    print("| d | " + " | ".join(header) + " |")
-    print("|---" * (len(header) + 1) + "|")
-    for d, cells in table:
-        print(f"| {d:,} | " + " | ".join(f"{cells[n] * scale:,.1f}" for n in header)
-              + " |")
+    header = list(table[0][2])
+    print("| d | d_eff | " + " | ".join(header) + " |")
+    print("|---" * (len(header) + 2) + "|")
+    for d, d_eff, cells in table:
+        print(f"| {d:,} | {d_eff:,} | "
+              + " | ".join(f"{cells[n] * scale:,.1f}" for n in header) + " |")
     print(f"host scale {scale:.4f}: hostref.py took {before:.3f} s before the "
           f"table and {after:.3f} s after it, nominal {HOSTREF_NOMINAL_S} s")
 
