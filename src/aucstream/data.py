@@ -247,19 +247,18 @@ class Dataset:
         len(cols): an entry in column cols[j] moves to column j and an entry
         in any other column is dropped; each row keeps the order of the
         rest. When nothing is dropped, indptr, values and labels are this
-        dataset's own arrays and only the indices are new. O(nnz log
-        len(cols)), with no array of this dataset's dim."""
-        at = np.searchsorted(cols, self.indices)
-        if cols.size:
-            kept = cols.take(at, mode="clip") == self.indices
-        else:
-            kept = np.zeros(at.size, dtype=bool)
+        dataset's own arrays and only the indices are new. O(dim + nnz),
+        through a map of dim int32s (MAX_DIM < 2^31)."""
+        new = np.full(self.dim, -1, dtype=np.int32)  # each column's new index, or -1
+        inside = cols[:np.searchsorted(cols, self.dim)]
+        new[inside] = np.arange(inside.size, dtype=np.int32)
+        at = new[self.indices]
+        kept = at >= 0
         if kept.all():
             return Dataset(self.indptr, at, self.values, self.labels, cols.size)
         ends = np.concatenate(([0], np.cumsum(kept)))  # kept entries before each position
         return Dataset(ends[self.indptr], at[kept], self.values[kept], self.labels,
                        cols.size)
-
 
 def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR gather of the rows `rows`, in that order, of the rows whose

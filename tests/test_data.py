@@ -437,7 +437,8 @@ def test_subset_keeps_dim_and_counts():
 
 
 class TestOnColumns:
-    """Dataset.on_columns: the rows renumbered over a sorted set of columns."""
+    """Dataset.on_columns: the rows renumbered over a sorted set of columns,
+    entries in other columns dropped."""
 
     def test_renumbers_in_order_and_drops_other_columns(self):
         ds = Dataset([0, 3, 3, 5], [1, 4, 6, 0, 4], [1.0, -2.0, 3.0, 4.0, -0.0],
@@ -459,10 +460,11 @@ class TestOnColumns:
 
     def test_columns_beyond_the_dimension_and_none(self):
         ds = Dataset([0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], [1, -1], dim=3)
-        got = ds.on_columns(np.array([2, 5, 7]))
-        assert_same_csr(got, Dataset([0, 1, 1], [0], [2.0], [1, -1], dim=3))
+        assert_same_csr(ds.on_columns(np.array([2, 5, 7])),
+                        Dataset([0, 1, 1], [0], [2.0], [1, -1], dim=3))
         assert_same_csr(ds.on_columns(np.zeros(0, np.int64)),
                         Dataset([0, 0, 0], [], [], [1, -1], dim=0))
+
 
 class TestCSR:
     """Dataset refuses arrays that are not one CSR row per label, each
