@@ -196,13 +196,14 @@ def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
     training rows hold, and its rescales, projections and soft-thresholds
     keep a 0 weight at 0. So when some of the d columns never occur in the
     training rows, the learner runs on the d_eff that do (compact): on the
-    training rows renumbered 0..d_eff-1 (Dataset.on_columns), and on the test
-    and objective data narrowed through the same map, which drops their
-    entries in other columns, whose weight is 0. So an l1 step costs O(d_eff), not O(d). The
-    model, and a DivergenceError's last_weight, are scattered back into d
-    entries, +0.0 outside the training columns: the full-d learner's
-    model, up to the order in which its d-long sums add the same terms.
-    When every column occurs, the fit runs at d unchanged.
+    training rows renumbered 0..d_eff-1 (Dataset.on_columns), and on the
+    test and objective data narrowed through the same map, which drops
+    their entries in other columns, whose weight is 0. An l1 step then
+    costs O(d_eff), not O(d). The model, and a DivergenceError's
+    last_weight, are scattered back into d entries, +0.0 outside the
+    training columns: the full-d learner's model, up to the order in which
+    its d-long sums add the same terms. When every column occurs, the fit
+    runs at d unchanged.
 
     The trace's elapsed time includes the compaction of the training rows
     and spam's full-data moment pass.

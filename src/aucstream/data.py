@@ -260,6 +260,7 @@ class Dataset:
         return Dataset(ends[self.indptr], at[kept], self.values[kept], self.labels,
                        cols.size)
 
+
 def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR gather of the rows `rows`, in that order, of the rows whose
     bounds are indptr: the listed rows' bounds, counted from 0, and the
