@@ -435,7 +435,6 @@ def test_subset_keeps_dim_and_counts():
     assert sub.n_pos + sub.n_neg == 3
 
 
-
 class TestOnColumns:
     """Dataset.on_columns: the rows renumbered over a sorted set of columns,
     entries in other columns dropped."""
