@@ -15,8 +15,8 @@ from .data import (BinarizeRule, Dataset, Example, ParseError, binarize,
 from .metrics import auc, auc_bruteforce
 from .objective import (dataset_kappa, instance_kappa,
                         pairwise_objective_bruteforce, pairwise_objective_fast,
-                        saddle_coefficients, saddle_grad, saddle_value,
-                        surrogate_grad, surrogate_value)
+                        saddle_grad, saddle_value, surrogate_grad,
+                        surrogate_value)
 from .regularizers import Regularizer, l1, l2, none_reg
 from .schedules import (FastRateSchedule, LogDampedSchedule, PolySchedule,
                         PracticalSchedule, Schedule, clamp_for_theory,

@@ -27,20 +27,20 @@ import time
 import numpy as np
 
 from .data import Dataset, Example
-from .objective import saddle_coefficients, saddle_grad
+from .objective import require_prior, saddle_grad, saddle_terms
 from .stats import StatsSnapshot, exact_snapshot
 from .trainer import (DivergenceError, FastSpaucTrainer, L1SpaucTrainer, Learner,
                       ScaledLearner, TracePoint, TrainConfig, check_run_data,
                       stream_run)
 
-ALGORITHMS = ("spauc", "spam", "solam")
 UNIMPLEMENTED = ("opauc", "oam", "fsauc")
 
 
 class SpamTrainer(Learner):
-    """Proximal SGD against fixed full-data moments."""
+    """Proximal SGD against fixed full-data moments, whose p must be in (0, 1)."""
 
     def __init__(self, dim: int, config: TrainConfig, moments: StatsSnapshot):
+        require_prior(moments.p)
         self.moments = moments
         super().__init__(dim, config)
 
@@ -135,8 +135,8 @@ class FastSpamTrainer(ScaledLearner, SpamTrainer):
         a = sigma * self.ru
         b = sigma * self.rv
         eta = self.config.schedule.step_size(self.t + 1)
-        c, _, _, _ = saddle_coefficients(sigma * float(old.dot(values)), a, b, b - a,
-                                         z.label, m.p)
+        c, _, _, _ = saddle_terms(sigma * float(old.dot(values)), a, b, b - a,
+                                  z.label, m.p)
         delta = (c * values) * (eta / sigma)
         # a fold, after the write or a declined step, refreshes these
         self.ru -= float(delta.dot(m.u[idx]))
@@ -158,7 +158,7 @@ class FastSolamTrainer(ScaledLearner, SolamTrainer):
         idx, values = z.indices, z.values
         sigma = self.sigma
         old = self.r[idx]
-        c, ga, gb, galpha = saddle_coefficients(
+        c, ga, gb, galpha = saddle_terms(
             sigma * float(old.dot(values)), self.a, self.b, self.alpha, z.label,
             self.n_pos / self.n)
         if not self.move(idx, old, old - (c * values) * (eta / sigma)):
@@ -177,6 +177,18 @@ class FastSolamTrainer(ScaledLearner, SolamTrainer):
         return True
 
 
+# algorithm -> (its learner with no penalty or l2, its learner with l1).
+# With no penalty or l2 each takes its scaled learner's O(nnz(x)) step; with
+# l1 spauc steps in O(d) from the class sums and spam takes the dense step.
+# solam does not read the penalty, so it has one learner for both.
+LEARNERS = {
+    "spauc": (FastSpaucTrainer, L1SpaucTrainer),
+    "spam": (FastSpamTrainer, SpamTrainer),
+    "solam": (FastSolamTrainer, FastSolamTrainer),
+}
+ALGORITHMS = tuple(LEARNERS)
+
+
 def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
                   test_data: Dataset | None = None, objective_data: Dataset | None = None
                   ) -> tuple[np.ndarray, list[TracePoint]]:
@@ -184,12 +196,9 @@ def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
     the evaluation trace, whose schema every algorithm shares.
     Deterministic given config.seed.
 
-    Routing: with no penalty or l2, every algorithm takes the O(nnz(x))
-    step of its scaled learner: FastSpaucTrainer, FastSpamTrainer,
-    FastSolamTrainer. With l1, whose soft-threshold is not a rescaling,
-    spauc takes L1SpaucTrainer's O(d) step from the class sums and spam the
-    dense SpamTrainer's; solam never reads the penalty and stays on
-    FastSolamTrainer. A name that is not an algorithm raises ValueError.
+    Routing: the learner is LEARNERS[algo], the first of the pair with no
+    penalty or l2 and the second with l1, whose soft-threshold is not a
+    rescaling. A name that is not an algorithm raises ValueError.
 
     Compaction: every learner starts at w = 0 and moves w only along the
     example, the class sums or the moments, all 0 outside the columns the
@@ -208,15 +217,9 @@ def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
     The trace's elapsed time includes the compaction of the training rows
     and spam's full-data moment pass.
     """
-    l1 = config.regularizer.kind == "l1"
-    if algo == "spauc":
-        make = L1SpaucTrainer if l1 else FastSpaucTrainer
-    elif algo == "spam":
-        make = SpamTrainer if l1 else FastSpamTrainer
-    elif algo == "solam":
-        make = FastSolamTrainer
-    else:
+    if algo not in LEARNERS:
         raise ValueError(unknown_algorithm_message(algo))
+    make = LEARNERS[algo][config.regularizer.kind == "l1"]
     tick = time.perf_counter()
     fit, cols = compact(dataset)
     moments = (exact_snapshot(fit),) if algo == "spam" else ()

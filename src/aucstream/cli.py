@@ -106,9 +106,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--epochs", type=int, default=15)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--reg", choices=PENALTIES, default="none")
-    p_bench.add_argument("--lambda", dest="lam", type=float, default=None)
+    p_bench.add_argument("--lambda", dest="lam", type=float, default=None,
+                         help="fixed penalty weight for l2/l1 (refused with --tune)")
     p_bench.add_argument("--mu", type=float, default=None,
-                         help="fixed step parameter (omit with --tune)")
+                         help="fixed step parameter (refused with --tune)")
     p_bench.add_argument("--radius", type=float, default=TrainConfig.radius,
                          help="l2-ball radius for solam")
     p_bench.add_argument("--tune", action="store_true",
@@ -282,6 +283,9 @@ def _practical_config(args, parser, params: dict, **fields) -> TrainConfig:
 
 def cmd_benchmark(args, parser) -> int:
     rule = _rule_from_args(args, parser)
+    for flag, value in (("--mu", args.mu), ("--lambda", args.lam)):
+        if args.tune and value is not None:
+            parser.error(f"{flag} cannot be given with --tune, which picks it per repeat")
     if args.reg != "none" and args.lam is None and not args.tune:
         parser.error(f"--reg {args.reg} requires --lambda (or --tune)")
     if not args.tune and args.mu is None:

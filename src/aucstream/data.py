@@ -27,7 +27,7 @@ line, raised before anything of that size is allocated.
 
 A pass over every row, such as Dataset.scores (and stats.exact_snapshot),
 walks the rows in runs of whole rows of at most SCORE_CHUNK nonzeros each
-(Dataset.chunks), so its temporaries stay O(SCORE_CHUNK) beside the data.
+(chunk_bounds), so its temporaries stay O(SCORE_CHUNK) beside the data.
 Each row's terms are still added in order, so the result does not depend
 on the chunk size. gather_rows gives the entry positions of a list of rows,
 for Dataset.subset and for the passes that read such a list in place.
@@ -155,9 +155,8 @@ class Dataset:
     values values[indptr[i]:indptr[i+1]] and the label labels[i] in {+1, -1}.
     dim is at least 1 + the largest feature index and at most MAX_DIM, and
     arrays not of this form are refused with ValueError. The class counts
-    and the positive/negative row indices are computed in the constructor;
-    nothing is filled in later, and the arrays must not be modified after
-    construction.
+    n_pos and n_neg are computed in the constructor; nothing is filled in
+    later, and the arrays must not be modified after construction.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
@@ -183,10 +182,8 @@ class Dataset:
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} exceeds the largest supported, {MAX_DIM}")
         self.dim = dim
-        self.pos_indices = np.flatnonzero(self.labels == 1)
-        self.neg_indices = np.flatnonzero(self.labels == -1)
-        self.n_pos = len(self.pos_indices)
-        self.n_neg = len(self.neg_indices)
+        self.n_pos = int(np.count_nonzero(self.labels == 1))
+        self.n_neg = int(np.count_nonzero(self.labels == -1))
         if self.n_pos + self.n_neg != len(self.labels):
             bad = np.setdiff1d(self.labels, [1, -1])[0]
             raise ValueError(f"labels must be +1 or -1, got {bad}")
@@ -214,19 +211,12 @@ class Dataset:
         return Example(self.indices[start:stop], self.values[start:stop],
                        self.labels.item(i))
 
-    def chunks(self) -> list[int]:
-        """chunk_bounds of the rows: runs of whole rows of at most
-        SCORE_CHUNK nonzeros each."""
-        return chunk_bounds(self.indptr)
-
     def scores(self, w: np.ndarray) -> np.ndarray:
-        """All inner products w.x_i, one np.bincount per run of chunks();
-        each row's products are summed in its own order, so the result does
-        not depend on SCORE_CHUNK."""
+        """All inner products w.x_i, one np.bincount per run of
+        chunk_bounds; each row's products are summed in its own order, so
+        the result does not depend on SCORE_CHUNK."""
         indptr, indices, values = self.indptr, self.indices, self.values
-        bounds = self.chunks()
-        if len(bounds) == 2:  # one run, over the whole arrays
-            return _row_sums(indptr, values * w[indices])
+        bounds = chunk_bounds(indptr)
         out = np.empty(len(self))
         for start, stop in zip(bounds[:-1], bounds[1:]):
             lo, hi = indptr.item(start), indptr.item(stop)
@@ -584,8 +574,7 @@ def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.
     return perm[: n - n_test], perm[n - n_test:]
 
 
-def stream_order(dataset: Dataset | int, epoch: int, seed: int) -> np.ndarray:
-    """Permutation of example indices for one pass; distinct per epoch,
-    deterministic given (seed, epoch)."""
-    n = dataset if isinstance(dataset, int) else len(dataset)
+def stream_order(n: int, epoch: int, seed: int) -> np.ndarray:
+    """Permutation of the n example indices for one pass; distinct per
+    epoch, deterministic given (seed, epoch)."""
     return np.random.default_rng([seed, epoch]).permutation(n)

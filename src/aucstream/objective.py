@@ -106,8 +106,8 @@ def pairwise_objective_fast(w: np.ndarray, dataset: Dataset) -> float:
     if dataset.n_pos < 1 or dataset.n_neg < 1:
         raise NotReadyError("pairwise objective needs both classes present")
     scores = dataset.scores(w)
-    a = scores[dataset.pos_indices]
-    b = scores[dataset.neg_indices]
+    positive = dataset.labels == 1
+    a, b = scores[positive], scores[~positive]
     m_pos, m_neg = float(np.mean(a)), float(np.mean(b))
     q_pos, q_neg = float(np.mean(a**2)), float(np.mean(b**2))
     p_hat = dataset.n_pos / len(dataset)
@@ -123,7 +123,7 @@ def _class_scores_slow(w: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.
     return pos, neg
 
 
-def _require_prior(p: float) -> None:
+def require_prior(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise NotReadyError(f"class prior must lie in (0, 1), got {p}")
 
@@ -132,7 +132,7 @@ def saddle_value(w: np.ndarray, a: float, b: float, alpha: float,
                  z: Example, p: float) -> float:
     """Primal-dual objective for one example under class prior p, whose
     optima in (a, b, alpha) recover the pairwise objective for any fixed w."""
-    _require_prior(p)
+    require_prior(p)
     wx = z.dot(w)
     pos = z.label == 1
     out = p * (1.0 - p) - p * (1.0 - p) * alpha**2
@@ -145,19 +145,12 @@ def saddle_value(w: np.ndarray, a: float, b: float, alpha: float,
     return out
 
 
-def saddle_coefficients(wx: float, a: float, b: float, alpha: float,
-                        label: int, p: float) -> tuple[float, float, float, float]:
-    """Scalar parts (c, ga, gb, galpha) of `saddle_grad` at an example with
-    label `label` and score wx = w.x: the w-partial is c * x. Both the dense
-    and the scaled-vector learners step through this one formula."""
-    _require_prior(p)
-    return saddle_terms(wx, a, b, alpha, label, p)
-
-
 def saddle_terms(wx, a, b, alpha, label: int, p) -> tuple:
-    """saddle_coefficients without its check of p, so that it takes any p:
-    the scalar source that bench._saddle_terms, its form on arrays, is held
-    equal to bit for bit."""
+    """Scalar parts (c, ga, gb, galpha) of `saddle_grad` at an example with
+    label `label` and score wx = w.x: the w-partial is c * x. p is not
+    checked. The dense and the scaled-vector learners step through this one
+    formula, and bench._saddle_terms, its form on arrays, is held equal to
+    it bit for bit."""
     if label == 1:
         sign_term = -(1.0 - p)
         c = 2.0 * (1.0 - p) * (wx - a) + 2.0 * (1.0 + alpha) * sign_term
@@ -179,7 +172,8 @@ def saddle_grad(w: np.ndarray, a: float, b: float, alpha: float,
     gw is a scalar multiple of x, so the d-vector is built with one sparse
     scatter.
     """
-    c, ga, gb, galpha = saddle_coefficients(z.dot(w), a, b, alpha, z.label, p)
+    require_prior(p)
+    c, ga, gb, galpha = saddle_terms(z.dot(w), a, b, alpha, z.label, p)
     gw = np.zeros_like(w)
     z.add_into(gw, c)
     return gw, ga, gb, galpha

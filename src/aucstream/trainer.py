@@ -684,7 +684,7 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
     # reported as a DivergenceError, so numpy's warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for i in memoryview(stream_order(dataset, epoch, config.seed)):
+            for i in memoryview(stream_order(len(dataset), epoch, config.seed)):
                 lo, hi = cuts[i], cuts[i + 1]
                 learner.step(Example(indices[lo:hi], values[lo:hi], labels[i]))
                 if learner.t > 0 and learner.t % config.eval_every == 0 \

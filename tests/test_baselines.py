@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import aucstream.baselines as baselines
-from aucstream.baselines import (SolamTrainer, SpamTrainer, run_algorithm,
-                                 unknown_algorithm_message)
+from aucstream.baselines import (FastSpamTrainer, SolamTrainer, SpamTrainer,
+                                 run_algorithm, unknown_algorithm_message)
 from aucstream.data import split
 from aucstream.objective import saddle_grad, saddle_value
 from aucstream.regularizers import l2, none_reg
 from aucstream.schedules import PracticalSchedule
-from aucstream.stats import ClassStats, exact_snapshot
+from aucstream.stats import ClassStats, NotReadyError, StatsSnapshot, exact_snapshot
 from aucstream.trainer import TrainConfig, TracePoint
 
 from conftest import (central_diff, gaussian_task, random_dataset,
@@ -36,6 +36,15 @@ class TestSpam:
         sign = p if z.label == -1 else -(1.0 - p)
         expected = -cfg.schedule.step_size(1) * 2.0 * sign * z.to_dense(4)
         np.testing.assert_allclose(learner.w, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("learner", [SpamTrainer, FastSpamTrainer])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_moments_of_one_class_refused_when_built(self, learner, p):
+        # the fast learner checked p on every step, so refused such moments
+        # only at its first one
+        moments = StatsSnapshot(p, np.ones(3), np.zeros(3), True)
+        with pytest.raises(NotReadyError, match="class prior"):
+            learner(3, config(), moments)
 
     def test_gradient_equals_composite_fd_minus_chain_terms(self):
         # d/dw of F(w, w.u, w.v, w.(v-u); z) splits into the direct partial

@@ -285,6 +285,15 @@ class TestBenchmarkCommand:
             main(["benchmark", "--data", easy_file])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--mu", "--lambda"])
+    def test_tune_refuses_a_fixed_parameter(self, easy_file, capsys, flag):
+        # --tune picks mu and lambda per repeat, and dropped these silently
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--data", easy_file, "--reg", "l2", "--tune", flag, "0.01",
+                  "--repeats", "1", "--pairs", "1", "--folds", "2", "--epochs", "1"])
+        assert exc.value.code == 2
+        assert f"{flag} cannot be given with --tune" in capsys.readouterr().err
+
 
 class TestTuneCommand:
     def test_prints_best_and_writes_table(self, tmp_path, easy_file, capsys):

@@ -435,6 +435,17 @@ def test_subset_keeps_dim_and_counts():
     assert sub.n_pos + sub.n_neg == 3
 
 
+def test_every_way_of_building_keeps_the_labels_once():
+    # the constructor also kept the rows of each class, a second copy of
+    # the labels, in every subset and fold
+    ds = Dataset([0, 2, 2, 3, 4], [0, 4, 1, 2], [1.0, 2.0, 3.0, 4.0], [1, -1, -1, 1])
+    built = [ds, ds.subset(np.array([2, 0])), ds.on_columns(np.array([0, 4])),
+             *split(ds, 0.5, seed=0), parse_libsvm("+1 1:1 5:2\n-1\n-1 2:3\n")]
+    for got in built:
+        assert set(vars(got)) == {"indptr", "indices", "values", "labels", "dim",
+                                  "n_pos", "n_neg"}
+
+
 class TestOnColumns:
     """Dataset.on_columns: the rows renumbered over a sorted set of columns,
     entries in other columns dropped."""

@@ -341,7 +341,7 @@ CHUNKS = st.sampled_from([1, 3, 16])
 @given(chunked_datasets(), CHUNKS)
 def test_chunks_cut_whole_rows_of_at_most_a_chunk(ds, chunk):
     with patch.object(data, "SCORE_CHUNK", chunk):
-        bounds = ds.chunks()
+        bounds = data.chunk_bounds(ds.indptr)
     assert bounds[0] == 0 and bounds[-1] == len(ds)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         assert start < stop or len(ds) == 0

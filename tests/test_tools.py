@@ -67,6 +67,17 @@ def test_cv_cost_times_one_tiny_cell():
     assert proc.returncode == 2 and "--algo takes" in proc.stderr
 
 
+def test_fingerprint_prints_the_same_hashes_twice():
+    runs = [run_tool("fingerprint.py") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert [name for name, _ in lines] == ["fits", "fits-compact", "tune",
+                                               "benchmark", "parse"]
+        assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
+    assert runs[0].stdout == runs[1].stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="peak_rss.py reads /proc/self/status (Linux only)")
 def test_peak_rss_reports_the_phases_of_a_train(tmp_path):

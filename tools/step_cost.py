@@ -15,15 +15,10 @@ constructed before the clock starts) divided by the 400 rows, warm-up rows
 included, and scaled to the nominal host of perfbench/run.py:
 perfbench/hostref.py is timed in a fresh process before and after the table,
 and every cell is multiplied by 0.5 s over the mean of those two times, the
-factor printed under the table. Learners, each the class that
-baselines.run_algorithm, where the routing rule lives, picks for the
-algorithm and penalty, at d_eff:
-
-    spam l2      FastSpamTrainer      (O(nnz) per step)
-    spam l1      SpamTrainer          (dense, O(d_eff))
-    spauc l1     L1SpaucTrainer       (class sums, O(d_eff))
-    spauc l2     FastSpaucTrainer     (O(nnz))
-    solam        FastSolamTrainer     (O(nnz), radius TrainConfig.radius)
+factor printed under the table. The columns are spam l2, spam l1, spauc l1,
+spauc l2 and solam (no penalty, radius TrainConfig.radius), each the learner
+that baselines.LEARNERS, the routing table of run_algorithm, gives the
+algorithm and penalty, at d_eff.
 
 The full table takes about half a minute on a 2-core machine and uses a few
 hundred MB at d = 10^6. It is not part of the test suite.
@@ -43,16 +38,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from aucstream.baselines import (FastSolamTrainer, FastSpamTrainer,  # noqa: E402
-                                 SpamTrainer, compact)
+from aucstream.baselines import LEARNERS, compact  # noqa: E402
 from aucstream.data import Dataset  # noqa: E402
 from aucstream.regularizers import l1, l2, none_reg  # noqa: E402
 from aucstream.schedules import PracticalSchedule  # noqa: E402
 from aucstream.stats import exact_snapshot  # noqa: E402
-from aucstream.trainer import (AVERAGES, FastSpaucTrainer,  # noqa: E402
-                               L1SpaucTrainer, TrainConfig)
+from aucstream.trainer import AVERAGES, TrainConfig  # noqa: E402
 
 ROWS, NNZ, REPEATS, MU, LAM = 400, 50, 3, 0.01, 1e-4
+# column name -> (algorithm, penalty), in table order
+COLUMNS = {"spam l2": ("spam", l2(LAM)), "spam l1": ("spam", l1(LAM)),
+           "spauc l1": ("spauc", l1(LAM)), "spauc l2": ("spauc", l2(LAM)),
+           "solam": ("solam", none_reg())}
 HOSTREF = Path(__file__).resolve().parent.parent / "perfbench" / "hostref.py"
 HOSTREF_NOMINAL_S = 0.5  # perfbench/run.py's nominal host
 
@@ -75,16 +72,14 @@ def random_rows(d: int, seed: int = 0) -> Dataset:
 
 def learners(ds: Dataset, average: str) -> dict:
     """Column name -> a function building a fresh learner for ds."""
-    def config(reg):
-        return TrainConfig(regularizer=reg, schedule=PracticalSchedule(MU), average=average)
     moments = exact_snapshot(ds)
-    return {
-        "spam l2": lambda: FastSpamTrainer(ds.dim, config(l2(LAM)), moments),
-        "spam l1": lambda: SpamTrainer(ds.dim, config(l1(LAM)), moments),
-        "spauc l1": lambda: L1SpaucTrainer(ds.dim, config(l1(LAM))),
-        "spauc l2": lambda: FastSpaucTrainer(ds.dim, config(l2(LAM))),
-        "solam": lambda: FastSolamTrainer(ds.dim, config(none_reg())),
-    }
+
+    def builder(algo, reg):
+        config = TrainConfig(regularizer=reg, schedule=PracticalSchedule(MU), average=average)
+        make = LEARNERS[algo][reg.kind == "l1"]
+        extra = (moments,) if algo == "spam" else ()
+        return lambda: make(ds.dim, config, *extra)
+    return {name: builder(*column) for name, column in COLUMNS.items()}
 
 
 def us_per_step(make, rows: list) -> float:
