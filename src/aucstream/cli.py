@@ -57,7 +57,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reg", choices=PENALTIES, default="none")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="penalty weight for l2/l1")
+                   help="penalty weight for l2/l1 (refused with --reg none)")
     p.add_argument("--schedule", choices=list(SCHEDULES), default="practical")
     p.add_argument("--mu", type=float, default=None, help="practical schedule parameter")
     p.add_argument("--eta1", type=float, default=None, help="initial step size")
@@ -107,7 +107,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--reg", choices=PENALTIES, default="none")
     p_bench.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="fixed penalty weight for l2/l1 (refused with --tune)")
+                         help="fixed penalty weight for l2/l1 (refused with --tune "
+                              "or --reg none)")
     p_bench.add_argument("--mu", type=float, default=None,
                          help="fixed step parameter (refused with --tune)")
     p_bench.add_argument("--radius", type=float, default=TrainConfig.radius,
@@ -204,7 +205,14 @@ def _rule_from_args(args, parser) -> BinarizeRule:
     return BinarizeRule(args.binarize, args.threshold_label or 0)
 
 
+def _check_lambda(args, parser) -> None:
+    """Refuse --lambda without a penalty to weigh: it would be dropped."""
+    if args.reg == "none" and args.lam is not None:
+        parser.error("--lambda cannot be given with --reg none, which has no penalty")
+
+
 def _reg_from_args(args, parser) -> Regularizer:
+    _check_lambda(args, parser)
     if args.reg != "none" and args.lam is None:
         parser.error(f"--reg {args.reg} requires --lambda")
     return _usage(parser, Regularizer, args.reg, 0.0 if args.reg == "none" else args.lam)
@@ -286,6 +294,7 @@ def cmd_benchmark(args, parser) -> int:
     for flag, value in (("--mu", args.mu), ("--lambda", args.lam)):
         if args.tune and value is not None:
             parser.error(f"{flag} cannot be given with --tune, which picks it per repeat")
+    _check_lambda(args, parser)
     if args.reg != "none" and args.lam is None and not args.tune:
         parser.error(f"--reg {args.reg} requires --lambda (or --tune)")
     if not args.tune and args.mu is None:

@@ -139,8 +139,9 @@ class Example(NamedTuple):
         return math.sqrt(self.values.dot(self.values))
 
     def add_into(self, out: np.ndarray, scale: float = 1.0) -> None:
-        """out[indices] += scale * values (indices are unique by invariant)."""
-        out[self.indices] += scale * self.values
+        """out[indices] += scale * values (indices are unique by invariant);
+        a scale of 1 adds the values themselves, with no product built."""
+        out[self.indices] += self.values if scale == 1.0 else scale * self.values
 
     def to_dense(self, dim: int) -> np.ndarray:
         x = np.zeros(dim)

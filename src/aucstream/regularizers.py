@@ -85,7 +85,8 @@ def soft_threshold(v: np.ndarray, thresh: float,
     NaN included; only the sign of a zeroed entry may differ. The result
     goes to `out` when given, which must not be v; otherwise to a new array.
     """
-    clipped = np.clip(v, -thresh, thresh, out=out)
+    # the method, not np.clip: the same ufunc without the dispatch wrapper
+    clipped = v.clip(-thresh, thresh, out=out)
     return np.subtract(v, clipped, out=clipped)
 
 

@@ -589,11 +589,14 @@ class L1SpaucTrainer(SpaucTrainer):
     not. The step is taken this way only when a bound on its numbers and
     the dense step's, (1 + ||w||)(1 + ||x|| + ||S+|| + ||S-||)^2 (1 + eta),
     stays below FastSpaucTrainer.SAFE_LIMIT, far below the largest float,
-    so that every number of both is finite. ||w||^2 is kept from each step
-    (an overflow to inf fails the bound), and ||S+-|| is bounded by the
-    sum of the norms of the examples absorbed into it. Otherwise
-    SpaucTrainer's step is taken, so DivergenceError falls on the same
-    iteration as there.
+    so that every number of both is finite. It reads ||S+-|| as the sum of
+    the norms of the examples absorbed into it, and ||w|| as w_bound: the
+    exact norm wherever w is set, grown by each sums step to
+    w_bound + |alpha| ||S+|| + |beta| ||S-|| + eta |c| ||x||, which bounds
+    ||v|| by the triangle inequality and so the soft-thresholded iterate.
+    No step pays a pass over w for its norm; a loose bound only declines
+    sooner, and an overflow to inf fails it. Otherwise SpaucTrainer's step
+    is taken, so DivergenceError falls on the same iteration as there.
     """
 
     def __init__(self, dim: int, config: TrainConfig):
@@ -601,6 +604,7 @@ class L1SpaucTrainer(SpaucTrainer):
             raise ValueError("L1SpaucTrainer takes the l1 penalty only")
         super().__init__(dim, config)
         self.spare = np.zeros(dim)
+        self.moves = np.zeros(2)  # the step's (alpha, beta)
         self.norm_sums = [0.0, 0.0]  # bounds on ||S+|| and ||S-||
 
     @property
@@ -610,7 +614,7 @@ class L1SpaucTrainer(SpaucTrainer):
     @w.setter
     def w(self, w: np.ndarray) -> None:
         self._w = w
-        self.ww = float(w.dot(w))
+        self.w_bound = math.sqrt(w.dot(w))  # a bound on ||w||, exact here
 
     def step(self, z: Example) -> None:
         x_norm = z.norm()
@@ -625,21 +629,25 @@ class L1SpaucTrainer(SpaucTrainer):
         stats = self.stats
         idx, x = z.indices, z.values
         eta = self.config.schedule.step_size(self.t + 1)
-        scale = 1.0 + x_norm + self.norm_sums[0] + self.norm_sums[1]
-        if not (1.0 + math.sqrt(self.ww)) * scale * scale * (1.0 + eta) \
+        norm_pos, norm_neg = self.norm_sums
+        scale = 1.0 + x_norm + norm_pos + norm_neg
+        if not (1.0 + self.w_bound) * scale * scale * (1.0 + eta) \
                 < FastSpaucTrainer.SAFE_LIMIT:
             return False
-        w, v = self._w, self.spare
+        w, v, moves = self._w, self.spare, self.moves
         n_pos, n_neg = stats.n_pos, stats.n_neg
         w_sp, w_sn = stats.sums.dot(w).tolist()
         c, alpha, beta = surrogate_moves(float(w[idx].dot(x)), w_sp / n_pos,
                                          w_sn / n_neg, n_pos / stats.t, n_pos,
                                          n_neg, eta, z.label)
-        np.dot((alpha, beta), stats.sums, out=v)
+        moves[0], moves[1] = alpha, beta
+        np.dot(moves, stats.sums, out=v)
         v += w
         v[idx] -= (eta * c) * x
         soft_threshold(v, eta * self.config.regularizer.lam, out=w)
-        self.ww = float(w.dot(w))
+        # ||soft_threshold(v)|| <= ||v||, bounded term by term
+        self.w_bound += abs(alpha) * norm_pos + abs(beta) * norm_neg \
+            + eta * abs(c) * x_norm
         self.averages.add(w, eta, self.t + 1, scratch=v)
         self.t += 1
         stats.update(z)

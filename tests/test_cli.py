@@ -424,6 +424,24 @@ def test_run_settings_are_refused_before_the_load(tmp_path, capsys, verb, flags)
     assert "no_such" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conf", [None, "lambda = 1000"], ids=["flag", "config"])
+@pytest.mark.parametrize("verb", ["train", "benchmark"])
+def test_lambda_without_a_penalty_is_usage_error(tmp_path, capsys, verb, conf):
+    # --reg none has no penalty to weigh, and the weight used to be dropped
+    argv = [verb, "--data", str(tmp_path / "no_such.libsvm"), "--mu", "30", "--reg", "none"]
+    if conf is None:
+        argv += ["--lambda", "1000"]
+    else:
+        path = tmp_path / "run.conf"
+        path.write_text(conf + "\n")
+        argv = ["--config", str(path), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "no_such" not in err
+
+
 @pytest.mark.parametrize("verb,flags", [
     ("train", ["--mu", "30", "--test", "{data}", "--out", "{missing}/m.json"]),
     ("train", ["--mu", "30", "--test", "{data}", "--trace", "{missing}/t.csv"]),

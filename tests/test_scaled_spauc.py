@@ -308,3 +308,50 @@ class TestL1Buffers:
             tracemalloc.stop()
         assert learner.t == 118 and all(taken)
         assert peak < 8 * d
+
+
+def exact_norm(w):
+    """||w||, scaled so that no square overflows."""
+    top = np.abs(w).max()
+    return float(top * np.linalg.norm(w / top)) if top else 0.0
+
+
+class TestL1Bound:
+    """w_bound, the bound on ||w|| that the l1 step's guard reads in place
+    of a norm pass, holds after every step: sums, declined and dense."""
+
+    @staticmethod
+    def checking_bound(learner):
+        """Check the bound after each of the learner's steps from here on;
+        returns what sums_step returns at each call."""
+        taken = recording(learner, "sums_step")
+        step = learner.step
+
+        def checked(z):
+            step(z)
+            assert learner.w_bound >= exact_norm(learner.w) * (1 - 1e-12), learner.t
+
+        learner.step = checked
+        return taken
+
+    def test_divergence_streams(self):
+        declined = 0
+        for ds, sched in divergence_cases():
+            learner = L1SpaucTrainer(ds.dim, config(l1(1e-3), sched, epochs=50))
+            taken = self.checking_bound(learner)
+            with pytest.raises(DivergenceError):
+                stream_run(learner, ds)
+            declined += taken.count(False)
+        assert declined >= 8  # the dense step is met, and resets the bound
+
+    def test_long_stream_and_reset(self):
+        rng = np.random.default_rng(74)
+        ds = random_dataset(rng, n=2000, d=6, pos_fraction=0.35)
+        learner = L1SpaucTrainer(ds.dim, config(l1(0.08), epochs=5))
+        taken = self.checking_bound(learner)
+        stream_run(learner, ds)
+        assert len(taken) == learner.t >= 9000 and all(taken)
+        assert learner.w_bound > np.linalg.norm(learner.w)  # grown by the steps
+        w0 = rng.normal(size=ds.dim)
+        learner.w = w0
+        assert learner.w_bound == np.linalg.norm(w0)
