@@ -589,14 +589,14 @@ class L1SpaucTrainer(SpaucTrainer):
     not. The step is taken this way only when a bound on its numbers and
     the dense step's, (1 + ||w||)(1 + ||x|| + ||S+|| + ||S-||)^2 (1 + eta),
     stays below FastSpaucTrainer.SAFE_LIMIT, far below the largest float,
-    so that every number of both is finite. It reads ||S+-|| as the sum of
-    the norms of the examples absorbed into it, and ||w|| as w_bound: the
-    exact norm wherever w is set, grown by each sums step to
+    so that every number of both is finite. The bound takes ||S+-|| as the
+    sum of the norms of the examples absorbed into it, and ||w|| as
+    w_bound: the exact norm wherever w is set, grown by each sums step to
     w_bound + |alpha| ||S+|| + |beta| ||S-|| + eta |c| ||x||, which bounds
     ||v|| by the triangle inequality and so the soft-thresholded iterate.
     No step pays a pass over w for its norm; a loose bound only declines
-    sooner, and an overflow to inf fails it. Otherwise SpaucTrainer's step
-    is taken, so DivergenceError falls on the same iteration as there.
+    sooner, and an overflow to inf fails it. A declined step is
+    SpaucTrainer's, so DivergenceError falls on the same iteration as there.
     """
 
     def __init__(self, dim: int, config: TrainConfig):
