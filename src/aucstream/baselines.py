@@ -209,54 +209,61 @@ def run_algorithm(algo: str, dataset: Dataset, config: TrainConfig,
     test and objective data narrowed through the same map, which drops
     their entries in other columns, whose weight is 0. An l1 step then
     costs O(d_eff), not O(d). The model, and a DivergenceError's
-    last_weight, are scattered back into d entries, +0.0 outside the
-    training columns: the full-d learner's model, up to the order in which
-    its d-long sums add the same terms. When every column occurs, the fit
-    runs at d unchanged.
+    last_weight, are scattered back into d entries (widen), +0.0 outside
+    the training columns: the full-d learner's model, up to the order in
+    which its d-long sums add the same terms. When every column occurs, the
+    fit runs at d unchanged; so data that is already compact (bench's
+    benchmark and cross_validate compact a training set once for all its
+    fits) costs only that check, and its model comes back at d_eff.
 
-    The trace's elapsed time includes the compaction of the training rows
-    and spam's full-data moment pass.
+    The trace's elapsed time includes this compaction and spam's full-data
+    moment pass, but not a compaction made by the caller.
     """
     if algo not in LEARNERS:
         raise ValueError(unknown_algorithm_message(algo))
     make = LEARNERS[algo][config.regularizer.kind == "l1"]
+    check_run_data(dataset, test_data, objective_data)  # at d, before narrowing
     tick = time.perf_counter()
-    fit, cols = compact(dataset)
+    fit, test_data, objective_data, cols = compact(dataset, test_data, objective_data)
     moments = (exact_snapshot(fit),) if algo == "spam" else ()
     setup_seconds = time.perf_counter() - tick
     learner = make(fit.dim, config, *moments)
-
-    def widen(w: np.ndarray) -> np.ndarray:
-        if cols is None:
-            return w
-        full = np.zeros(dataset.dim)
-        full[cols] = w
-        return full
-
-    if cols is not None:  # refused as stream_run would refuse the data at d
-        check_run_data(dataset, test_data, objective_data)
-        test_data, objective_data = (
-            fit if data is dataset else None if data is None else data.on_columns(cols)
-            for data in (test_data, objective_data))
     try:
         w, trace = stream_run(learner, fit, test_data, objective_data,
                               time_offset=setup_seconds)
     except DivergenceError as exc:
-        exc.last_weight = widen(exc.last_weight)
+        exc.last_weight = widen(exc.last_weight, cols, dataset.dim)
         raise
-    return widen(w), trace
+    return widen(w, cols, dataset.dim), trace
 
 
-def compact(dataset: Dataset) -> tuple[Dataset, np.ndarray | None]:
-    """The training rows on their own columns: (dataset.on_columns(cols),
-    cols) with cols the columns that hold an entry, or (dataset, None) when
-    every column does. The check costs O(nnz) and a d-byte mask."""
+def compact(dataset: Dataset, *others: Dataset | None) -> tuple:
+    """The training rows on their own columns, with other data narrowed
+    through the same columns: (dataset.on_columns(cols), *narrowed, cols)
+    with cols the columns of `dataset` that hold an entry. Of `others`, None
+    stays None, `dataset` itself becomes the narrowed training rows, and
+    any other dataset x becomes x.on_columns(cols), losing its entries in
+    other columns. When every column holds one, it returns (dataset,
+    *others, None), with nothing copied. The check costs O(nnz) and a
+    d-byte mask, each narrowing O(d + nnz) (see Dataset.on_columns)."""
     used = np.zeros(dataset.dim, dtype=bool)
     used[dataset.indices] = True
     if used.all():
-        return dataset, None
+        return dataset, *others, None
     cols = np.flatnonzero(used)
-    return dataset.on_columns(cols), cols
+    fit = dataset.on_columns(cols)
+    return (fit, *(fit if x is dataset else None if x is None else x.on_columns(cols)
+                   for x in others), cols)
+
+
+def widen(w: np.ndarray, cols: np.ndarray | None, dim: int) -> np.ndarray:
+    """The weights w of the columns cols (compact's) as a model of `dim`
+    entries, +0.0 in every other column; w itself when cols is None."""
+    if cols is None:
+        return w
+    full = np.zeros(dim)
+    full[cols] = w
+    return full
 
 
 def unknown_algorithm_message(algo: str) -> str:

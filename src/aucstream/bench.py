@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import data
-from .baselines import ALGORITHMS, run_algorithm, unknown_algorithm_message
+from . import baselines, data
+from .baselines import ALGORITHMS, run_algorithm, unknown_algorithm_message, widen
 from .data import Dataset, gather_rows, split, split_rows, stream_order
 from .regularizers import soft_threshold
 from .schedules import PracticalSchedule
@@ -475,7 +475,12 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
     with as many consecutive folds per pass as LOCKSTEP_MAX_CELLS allows; a
     candidate that leaves it, and every candidate above that dimension, is
     fitted alone by run_algorithm on its fold's rows. A pass's folds, their
-    fit and held-out rows, are built when it runs. The lockstep returns
+    fit and held-out rows, are built when it runs. The first single fit of
+    a fold compacts its fit rows and narrows its held-out rows through the
+    same columns (baselines.compact), once for all the fold's single fits,
+    whose models, on those columns, are scored on the narrowed rows: the
+    scores of their models at d, whose other weights are +0.0. Lockstep
+    models are scored on the held-out rows at d. The lockstep returns
     last iterates, so every fold config asks for the last iterate and one
     trace point, whatever the config's average and trace interval; a
     problem's candidates share these configs across its folds.
@@ -511,14 +516,17 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
         for (fit_rows, fold_configs, val_rows, i), fold_models in zip(run, models):
             val, fit = dataset.subset(val_rows), None
             for row, w, cfg in zip(scores[i], fold_models, fold_configs):
+                scored = val
                 if w is None:
-                    fit = dataset.subset(fit_rows) if fit is None else fit
+                    if fit is None:  # the fold's fit rows and val on their columns
+                        fit, fit_val, _ = baselines.compact(dataset.subset(fit_rows), val)
                     try:
                         w = run_algorithm(algo, fit, cfg)[0]
                     except DivergenceError:
                         row.append(0.0)
                         continue
-                row.append(auc(val.scores(w), val.labels))
+                    scored = fit_val
+                row.append(auc(scored.scores(w), scored.labels))
     return scores
 
 
@@ -579,7 +587,9 @@ def _sample_std(values: list[float]) -> float:
 def aggregate(algo: str, dataset_name: str, traces: list[list[TracePoint]],
               epochs: int) -> ReportRow:
     """Mean and sample standard deviation of the final test AUC and of the
-    per-pass training time, straight from the traces."""
+    per-pass training time, straight from the traces: time_per_pass is the
+    final elapsed_sec over the epochs, which under benchmark counts the
+    fit and spam's moment pass but not the split or its compaction."""
     finals = [trace[-1] for trace in traces]
     aucs = [pt.test_auc for pt in finals]
     if any(a is None for a in aucs):
@@ -625,7 +635,17 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: in
     algorithm one traced run, at the point an optional cross-validated
     search on the training part picks when `tune_grid` is given. The
     searches of all repeats of an algorithm run as one tune call, before
-    the traced runs, which run repeat by repeat.
+    the traced runs, which run repeat by repeat. Every repeat's training and
+    held-out parts must hold both classes, and are checked before any fit.
+
+    Each repeat's split is compacted once for all its algorithms
+    (baselines.compact): the training part, the held-out part and the
+    objective data, a subsample of the training part, on the columns the
+    training part holds. So the traced runs fit on those columns, and a
+    DivergenceError's last_weight is widened back to the dataset's d. A
+    trace's elapsed_sec leaves out the split and this compaction, work on
+    the training rows shared by every algorithm, but counts spam's moment
+    pass.
 
     Returns (report_rows, trace_map) with trace_map[(algo, repeat)] the run's
     trace. Per-run trace CSVs and the aggregate report are written under
@@ -633,19 +653,33 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: in
     """
     check_benchmark(algos, repeats, test_fraction)
     runs = [replace(config, seed=config.seed + r) for r in range(repeats)]
+    parts = [split_rows(len(dataset), test_fraction, run.seed) for run in runs]
+    for r, rows in enumerate(parts):  # each part is fitted or scored: both classes
+        for name, part in zip(("training", "held-out"), rows):
+            n_pos = int(np.count_nonzero(dataset.labels[part] == 1))
+            if not 0 < n_pos < len(part):
+                raise ValueError(
+                    f"repeat {r}: the {name} part ({len(part)} of {len(dataset)} rows) "
+                    f"holds {n_pos} positive and {len(part) - n_pos} negative examples, "
+                    f"but needs both classes")
     if tune_grid is not None:  # every repeat of an algorithm in one pass
-        fit_rows = [split_rows(len(dataset), test_fraction, run.seed)[0] for run in runs]
+        fit_rows = [fit for fit, _ in parts]
         tuned = {algo: [config_from_params(best, run) for (best, _), run in zip(
                      tune(dataset, algo, tune_grid, runs, fit_rows), runs)]
                  for algo in algos}
     trace_map = {}
     for r, run in enumerate(runs):
-        fit, held_out = split(dataset, test_fraction, run.seed)
+        # the repeat's split on its training columns, for every algorithm
+        fit, held_out, cols = baselines.compact(*split(dataset, test_fraction, run.seed))
         obj_data = objective_subsample(fit, run.seed)
         for algo in algos:
             algo_run = run if tune_grid is None else tuned[algo][r]
-            trace_map[(algo, r)] = run_algorithm(
-                algo, fit, algo_run, test_data=held_out, objective_data=obj_data)[1]
+            try:
+                trace_map[(algo, r)] = run_algorithm(
+                    algo, fit, algo_run, test_data=held_out, objective_data=obj_data)[1]
+            except DivergenceError as exc:
+                exc.last_weight = widen(exc.last_weight, cols, dataset.dim)
+                raise
 
     if outdir is not None:
         for (algo, r), trace in trace_map.items():

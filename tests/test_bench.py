@@ -9,6 +9,7 @@ from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID,
                              aggregate, benchmark, config_from_params,
                              objective_subsample, protocol_grid, read_trace,
                              tune, write_report, write_trace, write_tune_table)
+from aucstream.data import Dataset, split_rows
 from aucstream.trainer import TracePoint
 
 from conftest import gaussian_task, practical_config, random_dataset
@@ -184,6 +185,26 @@ class TestBenchmark:
             benchmark(ds, "toy", ["opauc"], repeats=1,
                       config=practical_config(seed=0, epochs=1))
         assert "fsauc" in str(exc.value)
+
+    @pytest.mark.parametrize("tuned", [False, True], ids=["fixed", "tuned"])
+    def test_a_part_without_both_classes_is_refused_before_any_fit(self, monkeypatch,
+                                                                   tuned):
+        # with seed 8, repeat 1's split puts both positives in the held-out
+        # part; the training part was refused only when its fit came, after
+        # repeat 0's fits (or, tuned, a fold of repeat 0 without 2 positives)
+        labels = np.array([1, 1] + [-1] * 8)
+        ds = Dataset(np.arange(11), np.zeros(10), np.linspace(-1.0, 1.0, 10), labels, dim=1)
+        assert not (labels[split_rows(10, 0.5, 9)[0]] == 1).any()
+        fits = []
+        monkeypatch.setattr(bench_module, "run_algorithm", lambda *args, **kw: fits.append(args))
+        monkeypatch.setattr(bench_module, "lockstep", lambda *args, **kw: fits.append(args))
+        grid = TuneGrid({"mu": [1.0]}, pair_sample_size=1, folds=2) if tuned else None
+        with pytest.raises(ValueError, match=r"^repeat 1: the training part \(5 of 10 rows\) "
+                                             r"holds 0 positive and 5 negative examples"):
+            benchmark(ds, "toy", ["spauc", "spam"], repeats=2,
+                      config=practical_config(seed=8, epochs=1), tune_grid=grid,
+                      test_fraction=0.5)
+        assert fits == []
 
     def test_tuned_repeats(self):
         ds = gaussian_task(11, n=300, d=5)

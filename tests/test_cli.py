@@ -256,6 +256,22 @@ class TestBenchmarkCommand:
         assert (outdir / "spauc_rep0.csv").exists()
         assert (outdir / "solam_rep1.csv").exists()
 
+    @pytest.mark.parametrize("fraction,held_out", [("0.1", 1), ("0.05", 0)])
+    def test_a_held_out_part_that_cannot_be_scored_is_a_data_error(
+            self, tmp_path, monkeypatch, capsys, fraction, held_out):
+        # it ran repeat 0's first fit, then exited 1 with "AUC is undefined
+        # without both classes present", naming neither repeat nor part
+        path = tmp_path / "ten.libsvm"
+        path.write_text("".join(f"{'+1' if i % 2 else '-1'} 1:{i}\n" for i in range(10)))
+        fits = []
+        monkeypatch.setattr(bench, "run_algorithm", lambda *args, **kw: fits.append(args))
+        code = main(["benchmark", "--data", str(path), "--mu", "0.1", "--repeats", "2",
+                     "--epochs", "1", "--test-fraction", fraction])
+        assert code == 1
+        assert f"error: repeat 0: the held-out part ({held_out} of 10 rows) holds " \
+            in capsys.readouterr().err
+        assert fits == []
+
     def test_unknown_algorithm_usage_error(self, easy_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--data", easy_file, "--algos", "spauc,oam",

@@ -1,7 +1,8 @@
 """run_algorithm on the training rows' own columns (baselines.compact)
 against the same learner class run at the full dimension d, the oracle: on
 random streams whose training rows leave columns unused, for every
-algorithm, penalty and average."""
+algorithm, penalty and average. Then bench's benchmark and cross_validate,
+which compact a training set once for all the fits on it."""
 
 import itertools
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import aucstream.baselines as baselines
+import aucstream.bench as bench
 from aucstream.baselines import compact, run_algorithm
 from aucstream.data import Dataset
 from aucstream.regularizers import l1, l2, none_reg
@@ -32,8 +34,9 @@ def rows(rng, n, cols, nnz=4, dim=D):
 
 
 def at_full_dim(monkeypatch):
-    """Make run_algorithm fit at d, as it did before compaction."""
-    monkeypatch.setattr(baselines, "compact", lambda dataset: (dataset, None))
+    """Make every fit run at d, as before compaction: run_algorithm's and
+    bench's, which look compact up in baselines."""
+    monkeypatch.setattr(baselines, "compact", lambda dataset, *others: (dataset, *others, None))
 
 
 def training_columns(dataset):
@@ -134,3 +137,97 @@ def test_test_data_wider_than_training_data_is_refused():
     with pytest.raises(ValueError, match="test data dimension 9 exceeds training "
                                          "dimension 8"):
         run_algorithm("spauc", train, cfg, test_data=wide)
+
+
+# above the lockstep's dimension, so cross_validate fits each candidate alone
+WIDE = bench.LOCKSTEP_MAX_DIM + 200
+
+
+def wide_rows(seed, n=120):
+    """n rows of 6 entries at d = WIDE: a training part of them leaves most
+    columns empty."""
+    return rows(np.random.default_rng(seed), n, np.arange(WIDE), nnz=6, dim=WIDE)
+
+
+def bench_config(kind="l2"):
+    return TrainConfig(regularizer=PENALTIES[kind], schedule=PracticalSchedule(0.01),
+                       epochs=1, eval_every=40, seed=3, radius=1.0)
+
+
+@pytest.mark.parametrize("tuned", [False, True], ids=["fixed", "tuned"])
+def test_bench_fits_on_the_training_columns(monkeypatch, tuned):
+    seen = []
+    real = bench.run_algorithm
+
+    def spy(algo, dataset, config, test_data=None, objective_data=None):
+        seen.append((dataset, test_data, objective_data))
+        return real(algo, dataset, config, test_data, objective_data)
+
+    monkeypatch.setattr(bench, "run_algorithm", spy)
+    grid = bench.protocol_grid("l2", 2, 3) if tuned else None
+    bench.benchmark(wide_rows(66), "wide", list(baselines.ALGORITHMS), 2, bench_config(),
+                    tune_grid=grid)
+    # per algorithm and repeat: 2 candidates x 3 folds when tuned, then the traced fit
+    assert len(seen) == 3 * 2 * (7 if tuned else 1)
+    for fit, test, objective in seen:
+        assert fit.dim < WIDE
+        assert np.array_equal(training_columns(fit), np.arange(fit.dim))  # none empty
+        assert all(data is None or data.dim == fit.dim for data in (test, objective))
+    assert sum(test is not None for _, test, _ in seen) == 3 * 2
+
+
+@pytest.mark.parametrize("kind", ["l2", "l1"])
+def test_bench_matches_the_full_dimension(monkeypatch, kind):
+    ds, cfg = wide_rows(67), bench_config(kind)
+    grid = bench.protocol_grid(kind, 3, 3)
+
+    def outputs():
+        traces = {}
+        for tune_grid in (None, grid):
+            traces[tune_grid is None] = bench.benchmark(
+                ds, "wide", list(baselines.ALGORITHMS), 2, cfg, tune_grid=tune_grid)[1]
+        tables = [bench.tune(ds, algo, grid, [cfg])[0] for algo in baselines.ALGORITHMS]
+        return traces, tables
+
+    got_traces, got_tables = outputs()
+    at_full_dim(monkeypatch)
+    want_traces, want_tables = outputs()
+    assert got_tables == want_tables
+    for fixed, traces in got_traces.items():
+        assert traces.keys() == want_traces[fixed].keys()
+        for key, trace in traces.items():
+            want = want_traces[fixed][key]
+            assert [(p.step, p.test_auc) for p in trace] == [(p.step, p.test_auc) for p in want]
+            for g, w in zip(trace, want):
+                assert g.objective == pytest.approx(w.objective, rel=REL_BOUND)
+
+
+@pytest.mark.parametrize("algo", baselines.ALGORITHMS)
+def test_bench_divergence_carries_a_weight_of_dimension_d(monkeypatch, algo):
+    # as in test_divergence_carries_a_weight_of_dimension_d, with every
+    # fourth row a positive of value 1e308 so that both parts hold both classes
+    rng = np.random.default_rng(68)
+    cols, n = np.array([1, 5, 6, 9]), 60
+    labels = np.where(np.arange(n) % 4 == 0, 1, -1)
+    values = rng.normal(size=(n, 4))
+    values[labels == 1, 0] = 1e308
+    ds = Dataset(np.arange(0, 4 * n + 1, 4), np.tile(cols, n), values.ravel(), labels,
+                 dim=12)
+    cfg = TrainConfig(regularizer=l2(1e-3), schedule=PracticalSchedule(0.01), epochs=2,
+                      radius=10.0)
+    errors = []
+    for full in (False, True):
+        if full:
+            at_full_dim(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            bench.benchmark(ds, "wide", [algo], 1, cfg)
+        errors.append(exc.value)
+    got, want = errors
+    assert got.iteration == want.iteration
+    assert got.last_weight.shape == (12,)
+    assert np.isfinite(got.last_weight).all()
+    assert np.abs(got.last_weight - want.last_weight).max() \
+        <= REL_BOUND * np.abs(want.last_weight).max()
+    outside = got.last_weight[np.setdiff1d(np.arange(12), cols)]
+    assert not outside.any() and not np.signbit(outside).any()  # +0.0

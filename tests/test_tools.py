@@ -73,7 +73,8 @@ def test_fingerprint_prints_the_same_hashes_twice():
         assert proc.returncode == 0, proc.stderr
         lines = [line.split() for line in proc.stdout.splitlines()]
         assert [name for name, _ in lines] == ["fits", "fits-compact", "tune",
-                                               "benchmark", "parse"]
+                                               "benchmark", "benchmark-compact",
+                                               "parse"]
         assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
     assert runs[0].stdout == runs[1].stdout
 

@@ -19,6 +19,12 @@ prints one `name sha256` line per group, all data seeded:
                   d = 1000
     benchmark     the traces of one bench.benchmark run with a tuning grid,
                   elapsed times left out
+    benchmark-compact
+                  the traces of bench.benchmark runs with and without a
+                  grid, with l2 and l1, on rows of 20 nonzeros at d = 2000
+                  whose training parts leave columns empty, elapsed times
+                  left out: the split is fitted on its own columns, and
+                  the grid's candidates are fitted one at a time
     parse         parse_libsvm's arrays for a text whose blocks take the
                   exact-decimal, the float and the per-line reader
 
@@ -130,6 +136,19 @@ def benchmark() -> list:
     return [(key, trace_parts(trace)) for key, trace in sorted(traces.items())]
 
 
+def benchmark_compact() -> list:
+    ds = sparse_rows([3, 2000], 200, 2000, lambda rng: 20)
+    parts = []
+    for kind in ("l2", "l1"):
+        config = TrainConfig(Regularizer(kind, 1e-3), PracticalSchedule(1.0), epochs=1,
+                             seed=4, eval_every=60)
+        for grid in (None, bench.protocol_grid(kind, 3, 3)):
+            _, traces = bench.benchmark(ds, "sparse", list(ALGORITHMS), 2, config,
+                                        tune_grid=grid)
+            parts += [(key, trace_parts(trace)) for key, trace in sorted(traces.items())]
+    return parts
+
+
 def libsvm_text(seed) -> str:
     """Three runs of 2,000 lines, each over 64 KiB, so that whole blocks
     read as exact decimals, as floats (exponents) and per line (a
@@ -159,7 +178,8 @@ def main() -> None:
                          columns=11)
     groups = {"fits": lambda: fits(train, test),
               "fits-compact": lambda: fits(narrow, test),
-              "tune": tune, "benchmark": benchmark, "parse": parse}
+              "tune": tune, "benchmark": benchmark,
+              "benchmark-compact": benchmark_compact, "parse": parse}
     for name, parts in groups.items():
         print(name, digest(parts()))
 
