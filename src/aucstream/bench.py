@@ -186,6 +186,12 @@ def _fold_indices(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]
     return [order[k::folds] for k in range(folds)]
 
 
+def _class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """The numbers of positive and negative examples among these labels."""
+    n_pos = int(np.count_nonzero(labels == 1))
+    return n_pos, len(labels) - n_pos
+
+
 # Array forms of scalar formulas, equal to their sources bit for bit on
 # every input, infinities and NaN included (tests/test_lockstep.py). A
 # formula that branches on the label takes a mask `positive`, picks each
@@ -475,12 +481,9 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
     with as many consecutive folds per pass as LOCKSTEP_MAX_CELLS allows; a
     candidate that leaves it, and every candidate above that dimension, is
     fitted alone by run_algorithm on its fold's rows. A pass's folds, their
-    fit and held-out rows, are built when it runs. The first single fit of
-    a fold compacts its fit rows and narrows its held-out rows through the
-    same columns (baselines.compact), once for all the fold's single fits,
-    whose models, on those columns, are scored on the narrowed rows: the
-    scores of their models at d, whose other weights are +0.0. Lockstep
-    models are scored on the held-out rows at d. The lockstep returns
+    fit and held-out rows, are built when it runs; run_algorithm compacts
+    each single fit's rows itself, and its model, at d, is scored on the
+    held-out rows like a lockstep model. The lockstep returns
     last iterates, so every fold config asks for the last iterate and one
     trace point, whatever the config's average and trace interval; a
     problem's candidates share these configs across its folds.
@@ -490,11 +493,11 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
     problems = []  # each problem's rows and its candidates' configs, shared by its folds
     for cands, config, part in zip(candidates, configs, rows or [None] * len(configs)):
         part = np.arange(len(dataset)) if part is None else part
-        n_pos = int(np.count_nonzero(dataset.labels[part] == 1))
-        if n_pos < folds or len(part) - n_pos < folds:
+        n_pos, n_neg = _class_counts(dataset.labels[part])
+        if n_pos < folds or n_neg < folds:
             raise ValueError(
                 f"{folds}-fold cross-validation needs at least {folds} examples of "
-                f"each class, got {n_pos} positive and {len(part) - n_pos} negative")
+                f"each class, got {n_pos} positive and {n_neg} negative")
         # no fold fits more than len(part) rows, so each records one trace point
         fold_config = replace(config, average="last",
                               eval_every=max(1, len(part) * config.epochs))
@@ -516,17 +519,14 @@ def cross_validate(dataset: Dataset, algo: str, candidates: list[list[dict]], fo
         for (fit_rows, fold_configs, val_rows, i), fold_models in zip(run, models):
             val, fit = dataset.subset(val_rows), None
             for row, w, cfg in zip(scores[i], fold_models, fold_configs):
-                scored = val
                 if w is None:
-                    if fit is None:  # the fold's fit rows and val on their columns
-                        fit, fit_val, _ = baselines.compact(dataset.subset(fit_rows), val)
+                    fit = dataset.subset(fit_rows) if fit is None else fit
                     try:
                         w = run_algorithm(algo, fit, cfg)[0]
                     except DivergenceError:
                         row.append(0.0)
                         continue
-                    scored = fit_val
-                row.append(auc(scored.scores(w), scored.labels))
+                row.append(auc(val.scores(w), val.labels))
     return scores
 
 
@@ -656,11 +656,11 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: in
     parts = [split_rows(len(dataset), test_fraction, run.seed) for run in runs]
     for r, rows in enumerate(parts):  # each part is fitted or scored: both classes
         for name, part in zip(("training", "held-out"), rows):
-            n_pos = int(np.count_nonzero(dataset.labels[part] == 1))
-            if not 0 < n_pos < len(part):
+            n_pos, n_neg = _class_counts(dataset.labels[part])
+            if not (n_pos and n_neg):
                 raise ValueError(
                     f"repeat {r}: the {name} part ({len(part)} of {len(dataset)} rows) "
-                    f"holds {n_pos} positive and {len(part) - n_pos} negative examples, "
+                    f"holds {n_pos} positive and {n_neg} negative examples, "
                     f"but needs both classes")
     if tune_grid is not None:  # every repeat of an algorithm in one pass
         fit_rows = [fit for fit, _ in parts]

@@ -1,8 +1,9 @@
 """run_algorithm on the training rows' own columns (baselines.compact)
 against the same learner class run at the full dimension d, the oracle: on
 random streams whose training rows leave columns unused, for every
-algorithm, penalty and average. Then bench's benchmark and cross_validate,
-which compact a training set once for all the fits on it."""
+algorithm, penalty and average. Then bench's benchmark, which compacts a
+repeat's split once for all the fits on it, and its tuning above the
+lockstep's dimension."""
 
 import itertools
 
@@ -154,8 +155,7 @@ def bench_config(kind="l2"):
                        epochs=1, eval_every=40, seed=3, radius=1.0)
 
 
-@pytest.mark.parametrize("tuned", [False, True], ids=["fixed", "tuned"])
-def test_bench_fits_on_the_training_columns(monkeypatch, tuned):
+def test_bench_fits_on_the_training_columns(monkeypatch):
     seen = []
     real = bench.run_algorithm
 
@@ -164,16 +164,12 @@ def test_bench_fits_on_the_training_columns(monkeypatch, tuned):
         return real(algo, dataset, config, test_data, objective_data)
 
     monkeypatch.setattr(bench, "run_algorithm", spy)
-    grid = bench.protocol_grid("l2", 2, 3) if tuned else None
-    bench.benchmark(wide_rows(66), "wide", list(baselines.ALGORITHMS), 2, bench_config(),
-                    tune_grid=grid)
-    # per algorithm and repeat: 2 candidates x 3 folds when tuned, then the traced fit
-    assert len(seen) == 3 * 2 * (7 if tuned else 1)
+    bench.benchmark(wide_rows(66), "wide", list(baselines.ALGORITHMS), 2, bench_config())
+    assert len(seen) == 3 * 2  # per algorithm and repeat
     for fit, test, objective in seen:
         assert fit.dim < WIDE
         assert np.array_equal(training_columns(fit), np.arange(fit.dim))  # none empty
-        assert all(data is None or data.dim == fit.dim for data in (test, objective))
-    assert sum(test is not None for _, test, _ in seen) == 3 * 2
+        assert test.dim == objective.dim == fit.dim
 
 
 @pytest.mark.parametrize("kind", ["l2", "l1"])
