@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .data import Dataset, Example
+from .data import SCORE_CHUNK, Dataset, Example
 from .objective import require_prior, saddle_grad, saddle_terms
 from .stats import StatsSnapshot, exact_snapshot
 from .trainer import (DivergenceError, FastSpaucTrainer, L1SpaucTrainer, Learner,
@@ -247,7 +247,11 @@ def compact(dataset: Dataset, *others: Dataset | None) -> tuple:
     *others, None), with nothing copied. The check costs O(nnz) and a
     d-byte mask, each narrowing O(d + nnz) (see Dataset.on_columns)."""
     used = np.zeros(dataset.dim, dtype=bool)
-    used[dataset.indices] = True
+    # SCORE_CHUNK // 2 indices at a time: numpy casts an int32 index to
+    # intp, and at once that would be 8 bytes per training nonzero
+    run = SCORE_CHUNK // 2
+    for lo in range(0, dataset.indices.size, run):
+        used[dataset.indices[lo:lo + run]] = True
     if used.all():
         return dataset, *others, None
     cols = np.flatnonzero(used)

@@ -87,23 +87,6 @@ def write_trace(path, trace: list[TracePoint]) -> None:
             ])
 
 
-def read_trace(path) -> list[TracePoint]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        out = []
-        for row in reader:
-            out.append(TracePoint(
-                step=int(row[0]),
-                elapsed_sec=float(row[1]),
-                test_auc=float(row[2]) if row[2] else None,
-                objective=float(row[3]) if row[3] else None,
-            ))
-        return out
-
-
 def objective_subsample(dataset: Dataset, seed: int,
                         cap: int = OBJECTIVE_SUBSAMPLE_CAP) -> Dataset:
     """Deterministic subsample used for objective traces, keeping evaluation
@@ -399,8 +382,9 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
             row_bounds, entry = gather_rows(ptr, ev_row)
             nnz = row_bounds[1:] - row_bounds[:-1]
             # the entries' groups, columns and values, step s's at bounds[s]:bounds[s + 1]
-            e_group, e_col, e_value = np.repeat(ev_group, nnz), dataset.indices[entry], \
-                dataset.values[entry]
+            # the columns as intp: each sparse step indexes W with a slice of them
+            e_group, e_col, e_value = np.repeat(ev_group, nnz), \
+                dataset.indices[entry].astype(np.intp), dataset.values[entry]
             del entry
             bounds = row_bounds[np.searchsorted(ev_step, np.arange(s1 - s0 + 1))].tolist()
             X = np.zeros((s1 - s0, n_groups, d))
@@ -636,7 +620,9 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: in
     search on the training part picks when `tune_grid` is given. The
     searches of all repeats of an algorithm run as one tune call, before
     the traced runs, which run repeat by repeat. Every repeat's training and
-    held-out parts must hold both classes, and are checked before any fit.
+    held-out parts must hold both classes, and under a grid each training
+    part at least tune_grid.folds examples of each class; all are checked
+    before any fit.
 
     Each repeat's split is compacted once for all its algorithms
     (baselines.compact): the training part, the held-out part and the
@@ -664,6 +650,14 @@ def benchmark(dataset: Dataset, dataset_name: str, algos: list[str], repeats: in
                     f"but needs both classes")
     if tune_grid is not None:  # every repeat of an algorithm in one pass
         fit_rows = [fit for fit, _ in parts]
+        folds = tune_grid.folds
+        for r, part in enumerate(fit_rows):  # each fold of it needs both classes
+            n_pos, n_neg = _class_counts(dataset.labels[part])
+            if min(n_pos, n_neg) < folds:
+                raise ValueError(
+                    f"repeat {r}: the training part ({len(part)} of {len(dataset)} rows) "
+                    f"holds {n_pos} positive and {n_neg} negative examples, but "
+                    f"{folds}-fold cross-validation needs at least {folds} of each class")
         tuned = {algo: [config_from_params(best, run) for (best, _), run in zip(
                      tune(dataset, algo, tune_grid, runs, fit_rows), runs)]
                  for algo in algos}

@@ -19,18 +19,25 @@ buffers, and the strict paths give bit-identical arrays. An iterable of
 lines is read by the per-line parser alone.
 
 A Dataset is stored once, in compressed sparse row (CSR) form: four flat
-arrays (indptr, indices, values, labels) and dim. Its rows, from indexing or
-iteration, are Example views into those arrays, not copies. Feature indices
-are 1-based in files (LIBSVM convention) and 0-based internally. The
-dimension is at most MAX_DIM: a larger index is a ParseError naming its
-line, raised before anything of that size is allocated.
+arrays (indptr, indices, values, labels) and dim. The indices are int32
+(MAX_DIM < 2^31) and the values float64, 12 bytes per stored nonzero. Its
+rows, from indexing or iteration, are Example views into those arrays, not
+copies. Feature indices are 1-based in files (LIBSVM convention) and 0-based
+internally. The dimension is at most MAX_DIM: a larger index is a
+ParseError naming its line, raised before anything of that size is
+allocated.
 
 A pass over every row, such as Dataset.scores (and stats.exact_snapshot),
-walks the rows in runs of whole rows of at most SCORE_CHUNK nonzeros each
-(chunk_bounds), so its temporaries stay O(SCORE_CHUNK) beside the data.
+walks the rows in runs of whole rows of at most SCORE_CHUNK nonzeros each,
+or half of that where it widens their indices (chunk_bounds), so its
+temporaries stay O(SCORE_CHUNK) beside the data.
 Each row's terms are still added in order, so the result does not depend
 on the chunk size. gather_rows gives the entry positions of a list of rows,
-for Dataset.subset and for the passes that read such a list in place.
+for Dataset.subset and for the passes that read such a list in place. A
+numpy fancy index of int32 is cast to intp on every call, so no per-row
+path indexes with a row's int32 indices: the passes gather with
+ndarray.take, and trainer.stream_run widens the indices of a run of rows
+at once.
 """
 
 from __future__ import annotations
@@ -62,6 +69,14 @@ BINARIZE_RULES = ("identity", "zero_one", "threshold")
 # 2^14 scored fastest; from 2^15 up the peak resident set of a CLI run rose
 # again, as the allocator keeps freed buffers of that size.
 SCORE_CHUNK = 1 << 14
+
+# A pass that widens int32 indices to intp (Dataset.scores, whose
+# ndarray.take widens them; trainer.stream_run; baselines.compact's column
+# mask) widens at most half of SCORE_CHUNK at once, 64 KiB of intp. With
+# runs of SCORE_CHUNK, the extra 128 KiB temporary of each scoring run made
+# the allocator give back and refetch its heap between the fits of one CLI
+# process: on the stream-sparse-d1e5 job each fit took 100 to 230 more page
+# faults and the fits ran about 4% slower.
 
 # The largest dimension accepted. Each learner holds a few dense vectors of
 # the dimension, so one stray index such as 10^12 would ask for terabytes;
@@ -123,7 +138,9 @@ class Example(NamedTuple):
 
     indices are 0-based, strictly increasing; values are finite floats;
     label is +1 or -1. Rows of a Dataset are Examples whose arrays are views
-    into the dataset's CSR arrays, so they cost no copy.
+    into the dataset's CSR arrays, so they cost no copy; their indices are
+    int32, which a learner's step indexes with more slowly than the intp
+    rows trainer.stream_run gives it.
     """
 
     indices: np.ndarray
@@ -143,11 +160,6 @@ class Example(NamedTuple):
         a scale of 1 adds the values themselves, with no product built."""
         out[self.indices] += self.values if scale == 1.0 else scale * self.values
 
-    def to_dense(self, dim: int) -> np.ndarray:
-        x = np.zeros(dim)
-        x[self.indices] = self.values
-        return x
-
 
 class Dataset:
     """Labeled sparse rows in compressed sparse row (CSR) form, built once.
@@ -155,7 +167,9 @@ class Dataset:
     Row i has the features indices[indptr[i]:indptr[i+1]] (0-based) with
     values values[indptr[i]:indptr[i+1]] and the label labels[i] in {+1, -1}.
     dim is at least 1 + the largest feature index and at most MAX_DIM, and
-    arrays not of this form are refused with ValueError. The class counts
+    arrays not of this form are refused with ValueError. indices are stored
+    as int32, checked before they are narrowed, indptr and labels as int64
+    and values as float64. The class counts
     n_pos and n_neg are computed in the constructor; nothing is filled in
     later, and the arrays must not be modified after construction.
     """
@@ -163,25 +177,27 @@ class Dataset:
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
                  labels: np.ndarray, dim: int | None = None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         self.values = np.asarray(values, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
         if len(self.indptr) != len(self.labels) + 1:
             raise ValueError(f"{len(self.labels)} labels for {len(self.indptr) - 1} rows")
-        if len(self.values) != len(self.indices):
-            raise ValueError(f"{len(self.values)} values for {len(self.indices)} indices")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices) \
+        if len(self.values) != len(indices):
+            raise ValueError(f"{len(self.values)} values for {len(indices)} indices")
+        if self.indptr[0] != 0 or self.indptr[-1] != len(indices) \
                 or (self.indptr[1:] < self.indptr[:-1]).any():
-            raise ValueError(f"indptr must rise from 0 to {len(self.indices)}")
-        max_idx = int(self.indices.max()) if self.indices.size else -1
-        if self.indices.size and self.indices.min() < 0:
-            raise ValueError(f"negative feature index {self.indices.min()}")
+            raise ValueError(f"indptr must rise from 0 to {len(indices)}")
+        max_idx = int(indices.max()) if indices.size else -1
+        if indices.size and indices.min() < 0:
+            raise ValueError(f"negative feature index {indices.min()}")
         if dim is None:
             dim = max_idx + 1
         elif dim < max_idx + 1:
             raise ValueError(f"dim {dim} smaller than 1 + max feature index {max_idx}")
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} exceeds the largest supported, {MAX_DIM}")
+        # every index is now in [0, MAX_DIM), so the narrowing is exact
+        self.indices = indices.astype(np.int32, copy=False)
         self.dim = dim
         self.n_pos = int(np.count_nonzero(self.labels == 1))
         self.n_neg = int(np.count_nonzero(self.labels == -1))
@@ -214,15 +230,16 @@ class Dataset:
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """All inner products w.x_i, one np.bincount per run of
-        chunk_bounds; each row's products are summed in its own order, so
-        the result does not depend on SCORE_CHUNK."""
+        chunk_bounds of at most SCORE_CHUNK // 2 entries; each row's
+        products are summed in its own order, so the result does not depend
+        on the run size."""
         indptr, indices, values = self.indptr, self.indices, self.values
-        bounds = chunk_bounds(indptr)
+        bounds = chunk_bounds(indptr, SCORE_CHUNK // 2)
         out = np.empty(len(self))
         for start, stop in zip(bounds[:-1], bounds[1:]):
             lo, hi = indptr.item(start), indptr.item(stop)
             out[start:stop] = _row_sums(indptr[start:stop + 1],
-                                        values[lo:hi] * w[indices[lo:hi]])
+                                        values[lo:hi] * w.take(indices[lo:hi]))
         return out
 
     def subset(self, rows: np.ndarray) -> "Dataset":
@@ -264,19 +281,20 @@ def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return bounds, at
 
 
-def chunk_bounds(indptr: np.ndarray) -> list[int]:
+def chunk_bounds(indptr: np.ndarray, limit: int | None = None) -> list[int]:
     """Row bounds [0, ..., n] cutting the n rows whose bounds are indptr
-    (starting at 0) into runs of whole rows, each of at most SCORE_CHUNK
-    nonzeros or of one longer row; [0, n] when they fit in one run."""
+    (starting at 0) into runs of whole rows, each of at most `limit`
+    (default SCORE_CHUNK) nonzeros or of one longer row; [0, n] when they
+    fit in one run."""
+    limit = SCORE_CHUNK if limit is None else limit
     n = indptr.size - 1
-    if indptr.item(-1) <= SCORE_CHUNK:
+    if indptr.item(-1) <= limit:
         return [0, n]
     bounds = [0]
     while bounds[-1] < n:
         start = bounds[-1]
-        # the last row bound within SCORE_CHUNK nonzeros of this start
-        stop = int(indptr.searchsorted(indptr.item(start) + SCORE_CHUNK,
-                                       "right")) - 1
+        # the last row bound within `limit` nonzeros of this start
+        stop = int(indptr.searchsorted(indptr.item(start) + limit, "right")) - 1
         bounds.append(max(stop, start + 1))
     return bounds
 
@@ -307,17 +325,19 @@ _AS_INTEGERS = bytes.maketrans(b":", b" ")  # with the dots deleted
 
 
 class _Rows:
-    """Growing CSR buffers: 8 bytes per entry, no per-row or per-value objects."""
+    """Growing CSR buffers, no per-row or per-value objects: 4 bytes per
+    index (int32, as Dataset keeps them) and 8 per value, row bound and
+    label."""
 
     def __init__(self):
-        self.indptr, self.indices = array("q", [0]), array("q")
+        self.indptr, self.indices = array("q", [0]), array("i")
         self.values, self.labels = array("d"), array("q")
 
     def dataset(self) -> Dataset:
         if not self.labels:
             raise ParseError("no examples found in input")
         return Dataset(np.frombuffer(self.indptr, dtype=np.int64),
-                       np.frombuffer(self.indices, dtype=np.int64),
+                       np.frombuffer(self.indices, dtype=np.int32),
                        np.frombuffer(self.values, dtype=np.float64),
                        np.frombuffer(self.labels, dtype=np.int64))
 
@@ -489,7 +509,7 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
             or nnz and not 1 <= idx.min() <= idx.max() <= MAX_DIM):  # below 2^53: exact
         return False
     rows.indptr.frombytes((len(rows.indices) + ends).tobytes())
-    rows.indices.frombytes((idx - 1).astype(np.int64).tobytes())
+    rows.indices.frombytes((idx - 1).astype(np.int32).tobytes())
     rows.values.frombytes(vals.tobytes())
     rows.labels.frombytes(labels.tobytes())
     return True

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Example, stream_order
+from .data import SCORE_CHUNK, Dataset, Example, chunk_bounds, gather_rows, stream_order
 from .metrics import auc
 from .objective import pairwise_objective_fast, surrogate_grad, surrogate_moves
 from .regularizers import Regularizer, soft_threshold
@@ -681,25 +681,41 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
         last_traced = learner.t
 
     config = learner.config
-    # each step's Example is the view dataset[i] gives, its bounds and label
-    # read through memoryviews, which yield Python ints as lists of them
-    # would, without holding n of them
-    cuts, labels = memoryview(dataset.indptr), memoryview(dataset.labels)
-    indices, values = dataset.indices, dataset.values
+    # The rows are read an epoch's stream order at a time, in runs of whole
+    # rows of at most SCORE_CHUNK // 2 entries (chunk_bounds). Each run's indices,
+    # widened to intp, and its values are gathered into two buffers reused
+    # by every run, and each step's Example is a view of its row there: a
+    # learner indexing with the dataset's int32 indices would have numpy
+    # cast them on every call.
+    n, indptr, run = len(dataset), dataset.indptr, SCORE_CHUNK // 2
+    lengths = indptr[1:] - indptr[:-1]
+    # no run holds more entries than `run` or the longest row, or nnz
+    size = min(int(indptr[-1]), max(run, int(lengths.max())))
+    wide, values = np.empty(size, np.intp), np.empty(size)
     elapsed = time_offset
     tick = time.perf_counter()
     # a step that overflows is caught by the learner's finiteness check and
     # reported as a DivergenceError, so numpy's warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for i in memoryview(stream_order(len(dataset), epoch, config.seed)):
-                lo, hi = cuts[i], cuts[i + 1]
-                learner.step(Example(indices[lo:hi], values[lo:hi], labels[i]))
-                if learner.t > 0 and learner.t % config.eval_every == 0 \
-                        and learner.t != last_traced:
-                    elapsed += time.perf_counter() - tick
-                    record(elapsed)
-                    tick = time.perf_counter()
+            order = stream_order(n, epoch, config.seed)
+            ends = np.concatenate(([0], np.cumsum(lengths[order])))
+            bounds = chunk_bounds(ends, run)
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                rows = order[start:stop]
+                cuts, at = gather_rows(indptr, rows)
+                wide[:at.size] = dataset.indices.take(at)
+                # "clip" never clips here (at is in range); unlike the
+                # default mode it writes into `out` with no buffer copy
+                np.take(dataset.values, at, out=values[:at.size], mode="clip")
+                cuts = cuts.tolist()
+                for label, lo, hi in zip(dataset.labels[rows].tolist(), cuts, cuts[1:]):
+                    learner.step(Example(wide[lo:hi], values[lo:hi], label))
+                    if learner.t > 0 and learner.t % config.eval_every == 0 \
+                            and learner.t != last_traced:
+                        elapsed += time.perf_counter() - tick
+                        record(elapsed)
+                        tick = time.perf_counter()
         elapsed += time.perf_counter() - tick
         if learner.t != last_traced:
             record(elapsed)

@@ -1,16 +1,20 @@
 """Shared test helpers: random sparse instances, the synthetic two-Gaussian
-task, and independent numerical oracles (finite differences, dense-formula
+task, independent numerical oracles (finite differences, dense-formula
 reference evaluation, exact quadratic minimum of the pairwise objective, the
-per-line LIBSVM parser)."""
+per-line LIBSVM parser), an Example as a dense vector and the reader of
+trace CSVs."""
+
+import csv
 
 import numpy as np
 
 from aucstream import data
+from aucstream.bench import TRACE_HEADER
 from aucstream.data import Dataset, Example
 from aucstream.regularizers import Regularizer
 from aucstream.schedules import PracticalSchedule
 from aucstream.stats import StatsSnapshot
-from aucstream.trainer import TrainConfig
+from aucstream.trainer import TracePoint, TrainConfig
 
 
 def sparse_example(rng, d, label, density=0.6):
@@ -18,6 +22,13 @@ def sparse_example(rng, d, label, density=0.6):
     nnz = max(1, int(rng.binomial(d, density)))
     idx = np.sort(rng.choice(d, size=nnz, replace=False)).astype(np.int64)
     return Example(idx, rng.normal(size=nnz), int(label))
+
+
+def to_dense(ex: Example, dim: int) -> np.ndarray:
+    """An Example's features as a dense vector of dim entries."""
+    x = np.zeros(dim)
+    x[ex.indices] = ex.values
+    return x
 
 
 def dense_example(x, label):
@@ -120,3 +131,16 @@ def central_diff(f, x, h):
 
 def central_diff_scalar(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def read_trace(path) -> list[TracePoint]:
+    """The trace points of a CSV bench.write_trace wrote."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != TRACE_HEADER:
+            raise ValueError(f"unexpected trace header {header!r}")
+        return [TracePoint(step=int(row[0]), elapsed_sec=float(row[1]),
+                           test_auc=float(row[2]) if row[2] else None,
+                           objective=float(row[3]) if row[3] else None)
+                for row in reader]

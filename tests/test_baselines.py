@@ -6,15 +6,15 @@ import pytest
 import aucstream.baselines as baselines
 from aucstream.baselines import (FastSpamTrainer, SolamTrainer, SpamTrainer,
                                  run_algorithm, unknown_algorithm_message)
-from aucstream.data import split
+from aucstream.data import SCORE_CHUNK, Dataset, split, stream_order
 from aucstream.objective import saddle_grad, saddle_value
-from aucstream.regularizers import l2, none_reg
+from aucstream.regularizers import l1, l2, none_reg
 from aucstream.schedules import PracticalSchedule
 from aucstream.stats import ClassStats, NotReadyError, StatsSnapshot, exact_snapshot
-from aucstream.trainer import TrainConfig, TracePoint
+from aucstream.trainer import TrainConfig, TracePoint, stream_run
 
 from conftest import (central_diff, gaussian_task, random_dataset,
-                      sparse_example)
+                      sparse_example, to_dense)
 
 
 def config(**kw):
@@ -34,7 +34,7 @@ class TestSpam:
         learner.step(z)
         p = moments.p
         sign = p if z.label == -1 else -(1.0 - p)
-        expected = -cfg.schedule.step_size(1) * 2.0 * sign * z.to_dense(4)
+        expected = -cfg.schedule.step_size(1) * 2.0 * sign * to_dense(z, 4)
         np.testing.assert_allclose(learner.w, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("learner", [SpamTrainer, FastSpamTrainer])
@@ -229,3 +229,33 @@ class TestRunBaseline:
 def test_unknown_algorithm_message_names_unimplemented():
     msg = unknown_algorithm_message("oam")
     assert "opauc" in msg and "oam" in msg and "fsauc" in msg
+
+
+@pytest.mark.parametrize("algo", baselines.ALGORITHMS)
+@pytest.mark.parametrize("reg", [l2(1e-3), l1(1e-3)], ids=["l2", "l1"])
+def test_stream_run_steps_the_dataset_rows_in_stream_order(algo, reg):
+    """stream_run reads the rows a run of at most SCORE_CHUNK // 2 entries
+    at a time, its indices widened to intp, into buffers it reuses: over rows
+    holding more than SCORE_CHUNK entries, and one row longer than a run,
+    its model is, byte for byte, that of stepping the learner over
+    dataset[i] in stream_order."""
+    rng = np.random.default_rng(17)
+    d = SCORE_CHUNK
+    lengths = np.append(rng.integers(1, 120, size=300), SCORE_CHUNK // 2 + 20)
+    rng.shuffle(lengths)
+    indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False))
+                              for k in lengths])
+    values = np.repeat(1 / np.sqrt(lengths), lengths) * rng.normal(size=lengths.sum())
+    ds = Dataset(np.append(0, np.cumsum(lengths)), indices, values,
+                 np.where(rng.random(lengths.size) < 0.4, 1, -1), d)
+    assert ds.indices.dtype == np.int32 and ds.indices.size > SCORE_CHUNK
+    cfg = TrainConfig(reg, PracticalSchedule(1.0), epochs=2, seed=4, eval_every=10**6)
+    make = baselines.LEARNERS[algo][reg.kind == "l1"]
+    extra = (exact_snapshot(ds),) if algo == "spam" else ()
+    w, _ = stream_run(make(d, cfg, *extra), ds)
+    learner = make(d, cfg, *extra)
+    for epoch in range(cfg.epochs):
+        for i in stream_order(len(ds), epoch, cfg.seed):
+            learner.step(ds[i])
+    assert learner.t > len(ds)
+    assert w.tobytes() == learner.model().tobytes()

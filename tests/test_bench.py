@@ -7,12 +7,12 @@ import aucstream.bench as bench_module
 from aucstream.bench import (DEFAULT_LAMBDA_GRID, DEFAULT_MU_GRID,
                              DEFAULT_RADIUS_GRID, TuneGrid, _fold_indices,
                              aggregate, benchmark, config_from_params,
-                             objective_subsample, protocol_grid, read_trace,
-                             tune, write_report, write_trace, write_tune_table)
+                             objective_subsample, protocol_grid, tune,
+                             write_report, write_trace, write_tune_table)
 from aucstream.data import Dataset, split_rows
 from aucstream.trainer import TracePoint
 
-from conftest import gaussian_task, practical_config, random_dataset
+from conftest import gaussian_task, practical_config, random_dataset, read_trace
 
 
 class TestTraceIO:
@@ -204,6 +204,22 @@ class TestBenchmark:
             benchmark(ds, "toy", ["spauc", "spam"], repeats=2,
                       config=practical_config(seed=8, epochs=1), tune_grid=grid,
                       test_fraction=0.5)
+        assert fits == []
+
+    def test_too_few_of_a_class_for_the_folds_names_the_repeat(self, monkeypatch):
+        # with seed 5, each repeat's training part holds 1 of the 2
+        # positives: cross_validate refused it naming no repeat
+        labels = np.array([1, 1] + [-1] * 8)
+        ds = Dataset(np.arange(11), np.zeros(10), np.linspace(-1.0, 1.0, 10), labels, dim=1)
+        fits = []
+        monkeypatch.setattr(bench_module, "run_algorithm", lambda *args, **kw: fits.append(args))
+        monkeypatch.setattr(bench_module, "lockstep", lambda *args, **kw: fits.append(args))
+        with pytest.raises(ValueError, match=r"^repeat 0: the training part \(5 of 10 rows\) "
+                                             r"holds 1 positive and 4 negative examples, but "
+                                             r"2-fold cross-validation needs at least 2 of "
+                                             r"each class$"):
+            benchmark(ds, "toy", ["spauc"], repeats=2, config=practical_config("l2", seed=5),
+                      tune_grid=protocol_grid("l2", pairs=2, folds=2), test_fraction=0.5)
         assert fits == []
 
     def test_tuned_repeats(self):

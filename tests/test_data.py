@@ -507,3 +507,33 @@ class TestCSR:
     def test_not_one_label_per_row(self, labels):
         with pytest.raises(ValueError, match=f"{len(labels)} labels for 1 rows"):
             Dataset([0, 1], [0], [1.0], labels)
+
+
+class TestIndexWidth:
+    """Indices are kept as int32, values as float64: 12 bytes per stored
+    nonzero. Indices given wider are checked before they are narrowed, so
+    one that int32 cannot hold is refused, not wrapped."""
+
+    @pytest.mark.parametrize("index, dim, message", [
+        (2**31 + 5, None, f"dimension {2**31 + 6} exceeds the largest supported"),
+        (2**32 + 5, None, f"dimension {2**32 + 6} exceeds the largest supported"),
+        (2**32 + 5, 8, f"dim 8 smaller than 1 \\+ max feature index {2**32 + 5}"),
+        (-1, None, "negative feature index -1"),
+    ])
+    def test_an_index_outside_int32_is_refused(self, index, dim, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Dataset([0, 2], np.array([0, index], dtype=np.int64), [1.0, 2.0], [1], dim)
+
+    def test_every_way_of_building_gives_int32_indices(self, tmp_path):
+        strict = "+1 1:1 5:2.5\n-1\n-1 2:3e0 3:-0.25\n"
+        per_line = "# a comment\n" + strict
+        path = tmp_path / "rows.libsvm"
+        path.write_text(strict)
+        ds = parse_libsvm(strict)
+        built = [ds, parse_libsvm(per_line), parse_libsvm(io.StringIO(strict)),
+                 load_libsvm(str(path)), ds.subset(np.array([2, 0])),
+                 ds.on_columns(np.array([0, 4])), ds.on_columns(np.arange(5)),
+                 Dataset.from_examples(list(ds)),
+                 Dataset.from_examples([Example(np.array([3], np.int64), np.ones(1), 1)])]
+        for got in built:
+            assert got.indices.dtype == np.int32 and got.values.dtype == np.float64

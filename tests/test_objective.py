@@ -10,13 +10,13 @@ from aucstream.objective import (dataset_kappa, instance_kappa,
 from aucstream.stats import NotReadyError, StatsSnapshot, exact_snapshot
 
 from conftest import (central_diff, central_diff_scalar, dense_example,
-                      random_dataset, random_snapshot, sparse_example)
+                      random_dataset, random_snapshot, sparse_example, to_dense)
 
 
 def reference_value(w, z, s):
     """Term-by-term dense evaluation of the surrogate, written independently
     of the production path."""
-    x = z.to_dense(len(w))
+    x = to_dense(z, len(w))
     p, u, v = s.p, s.u, s.v
     out = 2.0 * p * (1 - p) * (w @ (v - u))
     out += p * (1 - p) * (w @ (v - u)) ** 2
@@ -29,7 +29,7 @@ def reference_value(w, z, s):
 
 
 def reference_saddle(w, a, b, alpha, z, s):
-    x = z.to_dense(len(w))
+    x = to_dense(z, len(w))
     p = s.p
     ind_pos = 1.0 if z.label == 1 else 0.0
     ind_neg = 1.0 - ind_pos
@@ -60,7 +60,7 @@ class TestSurrogateValue:
         s = StatsSnapshot(0.3, u, u.copy(), True)
         z = sparse_example(rng, d, 1)
         w = rng.normal(size=d)
-        x = z.to_dense(d)
+        x = to_dense(z, d)
         expected = 0.7 * (w @ (x - u)) ** 2 + 0.3 * 0.7
         assert surrogate_value(w, z, s) == pytest.approx(expected, rel=1e-12)
 
@@ -158,7 +158,7 @@ class TestPairwiseObjective:
         xn = dense_example([0.5, 1.0], -1)
         ds = Dataset.from_examples([xp, dense_example([2.0, -1.0], 1), xn])
         w = np.array([0.3, -0.2])
-        margin = 1.0 - w @ (xp.to_dense(2) - xn.to_dense(2))
+        margin = 1.0 - w @ (to_dense(xp, 2) - to_dense(xn, 2))
         p_hat = 2.0 / 3.0
         expected = p_hat * (1 - p_hat) * margin**2
         assert pairwise_objective_fast(w, ds) == pytest.approx(expected, rel=1e-12)
@@ -245,7 +245,7 @@ class TestSaddle:
         z = sparse_example(rng, d, 1)
         s = random_snapshot(rng, d)
         gw, ga, gb, galpha = saddle_grad(np.zeros(d), 0.0, 0.0, 0.0, z, s.p)
-        np.testing.assert_allclose(gw, -2 * (1 - s.p) * z.to_dense(d), rtol=1e-12)
+        np.testing.assert_allclose(gw, -2 * (1 - s.p) * to_dense(z, d), rtol=1e-12)
         assert ga == 0.0 and gb == 0.0 and galpha == 0.0
 
     def test_unready_snapshot_rejected(self):

@@ -4,13 +4,13 @@ import pytest
 from aucstream.data import Dataset
 from aucstream.stats import ClassStats, NotReadyError, exact_snapshot
 
-from conftest import dense_example, random_dataset, sparse_example
+from conftest import dense_example, random_dataset, sparse_example, to_dense
 
 
 def brute_snapshot(examples, dim):
     """Recompute (p, u, v) from scratch over a list of examples."""
-    pos = [ex.to_dense(dim) for ex in examples if ex.label == 1]
-    neg = [ex.to_dense(dim) for ex in examples if ex.label == -1]
+    pos = [to_dense(ex, dim) for ex in examples if ex.label == 1]
+    neg = [to_dense(ex, dim) for ex in examples if ex.label == -1]
     p = len(pos) / len(examples) if examples else 0.0
     u = np.mean(pos, axis=0) if pos else np.zeros(dim)
     v = np.mean(neg, axis=0) if neg else np.zeros(dim)

@@ -2,19 +2,20 @@
 to the library calls a tool makes cannot break it unseen; and the benchmark
 probe (perfbench/probe.py), which must see every fit exactly once."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aucstream.baselines import ALGORITHMS
-from aucstream.bench import read_trace
-from aucstream.data import Dataset, save_libsvm
+from aucstream.data import Dataset, load_libsvm, save_libsvm
 
-from conftest import gaussian_task
+from conftest import gaussian_task, read_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,6 +28,30 @@ def run_script(path: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(path), *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def load_tool(name: str, monkeypatch):
+    """A tool's module, imported with its environment defaults kept to this
+    test."""
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_step_cost_steps_the_rows_stream_run_gives(monkeypatch):
+    """The table charges no int32 index cast, which no fit pays: the rows
+    carry the dataset's values and labels and its indices as intp."""
+    step_cost = load_tool("step_cost", monkeypatch)
+    ds = step_cost.random_rows(1000)
+    assert ds.indices.dtype == np.int32
+    rows = step_cost.stream_rows(ds)
+    assert len(rows) == len(ds)
+    for row, ex in zip(rows, ds):
+        assert row.indices.dtype == np.intp
+        np.testing.assert_array_equal(row.indices, ex.indices)
+        assert row.values.base is ds.values and row.label == ex.label
 
 
 def test_step_cost_prints_one_row_of_positive_cells():
@@ -87,10 +112,21 @@ def test_peak_rss_reports_the_phases_of_a_train(tmp_path):
     proc = run_tool("peak_rss.py", "train", "--data", str(data), "--test", str(data),
                     "--mu", "30", "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
-    phases = [line.split()[0] for line in proc.stderr.splitlines()[1:]]
+    lines = proc.stderr.splitlines()[1:]
+    phases = [line.split()[0] for line in lines]
     assert phases[0] == "imports"
     assert {"load", "fit"} <= set(phases)
     assert proc.stdout.startswith("test AUC: ")
+    # each load, the training and the test file, gives its CSR size: 8
+    # bytes per row bound and label, 4 per index and 8 per value
+    ds = load_libsvm(str(data))
+    nbytes = 8 * (2 * len(ds) + 1) + 12 * ds.indices.size
+    loads = [line for line in lines if line[:12].strip() == "load"]
+    assert len(loads) == 2
+    for line in loads:
+        assert line.endswith(f"  CSR {nbytes / 2**20:.2f} MB, "
+                             f"{nbytes / ds.indices.size:.2f} B per nonzero")
+    assert all("CSR" not in line for line in lines if line not in loads)
 
 
 def test_probe_sees_each_fit_once(tmp_path):

@@ -9,9 +9,11 @@ Runs the verb in this process, as perfbench/probe.py does, and after each
 phase prints the process's VmHWM (peak resident set so far) and VmRSS
 (resident set now), in MB, from /proc/self/status: once after the imports,
 then after each data load, fit, scoring pass (the trace points of a fit,
-the held-out scoring of eval and benchmark), model save and model load. A
-phase's peak is VmHWM after it less VmHWM before it; the benchmark's
-peak_rss_mb is the last VmHWM. Linux only; not part of the test suite.
+the held-out scoring of eval and benchmark), model save and model load.
+Beside each data load it prints the loaded dataset's CSR bytes (its four
+arrays) and those bytes per stored nonzero. A phase's peak is VmHWM after it
+less VmHWM before it; the benchmark's peak_rss_mb is the last VmHWM. Linux
+only; not part of the test suite.
 """
 
 import functools
@@ -48,18 +50,28 @@ def memory_mb() -> tuple[float, float]:
     return fields["VmHWM"], fields["VmRSS"]
 
 
-def report(phase: str) -> None:
+def csr_size(ds: Dataset) -> str:
+    """The bytes of a dataset's four CSR arrays, in MB and per nonzero."""
+    nbytes = sum(a.nbytes for a in (ds.indptr, ds.indices, ds.values, ds.labels))
+    return (f"CSR {nbytes / 2**20:.2f} MB, "
+            f"{nbytes / max(1, ds.indices.size):.2f} B per nonzero")
+
+
+def report(phase: str, result=None) -> None:
     hwm, rss = memory_mb()
-    print(f"{phase:12s} {hwm:9.1f} {rss:9.1f}", file=sys.stderr, flush=True)
+    size = f"  {csr_size(result)}" if isinstance(result, Dataset) else ""
+    print(f"{phase:12s} {hwm:9.1f} {rss:9.1f}{size}", file=sys.stderr, flush=True)
 
 
 def reporting(phase: str, fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        result = None
         try:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            return result
         finally:
-            report(phase)
+            report(phase, result)
     return wrapper
 
 

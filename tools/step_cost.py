@@ -7,7 +7,8 @@ For each d it draws 400 seeded rows of 50 nonzeros (distinct indices, normal
 values, labels +1/-1 with prior 1/2), keeps them on the columns they hold, as
 baselines.run_algorithm trains (baselines.compact; the table prints that
 count, d_eff, beside d), and steps a fresh learner over them once, in row
-order, with the practical schedule mu = 0.01, penalty weight 1e-4 and
+order, each row's indices widened to intp as trainer.stream_run gives them
+(stream_rows), with the practical schedule mu = 0.01, penalty weight 1e-4 and
 the iterate average of --average (default: the last iterate; avg1 and avg2 add
 the lazy average's cost, its folds' settles included). A cell is the best of 3
 such passes: the seconds of the step loop alone (rows are built and learners
@@ -39,7 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from aucstream.baselines import LEARNERS, compact  # noqa: E402
-from aucstream.data import Dataset  # noqa: E402
+from aucstream.data import Dataset, Example  # noqa: E402
 from aucstream.regularizers import l1, l2, none_reg  # noqa: E402
 from aucstream.schedules import PracticalSchedule  # noqa: E402
 from aucstream.stats import exact_snapshot  # noqa: E402
@@ -68,6 +69,12 @@ def random_rows(d: int, seed: int = 0) -> Dataset:
     values = rng.normal(size=ROWS * NNZ)
     labels = rng.choice([1, -1], size=ROWS)
     return Dataset(np.arange(0, ROWS * NNZ + 1, NNZ), indices, values, labels, dim=d)
+
+
+def stream_rows(ds: Dataset) -> list[Example]:
+    """The rows of ds as stream_run steps them: the dataset keeps int32
+    indices, which numpy would cast on every index a step makes."""
+    return [Example(ex.indices.astype(np.intp), ex.values, ex.label) for ex in ds]
 
 
 def learners(ds: Dataset, average: str) -> dict:
@@ -106,7 +113,7 @@ def main() -> None:
     table = []
     for d in dims:
         ds, _ = compact(random_rows(d))
-        rows = list(ds)
+        rows = stream_rows(ds)
         table.append((d, ds.dim, {name: us_per_step(make, rows)
                                   for name, make in learners(ds, args.average).items()}))
     after = host_reference()
