@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .data import SCORE_CHUNK, Dataset, Example
+from .data import Dataset, Example, row_runs
 from .objective import require_prior, saddle_grad, saddle_terms
 from .stats import StatsSnapshot, exact_snapshot
 from .trainer import (DivergenceError, FastSpaucTrainer, L1SpaucTrainer, Learner,
@@ -247,11 +247,9 @@ def compact(dataset: Dataset, *others: Dataset | None) -> tuple:
     *others, None), with nothing copied. The check costs O(nnz) and a
     d-byte mask, each narrowing O(d + nnz) (see Dataset.on_columns)."""
     used = np.zeros(dataset.dim, dtype=bool)
-    # SCORE_CHUNK // 2 indices at a time: numpy casts an int32 index to
-    # intp, and at once that would be 8 bytes per training nonzero
-    run = SCORE_CHUNK // 2
-    for lo in range(0, dataset.indices.size, run):
-        used[dataset.indices[lo:lo + run]] = True
+    # a run at a time: the widened indices of all at once take 8 bytes per nonzero
+    for _, _, _, at in row_runs(dataset.indptr):
+        used[dataset.indices[at]] = True
     if used.all():
         return dataset, *others, None
     cols = np.flatnonzero(used)

@@ -271,8 +271,8 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     count t, the label masks, solam's data radius kappa and the examples,
     is computed for a chunk of steps at once: each group's example of each
     step as one dense d-vector, and the step sizes as a (steps, groups, k)
-    array, neither larger than a quarter of SCORE_CHUNK entries. Each group keeps its
-    example and its class sums or moments as one (3, d) block (solam: the
+    array, neither larger than half of SCORE_CHUNK entries. Each group keeps
+    its example and its class sums or moments as one (3, d) block (solam: the
     example alone), so a step does the d-vector work once for every
     candidate, as products of each group's (k, d) iterates with its block:
     one batched matmul for w.x and w against the sums or moments, the move
@@ -315,9 +315,7 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
         F[:, 1:] = [(m.u, m.v) for m in moments]
         prior = np.array([[m.p] for m in moments])
     elif algo == "solam":
-        cuts = memoryview(ptr)  # Example.norm of each row, read by its row bounds
-        norms = np.array([math.sqrt(v.dot(v)) for v in (dataset.values[lo:hi]
-                                                         for lo, hi in zip(cuts, cuts[1:]))])
+        norms = np.array([ex.norm() for ex in dataset])
         aux = [np.zeros((n_groups, k)) for _ in range(3)]  # a, b and alpha
     # per group: examples and positives seen, steps taken, data radius
     seen, pos_seen, taken = (np.zeros(n_groups, np.int64) for _ in range(3))
@@ -327,11 +325,11 @@ def lockstep(algo: str, dataset: Dataset, groups: list[tuple[np.ndarray, list[Tr
     F_T = F.transpose(0, 2, 1)  # a view, so it follows F
     # a chunk of steps is as long as neither its examples, one dense
     # (groups, d) slice per step, nor its (steps, groups, k) step sizes,
-    # nor its (steps, 3, groups, 1) label terms hold more than a quarter of
+    # nor its (steps, 3, groups, 1) label terms hold more than half of
     # SCORE_CHUNK entries (or one step): building the examples keeps four
-    # such arrays alive. With all of SCORE_CHUNK, the tune-dense-d8 job's
-    # peak resident set was 0.8 MB higher, and no faster
-    span = max(1, data.SCORE_CHUNK // (4 * n_groups * max(d, k, 3)))
+    # such arrays alive. With twice that, the tune-dense-d8 job's peak
+    # resident set was 0.8 MB higher, and no faster
+    span = max(1, data.SCORE_CHUNK // (2 * n_groups * max(d, k, 3)))
     total = max(ends)
     # an iterate that overflows leaves below, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

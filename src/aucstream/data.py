@@ -27,22 +27,18 @@ internally. The dimension is at most MAX_DIM: a larger index is a
 ParseError naming its line, raised before anything of that size is
 allocated.
 
-A pass over every row, such as Dataset.scores (and stats.exact_snapshot),
-walks the rows in runs of whole rows of at most SCORE_CHUNK nonzeros each,
-or half of that where it widens their indices (chunk_bounds), so its
-temporaries stay O(SCORE_CHUNK) beside the data.
-Each row's terms are still added in order, so the result does not depend
-on the chunk size. gather_rows gives the entry positions of a list of rows,
-for Dataset.subset and for the passes that read such a list in place. A
-numpy fancy index of int32 is cast to intp on every call, so no per-row
-path indexes with a row's int32 indices: the passes gather with
-ndarray.take, and trainer.stream_run widens the indices of a run of rows
-at once.
+Every pass over the rows (Dataset.scores, stats.exact_snapshot,
+trainer.stream_run, baselines.compact) reads them a run of whole rows at a
+time (row_runs), taking each row's terms in order, so its result does not
+depend on the run size, SCORE_CHUNK. A numpy fancy index of int32 is cast
+to intp on every call, so no per-row path indexes with a row's int32
+indices: the passes widen a run's indices at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -63,20 +59,15 @@ class ParseError(ValueError):
 
 BINARIZE_RULES = ("identity", "zero_one", "threshold")
 
-# The largest number of nonzeros a whole-dataset pass (Dataset.scores,
-# stats.exact_snapshot) handles at once, rows kept whole: its temporaries
-# stay at a few hundred KiB whatever the dataset's size. Of 2^12 to 2^16,
-# 2^14 scored fastest; from 2^15 up the peak resident set of a CLI run rose
-# again, as the allocator keeps freed buffers of that size.
-SCORE_CHUNK = 1 << 14
-
-# A pass that widens int32 indices to intp (Dataset.scores, whose
-# ndarray.take widens them; trainer.stream_run; baselines.compact's column
-# mask) widens at most half of SCORE_CHUNK at once, 64 KiB of intp. With
-# runs of SCORE_CHUNK, the extra 128 KiB temporary of each scoring run made
-# the allocator give back and refetch its heap between the fits of one CLI
-# process: on the stream-sparse-d1e5 job each fit took 100 to 230 more page
-# faults and the fits ran about 4% slower.
+# The most entries a pass over the rows (row_runs) reads at once, rows kept
+# whole, so its temporaries stay small whatever the dataset's size: 64 KiB
+# of indices widened to intp. Of 2^12 to 2^16, 2^14 scored fastest alone,
+# but its temporaries made the allocator give back and refetch its heap
+# between the fits of one CLI process (100 to 230 more page faults a fit on
+# the stream-sparse-d1e5 job, whose fits ran about 4% slower); from 2^15 up
+# the peak resident set of a CLI run rose, as the allocator keeps freed
+# buffers of that size.
+SCORE_CHUNK = 1 << 13
 
 # The largest dimension accepted. Each learner holds a few dense vectors of
 # the dimension, so one stray index such as 10^12 would ask for terabytes;
@@ -176,10 +167,10 @@ class Dataset:
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
                  labels: np.ndarray, dim: int | None = None):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices)
+        self.indptr = _integers("indptr", indptr).astype(np.int64, copy=False)
+        indices = _integers("indices", indices)
         self.values = np.asarray(values, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = _integers("labels", labels).astype(np.int64, copy=False)
         if len(self.indptr) != len(self.labels) + 1:
             raise ValueError(f"{len(self.labels)} labels for {len(self.indptr) - 1} rows")
         if len(self.values) != len(indices):
@@ -192,6 +183,8 @@ class Dataset:
             raise ValueError(f"negative feature index {indices.min()}")
         if dim is None:
             dim = max_idx + 1
+        elif not isinstance(dim, numbers.Integral):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         elif dim < max_idx + 1:
             raise ValueError(f"dim {dim} smaller than 1 + max feature index {max_idx}")
         if dim > MAX_DIM:
@@ -229,17 +222,16 @@ class Dataset:
                        self.labels.item(i))
 
     def scores(self, w: np.ndarray) -> np.ndarray:
-        """All inner products w.x_i, one np.bincount per run of
-        chunk_bounds of at most SCORE_CHUNK // 2 entries; each row's
-        products are summed in its own order, so the result does not depend
-        on the run size."""
-        indptr, indices, values = self.indptr, self.indices, self.values
-        bounds = chunk_bounds(indptr, SCORE_CHUNK // 2)
+        """All inner products w.x_i, one np.bincount per run of row_runs;
+        each row's products are summed in its own order, so the result does
+        not depend on the run size."""
         out = np.empty(len(self))
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            lo, hi = indptr.item(start), indptr.item(stop)
-            out[start:stop] = _row_sums(indptr[start:stop + 1],
-                                        values[lo:hi] * w.take(indices[lo:hi]))
+        for start, stop, bounds, at in row_runs(self.indptr):
+            # each entry's row; the subtraction, not np.diff, whose
+            # Python-level checks cost a sixth of the pass on a 200-row dataset
+            rows = np.repeat(np.arange(stop - start), bounds[1:] - bounds[:-1])
+            products = self.values[at] * w.take(self.indices[at])
+            out[start:stop] = np.bincount(rows, weights=products, minlength=stop - start)
         return out
 
     def subset(self, rows: np.ndarray) -> "Dataset":
@@ -269,6 +261,17 @@ class Dataset:
                        cols.size)
 
 
+def _integers(name: str, a) -> np.ndarray:
+    """`a` as an array, refused with ValueError naming it unless every value
+    is an integer; an integer array pays only its dtype test."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        whole = np.isfinite(a) & (a == np.trunc(a))
+        if not whole.all():
+            raise ValueError(f"{name} must hold integers, got {a[~whole][0].item()!r}")
+    return a
+
+
 def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR gather of the rows `rows`, in that order, of the rows whose
     bounds are indptr: the listed rows' bounds, counted from 0, and the
@@ -281,31 +284,26 @@ def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return bounds, at
 
 
-def chunk_bounds(indptr: np.ndarray, limit: int | None = None) -> list[int]:
-    """Row bounds [0, ..., n] cutting the n rows whose bounds are indptr
-    (starting at 0) into runs of whole rows, each of at most `limit`
-    (default SCORE_CHUNK) nonzeros or of one longer row; [0, n] when they
-    fit in one run."""
-    limit = SCORE_CHUNK if limit is None else limit
-    n = indptr.size - 1
-    if indptr.item(-1) <= limit:
-        return [0, n]
-    bounds = [0]
-    while bounds[-1] < n:
-        start = bounds[-1]
-        # the last row bound within `limit` nonzeros of this start
-        stop = int(indptr.searchsorted(indptr.item(start) + limit, "right")) - 1
-        bounds.append(max(stop, start + 1))
-    return bounds
-
-
-def _row_sums(indptr: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """The sum of each row's products, in order, for the rows whose bounds
-    (from the first row's start) are indptr."""
-    # the subtraction, not np.diff, whose Python-level checks cost a sixth
-    # of the pass on a 200-row dataset
-    rows = np.repeat(np.arange(indptr.size - 1), indptr[1:] - indptr[:-1])
-    return np.bincount(rows, weights=products, minlength=indptr.size - 1)
+def row_runs(indptr: np.ndarray, rows: np.ndarray | None = None) -> Iterator[tuple]:
+    """Cut the list `rows` (every row, in order, when None) of the rows whose
+    bounds are indptr into runs of whole rows, each of at most SCORE_CHUNK
+    entries (read at call time) or of one longer row. Yields, per run,
+    (start, stop, bounds, at): the run is rows[start:stop], bounds are its
+    rows' bounds counted from its first entry, and at the positions of its
+    entries, row by row, a slice when rows is None."""
+    # the listed rows' bounds, counted from 0
+    ends = indptr if rows is None else \
+        np.concatenate(([0], np.cumsum(indptr[1:][rows] - indptr[:-1][rows])))
+    start, n = 0, ends.size - 1
+    while start < n:
+        lo = ends.item(start)
+        # the last row bound within SCORE_CHUNK entries of this start
+        stop = max(start + 1, int(ends.searchsorted(lo + SCORE_CHUNK, "right")) - 1)
+        if rows is None:
+            yield start, stop, ends[start:stop + 1] - lo, slice(lo, ends.item(stop))
+        else:
+            yield start, stop, *gather_rows(indptr, rows[start:stop])
+        start = stop
 
 
 # 64 KiB keeps the per-block temporaries small beside the parsed arrays;

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Example, chunk_bounds, gather_rows
+from .data import Dataset, Example, row_runs
 
 
 class NotReadyError(ValueError):
@@ -76,9 +76,8 @@ class ClassStats:
 def exact_snapshot(dataset: Dataset, rows: np.ndarray | None = None) -> StatsSnapshot:
     """Full-data moments (p, u, v) over the rows `rows` of a dataset, in
     that order (every row when None), which must hold both classes. The
-    rows are read in place, in runs of chunk_bounds, so the result is that
-    of dataset.subset(rows) without the copy: only the listed rows' entry
-    positions (gather_rows) are built."""
+    rows are read in place, a run of row_runs at a time, so the result is
+    that of dataset.subset(rows) without the copy."""
     labels = dataset.labels if rows is None else dataset.labels[rows]
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = labels.size - n_pos
@@ -89,17 +88,10 @@ def exact_snapshot(dataset: Dataset, rows: np.ndarray | None = None) -> StatsSna
         )
     # the positive sums then the negative ones, in one flat array; entries
     # are added in row order, the same additions ClassStats.update makes
-    d, ends = dataset.dim, dataset.indptr  # the rows' bounds, read in order
-    if rows is not None:
-        ends, entries = gather_rows(ends, rows)
+    d = dataset.dim
     sums = np.zeros(2 * d)
-    bounds = chunk_bounds(ends)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        at = slice(ends.item(start), ends.item(stop))  # every row: views, no copy
-        if rows is not None:
-            at = entries[at]
-        offsets = np.repeat(np.where(labels[start:stop] == 1, 0, d),
-                            ends[start + 1:stop + 1] - ends[start:stop])
+    for start, stop, bounds, at in row_runs(dataset.indptr, rows):
+        offsets = np.repeat(np.where(labels[start:stop] == 1, 0, d), bounds[1:] - bounds[:-1])
         offsets += dataset.indices[at]
         np.add.at(sums, offsets, dataset.values[at])
     return StatsSnapshot(n_pos / labels.size, sums[:d] / n_pos, sums[d:] / n_neg, True)

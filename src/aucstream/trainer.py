@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SCORE_CHUNK, Dataset, Example, chunk_bounds, gather_rows, stream_order
+from .data import Dataset, Example, row_runs, stream_order
 from .metrics import auc
 from .objective import pairwise_objective_fast, surrogate_grad, surrogate_moves
 from .regularizers import Regularizer, soft_threshold
@@ -681,35 +681,27 @@ def stream_run(learner: Learner, dataset: Dataset, test_data: Dataset | None = N
         last_traced = learner.t
 
     config = learner.config
-    # The rows are read an epoch's stream order at a time, in runs of whole
-    # rows of at most SCORE_CHUNK // 2 entries (chunk_bounds). Each run's indices,
-    # widened to intp, and its values are gathered into two buffers reused
-    # by every run, and each step's Example is a view of its row there: a
-    # learner indexing with the dataset's int32 indices would have numpy
-    # cast them on every call.
-    n, indptr, run = len(dataset), dataset.indptr, SCORE_CHUNK // 2
-    lengths = indptr[1:] - indptr[:-1]
-    # no run holds more entries than `run` or the longest row, or nnz
-    size = min(int(indptr[-1]), max(run, int(lengths.max())))
-    wide, values = np.empty(size, np.intp), np.empty(size)
+    # each epoch's rows, in stream order, a run of row_runs at a time: the
+    # run's indices widened to intp (see data) and its values go into two
+    # buffers grown to the longest run, and each step's Example views its row
+    wide, values = np.empty(0, np.intp), np.empty(0)
     elapsed = time_offset
     tick = time.perf_counter()
     # a step that overflows is caught by the learner's finiteness check and
     # reported as a DivergenceError, so numpy's warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = stream_order(n, epoch, config.seed)
-            ends = np.concatenate(([0], np.cumsum(lengths[order])))
-            bounds = chunk_bounds(ends, run)
-            for start, stop in zip(bounds[:-1], bounds[1:]):
-                rows = order[start:stop]
-                cuts, at = gather_rows(indptr, rows)
+            order = stream_order(len(dataset), epoch, config.seed)
+            for start, stop, cuts, at in row_runs(dataset.indptr, order):
+                if at.size > wide.size:
+                    wide, values = np.empty(at.size, np.intp), np.empty(at.size)
                 wide[:at.size] = dataset.indices.take(at)
                 # "clip" never clips here (at is in range); unlike the
                 # default mode it writes into `out` with no buffer copy
                 np.take(dataset.values, at, out=values[:at.size], mode="clip")
                 cuts = cuts.tolist()
-                for label, lo, hi in zip(dataset.labels[rows].tolist(), cuts, cuts[1:]):
+                for label, lo, hi in zip(dataset.labels[order[start:stop]].tolist(),
+                                         cuts, cuts[1:]):
                     learner.step(Example(wide[lo:hi], values[lo:hi], label))
                     if learner.t > 0 and learner.t % config.eval_every == 0 \
                             and learner.t != last_traced:

@@ -234,21 +234,21 @@ def test_unknown_algorithm_message_names_unimplemented():
 @pytest.mark.parametrize("algo", baselines.ALGORITHMS)
 @pytest.mark.parametrize("reg", [l2(1e-3), l1(1e-3)], ids=["l2", "l1"])
 def test_stream_run_steps_the_dataset_rows_in_stream_order(algo, reg):
-    """stream_run reads the rows a run of at most SCORE_CHUNK // 2 entries
-    at a time, its indices widened to intp, into buffers it reuses: over rows
-    holding more than SCORE_CHUNK entries, and one row longer than a run,
+    """stream_run reads the rows a run of at most SCORE_CHUNK entries at a
+    time, its indices widened to intp, into buffers it reuses: over rows
+    holding more than two runs of entries, and one row longer than a run,
     its model is, byte for byte, that of stepping the learner over
     dataset[i] in stream_order."""
     rng = np.random.default_rng(17)
-    d = SCORE_CHUNK
-    lengths = np.append(rng.integers(1, 120, size=300), SCORE_CHUNK // 2 + 20)
+    d = 2 * SCORE_CHUNK
+    lengths = np.append(rng.integers(1, 120, size=300), SCORE_CHUNK + 20)
     rng.shuffle(lengths)
     indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False))
                               for k in lengths])
     values = np.repeat(1 / np.sqrt(lengths), lengths) * rng.normal(size=lengths.sum())
     ds = Dataset(np.append(0, np.cumsum(lengths)), indices, values,
                  np.where(rng.random(lengths.size) < 0.4, 1, -1), d)
-    assert ds.indices.dtype == np.int32 and ds.indices.size > SCORE_CHUNK
+    assert ds.indices.dtype == np.int32 and ds.indices.size > 2 * SCORE_CHUNK
     cfg = TrainConfig(reg, PracticalSchedule(1.0), epochs=2, seed=4, eval_every=10**6)
     make = baselines.LEARNERS[algo][reg.kind == "l1"]
     extra = (exact_snapshot(ds),) if algo == "spam" else ()

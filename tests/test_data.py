@@ -508,6 +508,25 @@ class TestCSR:
         with pytest.raises(ValueError, match=f"{len(labels)} labels for 1 rows"):
             Dataset([0, 1], [0], [1.0], labels)
 
+    @pytest.mark.parametrize("args,message", [
+        (([0, 1, 2], [0, 1], [1.0, 2.0], [1.9, -1.2]), "labels must hold integers, got 1.9"),
+        (([0, 2], [0.5, 1.7], [1.0, 2.0], [1]), "indices must hold integers, got 0.5"),
+        (([0.0, 1.5, 2], [0, 1], [1.0, 2.0], [1, -1]), "indptr must hold integers, got 1.5"),
+        (([0, 1, 2], [0, 1], [1.0, 2.0], [1, -1], 2.5), "dim must be an integer, got 2.5"),
+        (([0, 1, 2], [0, np.nan], [1.0, 2.0], [1, -1]), "indices must hold integers, got nan"),
+        (([0, 1, np.inf], [0, 1], [1.0, 2.0], [1, -1]), "indptr must hold integers, got inf"),
+        (([0, 1, 2], [0, 1], [1.0, 2.0], [1, -np.inf]), "labels must hold integers, got -inf"),
+    ], ids=["label", "index", "indptr", "dim", "nan", "inf", "-inf"])
+    def test_a_value_that_is_not_an_integer_is_refused(self, args, message):
+        # cast to int, 1.9 and -1.2 were stored as the labels +1 and -1
+        with pytest.raises(ValueError, match=message):
+            Dataset(*args)
+
+    def test_integral_floats_are_read_as_integers(self):
+        ds = Dataset([0.0, 1.0, 2.0], [0.0, 3.0], [1.0, 2.0], [1.0, -1.0])
+        want = Dataset([0, 1, 2], [0, 3], [1.0, 2.0], [1, -1])
+        assert_same_csr(ds, want)
+
 
 class TestIndexWidth:
     """Indices are kept as int32, values as float64: 12 bytes per stored

@@ -13,10 +13,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from aucstream import data
+from aucstream import baselines, data
 from aucstream.data import (BinarizeRule, Dataset, ParseError, load_libsvm,
                             parse_libsvm, write_libsvm)
+from aucstream.regularizers import l1, l2
+from aucstream.schedules import PracticalSchedule
 from aucstream.stats import NotReadyError, exact_snapshot
+from aucstream.trainer import TrainConfig, stream_run
 
 from conftest import assert_same_csr, parse_per_line
 
@@ -338,14 +341,24 @@ CHUNKS = st.sampled_from([1, 3, 16])
 
 
 @settings(deadline=None)
-@given(chunked_datasets(), CHUNKS)
-def test_chunks_cut_whole_rows_of_at_most_a_chunk(ds, chunk):
+@given(chunked_datasets(), CHUNKS, st.data())
+def test_chunks_cut_whole_rows_of_at_most_a_chunk(ds, chunk, draw):
+    rows = draw.draw(st.none() | st.lists(st.integers(0, len(ds) - 1)).map(
+        lambda r: np.array(r, dtype=np.int64)))
+    listed = np.arange(len(ds)) if rows is None else rows
     with patch.object(data, "SCORE_CHUNK", chunk):
-        bounds = data.chunk_bounds(ds.indptr)
-    assert bounds[0] == 0 and bounds[-1] == len(ds)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        assert start < stop or len(ds) == 0
-        assert ds.indptr[stop] - ds.indptr[start] <= chunk or stop == start + 1
+        runs = list(data.row_runs(ds.indptr, rows))
+    # consecutive runs of the listed rows, each of its rows' entries, row by row
+    cuts = [0] + [stop for _, stop, *_ in runs]
+    assert [start for start, *_ in runs] == cuts[:-1] and cuts[-1] == len(listed)
+    positions = np.arange(ds.indices.size)
+    for start, stop, bounds, at in runs:
+        assert start < stop
+        want_bounds, want_at = data.gather_rows(ds.indptr, listed[start:stop])
+        assert bounds.tolist() == want_bounds.tolist()
+        assert bounds[-1] <= chunk or stop == start + 1
+        assert isinstance(at, slice) == (rows is None)
+        assert positions[at].tolist() == want_at.tolist()
 
 
 @settings(deadline=None)
@@ -386,3 +399,55 @@ def test_snapshot_of_rows_is_the_snapshot_of_their_subset(ds, chunk, draw):
         got, want = exact_snapshot(ds, rows), exact_snapshot(sub)
     assert got.p == want.p and got.ready
     assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
+
+
+RUN_DATA_DIM = 14
+
+
+def run_data() -> Dataset:
+    """60 rows of 0 to 6 entries at d = RUN_DATA_DIM, its last two columns
+    empty, so that compact drops them."""
+    rng = np.random.default_rng(29)
+    rows = [np.sort(rng.choice(RUN_DATA_DIM - 2, size=k, replace=False))
+            for k in rng.integers(0, 7, size=60)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    values = rng.normal(size=indptr[-1]) / 2
+    labels = np.where(rng.random(60) < 0.4, 1, -1)
+    return Dataset(indptr, np.concatenate(rows), values, labels, RUN_DATA_DIM)
+
+
+def every_pass(ds: Dataset) -> list[bytes]:
+    """The bytes of what each pass over the rows gives on ds: the model of
+    stream_run for every learner class with l2 and l1 over 2 epochs,
+    compact's training rows and columns, and exact_snapshot of a list of
+    rows."""
+    out = []
+    for reg in (l2(1e-3), l1(1e-3)):
+        cfg = TrainConfig(reg, PracticalSchedule(1.0), epochs=2, seed=4, eval_every=10**6)
+        for algo, classes in baselines.LEARNERS.items():
+            extra = (exact_snapshot(ds),) if algo == "spam" else ()
+            w, _ = stream_run(classes[reg.kind == "l1"](ds.dim, cfg, *extra), ds)
+            out.append(w.tobytes())
+    fit, cols = baselines.compact(ds)
+    out += [fit.indptr.tobytes(), fit.indices.tobytes(), fit.values.tobytes(),
+            cols.tobytes()]
+    snap = exact_snapshot(ds, np.random.default_rng(3).permutation(len(ds))[:45])
+    return out + [np.float64(snap.p).tobytes(), snap.u.tobytes(), snap.v.tobytes()]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_every_pass_gives_the_same_bytes_at_any_run_size(chunk):
+    """SCORE_CHUNK is read at call time by every pass over the rows: patched,
+    it reaches stream_run, compact and exact_snapshot of a row list, whose
+    results do not depend on it."""
+    ds = run_data()
+    with patch.object(data, "gather_rows", wraps=data.gather_rows) as runs:
+        want = every_pass(ds)
+        one_run_each = runs.call_count
+        runs.reset_mock()
+        with patch.object(data, "SCORE_CHUNK", chunk):
+            got = every_pass(ds)
+    assert got == want
+    # a run of a row list is one gather: the patch cut stream_run's epochs
+    # and the snapshot's rows into more runs
+    assert runs.call_count > one_run_each

@@ -112,10 +112,14 @@ def test_peak_rss_reports_the_phases_of_a_train(tmp_path):
     proc = run_tool("peak_rss.py", "train", "--data", str(data), "--test", str(data),
                     "--mu", "30", "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stderr.splitlines()[1:]
+    header, *lines = proc.stderr.splitlines()
+    assert header.split() == ["phase", "VmHWM", "MB", "VmRSS", "MB", "minflt"]
     phases = [line.split()[0] for line in lines]
     assert phases[0] == "imports"
     assert {"load", "fit"} <= set(phases)
+    # every phase's minor page faults, a count; the imports alone take some
+    faults = [int(line[12:].split()[2]) for line in lines]
+    assert faults[0] > 0 and min(faults) >= 0
     assert proc.stdout.startswith("test AUC: ")
     # each load, the training and the test file, gives its CSR size: 8
     # bytes per row bound and label, 4 per index and 8 per value

@@ -7,17 +7,22 @@
 
 Runs the verb in this process, as perfbench/probe.py does, and after each
 phase prints the process's VmHWM (peak resident set so far) and VmRSS
-(resident set now), in MB, from /proc/self/status: once after the imports,
-then after each data load, fit, scoring pass (the trace points of a fit,
-the held-out scoring of eval and benchmark), model save and model load.
-Beside each data load it prints the loaded dataset's CSR bytes (its four
-arrays) and those bytes per stored nonzero. A phase's peak is VmHWM after it
-less VmHWM before it; the benchmark's peak_rss_mb is the last VmHWM. Linux
+(resident set now), in MB, from /proc/self/status, and the minor page
+faults taken during the phase (getrusage's ru_minflt; the faults of a phase
+inside another, such as a fit's scoring passes, count in both): once after
+the imports (the faults since the process started), then after each data
+load, fit, scoring pass (the trace points of a fit, the held-out scoring of
+eval and benchmark), model save and model load. Beside each data load it
+prints the loaded dataset's CSR bytes (its four arrays) and those bytes per
+stored nonzero. A phase's peak is VmHWM after it less VmHWM before it; the
+benchmark's peak_rss_mb is the last VmHWM. A fit that re-faults memory the
+allocator gave back since the previous fit shows as more faults. Linux
 only; not part of the test suite.
 """
 
 import functools
 import os
+import resource
 import sys
 
 # one BLAS thread, as in perfbench/run.py, unless the caller chose otherwise;
@@ -57,29 +62,37 @@ def csr_size(ds: Dataset) -> str:
             f"{nbytes / max(1, ds.indices.size):.2f} B per nonzero")
 
 
-def report(phase: str, result=None) -> None:
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def report(phase: str, faults: int, result=None) -> None:
     hwm, rss = memory_mb()
     size = f"  {csr_size(result)}" if isinstance(result, Dataset) else ""
-    print(f"{phase:12s} {hwm:9.1f} {rss:9.1f}{size}", file=sys.stderr, flush=True)
+    print(f"{phase:12s} {hwm:9.1f} {rss:9.1f} {faults:9d}{size}", file=sys.stderr,
+          flush=True)
 
 
 def reporting(phase: str, fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         result = None
+        before = minor_faults()
         try:
             result = fn(*args, **kwargs)
             return result
         finally:
-            report(phase, result)
+            report(phase, minor_faults() - before, result)
     return wrapper
 
 
 def main() -> int:
     for phase, owner, attr in PHASES:
         setattr(owner, attr, reporting(phase, getattr(owner, attr)))
-    print(f"{'phase':12s} {'VmHWM MB':>9s} {'VmRSS MB':>9s}", file=sys.stderr)
-    report("imports")
+    print(f"{'phase':12s} {'VmHWM MB':>9s} {'VmRSS MB':>9s} {'minflt':>9s}",
+          file=sys.stderr)
+    report("imports", minor_faults())
     return cli.main(sys.argv[1:])
 
 
