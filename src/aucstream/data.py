@@ -1,22 +1,22 @@
 """Sparse dataset handling: LIBSVM/SVMlight text parsing, label binarization,
 train/test splitting and deterministic streaming order.
 
-Text given as a file path, or as one string, which is read as its UTF-8
-text, is cut by one block reader into blocks of whole lines (about 64 KiB);
-line ends may be \\n, \\r\\n or \\r. A block in the strict form
-``label idx:val ...`` (ASCII, single spaces, no comments, blank lines or
-trailing spaces, digit-only indices) is read with one np.fromstring and
-checked, vectorised, for everything the per-line parser checks. When every
-field of such a block is a plain decimal (``[+-]digits[.digits]``, 1 to
-EXACT_DIGITS digits, no exponent), that np.fromstring reads int64s with the
-dots deleted, and each number is its integer over 10^k for its k fraction
-digits, which is exactly the double a float read gives. Any other strict
-block (exponents, or the 17-digit repr values that save_libsvm writes) is
-read as floats. Any other block, or one that fails a check, is re-read by
-the per-line parser, which defines the accepted syntax and raises every
-ParseError with its absolute line number. All paths append to the same flat
-buffers, and the strict paths give bit-identical arrays. An iterable of
-lines is read by the per-line parser alone.
+Text given as a file path, or as one string read as its UTF-8 text, is cut
+by one block reader into blocks of whole lines (about 64 KiB); line ends may
+be \\n, \\r\\n or \\r. A block in the strict form ``label idx:val ...``
+(ASCII, single spaces, no comments, blank lines or trailing spaces,
+digit-only indices) is read with one np.fromstring and checked, vectorised,
+for everything the per-line parser checks; that pass returns the block's
+line count, so no block is scanned twice. When every field of such a block
+is a plain decimal (``[+-]digits[.digits]``, 1 to EXACT_DIGITS digits, no
+exponent), that np.fromstring reads int64s with the dots deleted, and each
+number is its integer over 10^k for its k fraction digits, exactly the
+double a float read gives. Any other strict block (exponents, or the
+17-digit repr values save_libsvm writes) is read as floats. Any other
+block, or one that fails a check, is re-read by the per-line parser, which
+defines the accepted syntax and raises every ParseError with its absolute
+line number. All paths append to the same flat buffers, the strict ones
+bit-identically. An iterable of lines is read by the per-line parser alone.
 
 A Dataset is stored once, in compressed sparse row (CSR) form: four flat
 arrays (indptr, indices, values, labels) and dim. The indices are int32
@@ -376,7 +376,7 @@ def _file_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
         # ends the chunk, where it may be the first half of a \r\n
         cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
         if cut:
-            yield b"".join(pending + [chunk[:cut]])
+            yield b"".join(pending + [memoryview(chunk)[:cut]])  # no copy of the cut
             pending = [chunk[cut:]]
         else:  # no line ends in this chunk
             pending.append(chunk)
@@ -399,15 +399,15 @@ def _decode(raw: bytes, first_line: int) -> str:
 def _parse_blocks(blocks: Iterable[bytes], rule: BinarizeRule | None) -> Dataset:
     if rule is None:
         rule = BinarizeRule.identity()
-    rows = _Rows()
-    line_no = 1
+    rows, line_no = _Rows(), 1
     for raw in blocks:
         if b"\r" in raw:  # line ends as Python's text mode reads them
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not _parse_strict(raw, rule, rows):
+        if (read := _parse_strict(raw, rule, rows)) is None:
             lines = _decode(raw, line_no).split("\n")
             _parse_lines(lines, line_no, rule, rows)
-        line_no += raw.count(b"\n")
+            read = len(lines) - 1
+        line_no += read
     return rows.dataset()
 
 
@@ -454,13 +454,12 @@ def _parse_lines(lines: Iterable[str], first_line: int, rule: BinarizeRule,
         indptr.append(len(indices))
 
 
-def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
+def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> int | None:
     """Append a block of whole lines in the strict form ``label idx:val ...\\n``
     (ASCII, no comments or blank lines, single spaces, one colon per feature,
-    digit-only indices) with one np.fromstring,
-    and return True. Return False, having appended nothing, when the block is
-    not in that form or holds a line the per-line parser would reject; the
-    caller then re-reads it per line.
+    digit-only indices) with one np.fromstring and return its line count; or
+    append nothing and return None when the block is not in that form or
+    holds a line the per-line parser would reject, to be re-read per line.
 
     Every check is vectorised over the block's features or its non-digit
     bytes, so the block costs O(nnz) numpy work, not per-character Python.
@@ -468,18 +467,18 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
     if not raw.endswith(b"\n"):
         raw += b"\n"
     byte = np.frombuffer(raw, dtype=np.uint8)
-    at = np.flatnonzero((byte < 48) | (byte > 57))  # the non-digit bytes ("0"-"9")
+    at = np.flatnonzero((byte - 48) > 9)  # the non-digit bytes: below "0" wraps past 9
     m = byte[at]
     # a block that starts blank is refused: np.fromstring reads one of only
     # whitespace as [-1.]
     if raw.startswith((b" ", b"\n")) or m.tobytes().translate(None, _STRICT_MARKS):
-        return False
+        return None
     is_colon, is_space, is_newline = m == _COLON, m == _SPACE, m == _NEWLINE
     # a colon exactly where the previous mark is a space: each feature token
     # holds one colon, the label none, index fields only digits, and no space
     # ends a line, so no field holds more than one number
     if is_colon[0] or not np.array_equal(is_colon[1:], is_space[:-1]):
-        return False
+        return None
     nums = _exact_decimals(raw, byte, at, m, is_colon | is_space | is_newline)
     if nums is None:  # exponents, long or irregular fields: read as floats
         try:
@@ -487,14 +486,14 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
                 warnings.simplefilter("error", DeprecationWarning)
                 nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
         except (ValueError, DeprecationWarning):
-            return False
+            return None
     ends = np.searchsorted(np.flatnonzero(is_colon), np.flatnonzero(is_newline))
     n, nnz = ends.size, int(ends[-1])
     # every label and both sides of every colon must be a field read as one
     # number: an empty one (blank line, doubled or leading space, empty side
     # of a colon) makes the count come short
     if nums.size != n + 2 * nnz:
-        return False
+        return None
     at_label = np.arange(n)
     at_label[1:] += 2 * ends[:-1]
     labels = _binarize_block(nums[at_label], rule)
@@ -505,12 +504,13 @@ def _parse_strict(raw: bytes, rule: BinarizeRule, rows: _Rows) -> bool:
     rising[row_starts - 1] = True  # the first index of a row may be any
     if (labels is None or not rising.all() or not np.isfinite(vals).all()
             or nnz and not 1 <= idx.min() <= idx.max() <= MAX_DIM):  # below 2^53: exact
-        return False
-    rows.indptr.frombytes((len(rows.indices) + ends).tobytes())
-    rows.indices.frombytes((idx - 1).astype(np.int32).tobytes())
-    rows.values.frombytes(vals.tobytes())
-    rows.labels.frombytes(labels.tobytes())
-    return True
+        return None
+    # array.frombytes takes bytes-like buffers: contiguous arrays' uint8 views
+    rows.indptr.frombytes((len(rows.indices) + ends).view(np.uint8))
+    rows.indices.frombytes((idx - 1).astype(np.int32).view(np.uint8))
+    rows.values.frombytes(vals.tobytes())  # a strided view: one copy either way
+    rows.labels.frombytes(labels.view(np.uint8))
+    return n
 
 
 def _exact_decimals(raw: bytes, byte: np.ndarray, at: np.ndarray, m: np.ndarray,
@@ -524,8 +524,8 @@ def _exact_decimals(raw: bytes, byte: np.ndarray, at: np.ndarray, m: np.ndarray,
     if b"e" in raw or b"E" in raw:
         return None
     seps = np.flatnonzero(is_sep)
-    digits_to = at[seps] - seps  # the block's digits up to each field's end
-    digits = np.diff(digits_to, prepend=0)
+    digits = at[seps] - seps  # the block's digits up to each field's end ...
+    digits[1:] -= digits[:-1].copy()  # ... and in each field
     if digits.min() < 1 or digits.max() > EXACT_DIGITS:
         return None
     # a sign only where a field starts: after a colon or a line end (a space
@@ -535,13 +535,13 @@ def _exact_decimals(raw: bytes, byte: np.ndarray, at: np.ndarray, m: np.ndarray,
     before = byte[signs - 1]
     if not ((before == _COLON) | (before == _NEWLINE)).all():
         return None
-    dots = np.flatnonzero(m == _DOT)
-    if not is_sep[dots + 1].all():  # a dot is its field's last mark
+    # a dot only as its field's last mark, the fraction digits after it
+    dotted = m[seps - 1] == _DOT  # m[-1], read for a first field of digits only, is "\n"
+    if np.count_nonzero(dotted) != np.count_nonzero(m == _DOT):
         return None
-    frac = np.zeros(m.size, dtype=np.intp)  # fraction digits, at each field's end
-    frac[dots + 1] = at[dots + 1] - at[dots] - 1
+    frac = np.where(dotted, at[seps] - at[seps - 1] - 1, 0)
     ints = np.fromstring(raw.translate(_AS_INTEGERS, b"."), dtype=np.int64, sep=" ")
-    nums = ints / _POW10[frac[seps]]
+    nums = ints / _POW10[frac]
     if not ints.all():  # -0 and -0.0 read as -0.0
         minus = np.searchsorted(seps, np.flatnonzero(m == _MINUS))
         nums[minus[ints[minus] == 0]] = -0.0

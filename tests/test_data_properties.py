@@ -245,6 +245,49 @@ def test_a_string_parses_as_a_file_of_its_text(ds, draw):
     assert from_string == from_file
 
 
+BAD_LINES = ["x 1:1", "+1 0:1", "+1 2:1 1:1", "+1 1:nan", "+1 1", "+1 1:1 3:1 3:2"]
+
+
+@settings(deadline=None)
+@given(csr_datasets(values=st.floats(-1e3, 1e3), max_rows=40), st.data())
+def test_a_bad_line_after_strict_blocks_names_the_per_line_parsers_line(ds, draw):
+    """The line number of a ParseError raised after several strict blocks is
+    the per-line parser's: the strict pass counts every line it reads, at
+    any block size, with \\n or \\r\\n line ends and with or without a final
+    one."""
+    lines = written_lines(ds)
+    bad = draw.draw(st.integers(len(lines) // 2, len(lines)))
+    lines.insert(bad, draw.draw(st.sampled_from(BAD_LINES)))
+    end = draw.draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw.draw(st.sampled_from([end, ""]))
+    want = outcome(parse_per_line, text.replace("\r\n", "\n"), BinarizeRule.identity())
+    assert want.startswith(f"line {bad + 1}: ")
+    size = draw.draw(st.integers(4, 200))
+    # a block holds at most a read and the line it ends inside, so text this
+    # long before the bad line spans at least two blocks of its own
+    several = len(end.join(lines[:bad])) >= 3 * (size + max(map(len, lines)) + 2)
+    strict, strict_pass = [], data._parse_strict
+
+    def spy(*args):
+        read = strict_pass(*args)
+        strict.append(bool(read))
+        return read
+
+    with block_size(size), \
+            patch.object(data, "_parse_strict", spy), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.libsvm")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        for parse, source in ((parse_libsvm, text), (load_libsvm, path)):
+            strict.clear()
+            with pytest.raises(ParseError) as exc:
+                parse(source)
+            assert exc.value.line_no == bad + 1 and str(exc.value) == want
+            assert not strict[-1]  # the bad line's block is read per line
+            assert sum(strict) >= 2 or not several
+
+
 # -- the integer read of strict blocks ------------------------------------
 
 SPECIAL_DECIMALS = ["-0", "-0.0", "+0", "0.", "-0.", ".5", "5.", "-.5", "+.5", "007",

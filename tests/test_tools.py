@@ -113,24 +113,31 @@ def test_peak_rss_reports_the_phases_of_a_train(tmp_path):
                     "--mu", "30", "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stderr.splitlines()
-    assert header.split() == ["phase", "VmHWM", "MB", "VmRSS", "MB", "minflt"]
+    assert header.split() == ["phase", "VmHWM", "MB", "VmRSS", "MB", "minflt", "seconds"]
     phases = [line.split()[0] for line in lines]
     assert phases[0] == "imports"
     assert {"load", "fit"} <= set(phases)
-    # every phase's minor page faults, a count; the imports alone take some
+    # every phase's minor page faults, a count, and its seconds; the imports
+    # alone take some of each
     faults = [int(line[12:].split()[2]) for line in lines]
+    seconds = [float(line[12:].split()[3]) for line in lines]
     assert faults[0] > 0 and min(faults) >= 0
+    assert seconds[0] > 0 and min(seconds) >= 0
     assert proc.stdout.startswith("test AUC: ")
-    # each load, the training and the test file, gives its CSR size: 8
-    # bytes per row bound and label, 4 per index and 8 per value
+    # each load, the training and the test file, gives the file's MB read
+    # per second and its CSR size: 8 bytes per row bound and label, 4 per
+    # index and 8 per value
     ds = load_libsvm(str(data))
     nbytes = 8 * (2 * len(ds) + 1) + 12 * ds.indices.size
     loads = [line for line in lines if line[:12].strip() == "load"]
     assert len(loads) == 2
     for line in loads:
+        rate, unit = line[12:].split()[4:6]
+        assert unit == "MB/s" and float(rate) > 0
         assert line.endswith(f"  CSR {nbytes / 2**20:.2f} MB, "
                              f"{nbytes / ds.indices.size:.2f} B per nonzero")
-    assert all("CSR" not in line for line in lines if line not in loads)
+    assert all("CSR" not in line and "MB/s" not in line
+               for line in lines if line not in loads)
 
 
 def test_probe_sees_each_fit_once(tmp_path):

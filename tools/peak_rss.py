@@ -7,14 +7,15 @@
 
 Runs the verb in this process, as perfbench/probe.py does, and after each
 phase prints the process's VmHWM (peak resident set so far) and VmRSS
-(resident set now), in MB, from /proc/self/status, and the minor page
-faults taken during the phase (getrusage's ru_minflt; the faults of a phase
-inside another, such as a fit's scoring passes, count in both): once after
-the imports (the faults since the process started), then after each data
-load, fit, scoring pass (the trace points of a fit, the held-out scoring of
-eval and benchmark), model save and model load. Beside each data load it
-prints the loaded dataset's CSR bytes (its four arrays) and those bytes per
-stored nonzero. A phase's peak is VmHWM after it less VmHWM before it; the
+(resident set now), in MB, from /proc/self/status, the minor page faults
+taken during the phase (getrusage's ru_minflt) and its wall seconds (a
+phase inside another, such as a fit's scoring passes, counts in both): once
+after the imports (the faults since the process started, the seconds since
+this tool started), then after each data load, fit, scoring pass (the trace
+points of a fit, the held-out scoring of eval and benchmark), model save and
+model load. Beside each data load it prints the file's MB (2^20 bytes) read
+per second, the loaded dataset's CSR bytes (its four arrays) and those bytes
+per stored nonzero. A phase's peak is VmHWM after it less VmHWM before it; the
 benchmark's peak_rss_mb is the last VmHWM. A fit that re-faults memory the
 allocator gave back since the previous fit shows as more faults. Linux
 only; not part of the test suite.
@@ -24,6 +25,9 @@ import functools
 import os
 import resource
 import sys
+import time
+
+STARTED = time.perf_counter()
 
 # one BLAS thread, as in perfbench/run.py, unless the caller chose otherwise;
 # set before numpy loads BLAS
@@ -67,32 +71,36 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def report(phase: str, faults: int, result=None) -> None:
+def report(phase: str, faults: int, seconds: float, result=None, path=None) -> None:
     hwm, rss = memory_mb()
-    size = f"  {csr_size(result)}" if isinstance(result, Dataset) else ""
-    print(f"{phase:12s} {hwm:9.1f} {rss:9.1f} {faults:9d}{size}", file=sys.stderr,
-          flush=True)
+    size = ""
+    if isinstance(result, Dataset):  # a data load, of the file at `path`
+        size = (f"  {os.path.getsize(path) / 2**20 / seconds:.1f} MB/s"
+                f"  {csr_size(result)}")
+    print(f"{phase:12s} {hwm:9.1f} {rss:9.1f} {faults:9d} {seconds:9.4f}{size}",
+          file=sys.stderr, flush=True)
 
 
 def reporting(phase: str, fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         result = None
-        before = minor_faults()
+        before, start = minor_faults(), time.perf_counter()
         try:
             result = fn(*args, **kwargs)
             return result
         finally:
-            report(phase, minor_faults() - before, result)
+            report(phase, minor_faults() - before, time.perf_counter() - start,
+                   result, args[0] if args else None)
     return wrapper
 
 
 def main() -> int:
     for phase, owner, attr in PHASES:
         setattr(owner, attr, reporting(phase, getattr(owner, attr)))
-    print(f"{'phase':12s} {'VmHWM MB':>9s} {'VmRSS MB':>9s} {'minflt':>9s}",
-          file=sys.stderr)
-    report("imports", minor_faults())
+    print(f"{'phase':12s} {'VmHWM MB':>9s} {'VmRSS MB':>9s} {'minflt':>9s} "
+          f"{'seconds':>9s}", file=sys.stderr)
+    report("imports", minor_faults(), time.perf_counter() - STARTED)
     return cli.main(sys.argv[1:])
 
 
